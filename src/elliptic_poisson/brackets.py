@@ -75,17 +75,7 @@ def s_diff(spec: SDiffSpec) -> EPoly:
         sign, base_a, base_b, m = 1, a, b, (c - a) // k
     else:
         sign, base_a, base_b, m = -1, c, d, (a - c) // k
-    acc: dict[tuple, ParamPoly] = {}
-    coeff = ParamPoly.const(sign)
-    for r in range(m):
-        mono = tuple(sorted((base_a + k * r, base_b - k * r)))
-        cur = acc.get(mono)
-        cur = coeff if cur is None else cur + coeff
-        if cur:
-            acc[mono] = cur
-        elif mono in acc:
-            del acc[mono]
-    return EPoly._raw(acc)
+    return EPoly({(base_a + k * r, base_b - k * r): sign for r in range(m)})
 
 
 def _sdiff(k: int, first: tuple[int, int], second: tuple[int, int]) -> EPoly:
@@ -205,28 +195,7 @@ def bracket_poly(P: EPoly, Q: EPoly, spec: BracketSpec,
     as central scalars.
     """
     nv = Fraction(n_value) if n_value is not None else None
-    acc: dict[tuple, ParamPoly] = {}
-    for m1, c1 in P._terms.items():
-        rests1 = [m1[:i] + m1[i + 1:] for i in range(len(m1))]
-        for m2, c2 in Q._terms.items():
-            c12 = c1 * c2
-            for i, a in enumerate(m1):
-                rest1 = rests1[i]
-                for j, b in enumerate(m2):
-                    gb = _generator_bracket_cached(a, b, spec, nv)
-                    if not gb:
-                        continue
-                    rest = rest1 + m2[:j] + m2[j + 1:]
-                    for mg, cg in gb._terms.items():
-                        mono = tuple(sorted(rest + mg))
-                        c = c12 * cg
-                        cur = acc.get(mono)
-                        cur = c if cur is None else cur + c
-                        if cur:
-                            acc[mono] = cur
-                        elif mono in acc:
-                            del acc[mono]
-    return EPoly._raw(acc)
+    return P.bracket(Q, lambda a, b: _generator_bracket_cached(a, b, spec, nv))
 
 
 def jacobiator(P: EPoly, Q: EPoly, R: EPoly, spec: BracketSpec,

@@ -104,9 +104,9 @@ def fmul_poly(P: EPoly, Q: EPoly) -> EPoly:
     if (P and not P.is_linear()) or (Q and not Q.is_linear()):
         raise ValueError("function products need degree-1 operands")
     out = EPoly.zero()
-    for (a,), ca in P._terms.items():
-        for (b,), cb in Q._terms.items():
-            out = out + (ca * cb) * fmul(a, b)
+    for (a,), ca in P.terms():
+        for (b,), cb in Q.terms():
+            out = out + fmul(a, b) * ca * cb
     return out
 
 
@@ -115,7 +115,7 @@ def wp_shift(P: EPoly, steps: int) -> EPoly:
     times (negative steps divide); acts as index shift by 2*steps."""
     if P and not P.is_linear():
         raise ValueError("index shifts need degree-1 operands")
-    return EPoly._raw({(m[0] + 2 * steps,): c for m, c in P._terms.items()})
+    return EPoly({(m[0] + 2 * steps,): c for m, c in P.terms()})
 
 
 def fdiv_wp(P: EPoly) -> EPoly:

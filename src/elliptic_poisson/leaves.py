@@ -106,8 +106,7 @@ def xp_eval(cfg: LeafConfig, P: EPoly, params: dict[str, complex],
     }
     total = 0j
     peak = 0.0
-    for mono, coeff in P.terms():
-        term = coeff.evaluate(params)
+    for mono, term in P.coefficient_values(params):
         for a in mono:
             term *= linear[a]
         total += term

@@ -434,8 +434,7 @@ def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
         values[alpha] = [e_func(L, alpha, z, exclusion) for z in points]
     total = 0j
     peak = 0.0
-    for mono, coeff in P.terms():
-        c = coeff.evaluate(params)
+    for mono, c in P.coefficient_values(params):
         perm, perm_peak = _permanent([values[a] for a in mono])
         total += c * perm
         peak = max(peak, abs(c) * perm_peak)

@@ -2,7 +2,9 @@
 expected values, the exact centrality oracle, rank-1 identities, and the
 pencil involution families."""
 
+import hashlib
 from fractions import Fraction
+from importlib import resources
 from random import Random
 
 import pytest
@@ -238,11 +240,24 @@ def test_casimir_preconditions():
         casimir_odd(1)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 9])
 def test_centrality_small(n):
     rep = verify_central(casimirs(n))
     assert rep.passed
     assert rep.max_residual == "exact-zero"
+
+
+def _golden_digests():
+    text = (resources.files("elliptic_poisson")
+            .joinpath("golden/v1/casimir_sha256.txt").read_text(encoding="utf-8"))
+    rows = (line.split() for line in text.splitlines() if line and not line.startswith("#"))
+    return {int(n): digest for n, digest in rows}
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+def test_casimir_matches_golden_digest(n):
+    text = "\n".join(elem.to_text() for elem in casimirs(n).elements)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _golden_digests()[n]
 
 
 def test_centrality_detects_noncentral():

@@ -2,11 +2,14 @@
 layering, and byte-level determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import elliptic_poisson
 from elliptic_poisson.cli import main, parse_tau, parse_window
 from elliptic_poisson.cli import UsageError
 
@@ -210,8 +213,11 @@ def test_seed_env_default(tmp_path, monkeypatch):
 
 
 def test_console_entry_point(tmp_path):
+    # The child imports the package this suite imported, installed or not.
+    src = str(Path(elliptic_poisson.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "elliptic_poisson.cli", "casimir-build", "--n", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "C = " in proc.stdout

@@ -112,6 +112,15 @@ def test_parampoly_evaluate():
         p.evaluate({"n": 1 + 0j})
 
 
+def test_parampoly_evaluate_ignores_construction_order():
+    big = 10 ** 16
+    a = (big + G2) - big * G3
+    b = (big - big * G3) + G2
+    assert a == b
+    values = {"g2": 1, "g3": 1}
+    assert a.evaluate(values) == b.evaluate(values)
+
+
 @settings(max_examples=60, deadline=None)
 @given(param_polys, param_polys, param_polys)
 def test_parampoly_ring_laws(a, b, c):
