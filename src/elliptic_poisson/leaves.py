@@ -23,7 +23,9 @@ from .weierstrass import (
     DEFAULT_EXCLUSION,
     Lattice,
     SamplePlan,
-    e_func_and_deriv,
+    _e_from_values,
+    _point_values,
+    _zeta_matrix,
     numeric_params,
     sample_points,
     sym_eval,
@@ -84,14 +86,13 @@ def draw_leaf_sample(cfg: LeafConfig, rng: Random,
     return LeafSample(u=tuple(u), psi=tuple(psi))
 
 
-def _e_values(cfg: LeafConfig, indices, s: LeafSample,
-              exclusion: float) -> dict[int, list[tuple[complex, complex]]]:
-    cache: dict[int, list[tuple[complex, complex]]] = {}
-    for alpha in indices:
-        cache[alpha] = [
-            e_func_and_deriv(cfg.lattice, alpha, z, exclusion) for z in s.u
-        ]
-    return cache
+def _convention_signs(n: complex, convention: str) -> tuple[complex, float]:
+    """Coefficients of {u_a, psi_a} and {u_a, psi_b} (a != b) per weight."""
+    if convention not in (CONVENTION_FLIPPED, CONVENTION_PRINTED):
+        raise ValueError(f"unknown convention {convention!r}")
+    if convention == CONVENTION_FLIPPED:
+        return (n - 2) / 2, -1.0
+    return -(n - 2) / 2, 1.0
 
 
 def xp_eval(cfg: LeafConfig, P: EPoly, params: dict[str, complex],
@@ -99,11 +100,17 @@ def xp_eval(cfg: LeafConfig, P: EPoly, params: dict[str, complex],
             with_scale: bool = False):
     """Point-evaluation homomorphism: each generator e[a] is replaced by the
     linear form sum_alpha e[a](u_alpha) psi_alpha and monomials multiply."""
-    values = _e_values(cfg, sorted(P.support()), s, exclusion)
-    linear: dict[int, complex] = {
-        a: sum(v * psi for (v, _), psi in zip(vals, s.psi))
-        for a, vals in values.items()
-    }
+    values = _point_values(cfg.lattice, s.u, exclusion) if P.support() else []
+    return _xp_core(cfg.lattice, P, params, values, s.psi, with_scale)
+
+
+def _xp_core(L: Lattice, P: EPoly, params: dict[str, complex], values,
+             psi: tuple[complex, ...], with_scale: bool):
+    """xp_eval from the (p, p', zeta) values at the positions."""
+    linear: dict[int, complex] = {}
+    for a in sorted(P.support()):
+        vals = [_e_from_values(L, a, p, dp) for p, dp, _ in values]
+        linear[a] = sum(v * w for (v, _), w in zip(vals, psi))
     total = 0j
     peak = 0.0
     for mono, term in P.coefficient_values(params):
@@ -114,6 +121,12 @@ def xp_eval(cfg: LeafConfig, P: EPoly, params: dict[str, complex],
     if with_scale:
         return total, 1.0 + peak
     return total
+
+
+def _leaf_values(cfg: LeafConfig, s: LeafSample, exclusion: float):
+    """Values at the positions of one sample and its Z(u_a, u_b) matrix."""
+    values = _point_values(cfg.lattice, s.u, exclusion)
+    return values, _zeta_matrix(cfg.lattice, s.u, values, exclusion)
 
 
 def leaf_bracket_xp(cfg: LeafConfig, f_index: int, g_index: int, s: LeafSample,
@@ -128,28 +141,32 @@ def leaf_bracket_xp(cfg: LeafConfig, f_index: int, g_index: int, s: LeafSample,
     ``with_scale`` the peak magnitude of the accumulated terms is returned
     alongside the value (the conditioning scale of the cancellation).
     """
-    if convention not in (CONVENTION_FLIPPED, CONVENTION_PRINTED):
-        raise ValueError(f"unknown convention {convention!r}")
-    flip = convention == CONVENTION_FLIPPED
-    n = complex(cfg.n_value)
-    p = cfg.p
-    L = cfg.lattice
-    diag = (n - 2) / 2 if flip else -(n - 2) / 2
-    off = -1.0 if flip else 1.0
+    signs = _convention_signs(complex(cfg.n_value), convention)
+    values, Z = _leaf_values(cfg, s, exclusion)
+    return _leaf_bracket_core(cfg, f_index, g_index, s.psi, values, Z, signs,
+                              with_scale)
 
-    fvals = [e_func_and_deriv(L, f_index, z, exclusion) for z in s.u]
-    gvals = [e_func_and_deriv(L, g_index, z, exclusion) for z in s.u]
+
+def _leaf_bracket_core(cfg: LeafConfig, f_index: int, g_index: int,
+                       psi: tuple[complex, ...], values, Z, signs,
+                       with_scale: bool):
+    """leaf_bracket_xp from the values and Z matrix of ``_leaf_values`` and
+    the ``_convention_signs``."""
+    n = complex(cfg.n_value)
+    diag, off = signs
+    L = cfg.lattice
+    fvals = [_e_from_values(L, f_index, p, dp) for p, dp, _ in values]
+    gvals = [_e_from_values(L, g_index, p, dp) for p, dp, _ in values]
 
     total = 0j
     peak = 0.0
-    for a in range(p):
+    for a in range(cfg.p):
         f_a, df_a = fvals[a]
-        for b in range(p):
+        for b in range(cfg.p):
             g_b, dg_b = gvals[b]
-            pp = s.psi[a] * s.psi[b]
+            pp = psi[a] * psi[b]
             if a != b:
-                Z = zeta_combination(L, s.u[a], s.u[b], exclusion)
-                terms = (n * Z * f_a * g_b * pp,
+                terms = (n * Z[a][b] * f_a * g_b * pp,
                          df_a * g_b * off * pp,
                          -f_a * dg_b * off * pp)
             else:
@@ -174,6 +191,8 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
     rng = Random(plan.seed)
     samples = [draw_leaf_sample(cfg, rng, plan.exclusion_radius)
                for _ in range(plan.count)]
+    signs = _convention_signs(complex(cfg.n_value), convention)
+    sample_values = [_leaf_values(cfg, s, plan.exclusion_radius) for s in samples]
     params = numeric_params(cfg.lattice, cfg.n_value)
     spec = BracketSpec.elliptic()
     failures = []
@@ -181,15 +200,13 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
     for i, f_index in enumerate(members):
         for g_index in members[i:]:
             br = generator_bracket(f_index, g_index, spec, n_value=cfg.n_value)
-            for k, s in enumerate(samples):
-                lhs, lhs_scale = leaf_bracket_xp(cfg, f_index, g_index, s,
-                                                 convention,
-                                                 plan.exclusion_radius,
-                                                 with_scale=True)
+            for k, (s, (values, Z)) in enumerate(zip(samples, sample_values)):
+                lhs, lhs_scale = _leaf_bracket_core(cfg, f_index, g_index, s.psi,
+                                                    values, Z, signs,
+                                                    with_scale=True)
                 if br:
-                    rhs, rhs_scale = xp_eval(cfg, br, params, s,
-                                             plan.exclusion_radius,
-                                             with_scale=True)
+                    rhs, rhs_scale = _xp_core(cfg.lattice, br, params, values,
+                                              s.psi, with_scale=True)
                 else:
                     rhs, rhs_scale = 0j, 1.0
                 rel = abs(lhs - rhs) / max(lhs_scale, rhs_scale)
@@ -298,19 +315,42 @@ def diagonal_vanish_check(cfg: LeafConfig, C: EPoly, plan: SamplePlan,
 
 
 def _det(matrix: list[list[complex]]) -> complex:
+    """Laplace expansion along the first row, skipping zero entries, with
+    the determinant of every minor computed once.
+
+    The minor left after the first r rows is fixed by its remaining
+    columns, so the memo is keyed on that column set (a bit mask).  Each
+    minor is expanded in the same cofactor order as the plain recursion,
+    so the result is the same to the last bit, but a dense k x k matrix
+    costs about 2^k * k products instead of k!; with the zero block of
+    the leaf Poisson matrix only about 2^(p+1) minors of the 2p x 2p
+    matrix are reached.
+    """
     size = len(matrix)
     if size == 0:
         return 1 + 0j
     if size == 1:
         return matrix[0][0]
-    total = 0j
-    for j in range(size):
-        if matrix[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        cofactor = matrix[0][j] * _det(minor)
-        total += cofactor if j % 2 == 0 else -cofactor
-    return total
+    memo = {1 << col: matrix[-1][col] for col in range(size)}
+    nonzero = [[(col, entry) for col, entry in enumerate(row) if entry != 0]
+               for row in matrix]
+
+    def minor_det(cols: int) -> complex:
+        total = 0j
+        for col, entry in nonzero[size - cols.bit_count()]:
+            bit = 1 << col
+            if not cols & bit:
+                continue
+            rest = cols ^ bit
+            sub = memo.get(rest)
+            if sub is None:
+                sub = minor_det(rest)
+            cofactor = entry * sub
+            total += -cofactor if (cols & (bit - 1)).bit_count() % 2 else cofactor
+        memo[cols] = total
+        return total
+
+    return minor_det((1 << size) - 1)
 
 
 def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
@@ -326,12 +366,10 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
     nonzero for 2p < n.
     """
     start = time.monotonic()
-    flip = convention == CONVENTION_FLIPPED
     n = complex(cfg.n_value)
+    diag, off = _convention_signs(n, convention)
     p = cfg.p
     L = cfg.lattice
-    diag = (n - 2) / 2 if flip else -(n - 2) / 2
-    off = -1.0 if flip else 1.0
 
     M = [[(diag if a == b else off) * s.psi[b] for b in range(p)] for a in range(p)]
     W = [[0j] * p for _ in range(p)]

@@ -20,6 +20,8 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from random import Random
 
 from .poly import EPoly, IndexSet
@@ -270,6 +272,10 @@ def e_func(L: Lattice, alpha: int, z: complex,
            exclusion: float = DEFAULT_EXCLUSION) -> complex:
     """e[2a] = p^a, e[2a+3] = -p^a * p'/2, valid for any integer index."""
     p, dp, _ = weier_eval(L, z, exclusion)
+    return _e_value(alpha, p, dp)
+
+
+def _e_value(alpha: int, p: complex, dp: complex) -> complex:
     a, odd = _decode_index(alpha)
     value = p ** a
     if odd:
@@ -297,50 +303,83 @@ def _e_from_values(L: Lattice, alpha: int, p: complex, dp: complex) -> tuple[com
 
 
 # -- the functional bracket -------------------------------------------------
+#
+# The public two-point functions evaluate their points and pass the values
+# to a core; the sweeps evaluate each sampled point once and pass the same
+# values to the core for every generator pair.
+
+
+def _point_values(L: Lattice, points, exclusion: float) -> list:
+    """(p, p', zeta) at each point, in order."""
+    return [weier_eval(L, z, exclusion) for z in points]
+
+
+def _two_point_values(L: Lattice, x: complex, y: complex, exclusion: float):
+    """(p, p', zeta) at x, y and x - y; x - y must stay clear of the lattice."""
+    if lattice_distance(L, x - y) < exclusion * L.r_min:
+        raise NearSingularError("x - y too close to the lattice")
+    return (weier_eval(L, x, exclusion), weier_eval(L, y, exclusion),
+            weier_eval(L, x - y, exclusion))
+
+
+def _bracket_values(L: Lattice, x: complex, y: complex, exclusion: float):
+    """Point values a two-point bracket needs: at x alone when x == y."""
+    if x == y:
+        return (weier_eval(L, x, exclusion),)
+    return _two_point_values(L, x, y, exclusion)
+
+
+def _zeta_values(vx, vy, vxy) -> complex:
+    return vxy[2] - vx[2] + vy[2]
+
+
+def _zeta_matrix(L: Lattice, points, values, exclusion: float) -> list[list]:
+    """Z(z_a, z_b) for every ordered pair a != b of points, from the values
+    at the points (row-major, so errors come in the order of a double loop
+    over zeta_combination); the diagonal holds None."""
+    out = []
+    for a, (x, vx) in enumerate(zip(points, values)):
+        row = []
+        for b, (y, vy) in enumerate(zip(points, values)):
+            if a == b:
+                row.append(None)
+                continue
+            if lattice_distance(L, x - y) < exclusion * L.r_min:
+                raise NearSingularError("x - y too close to the lattice")
+            row.append(_zeta_values(vx, vy, weier_eval(L, x - y, exclusion)))
+        out.append(row)
+    return out
 
 
 def zeta_combination(L: Lattice, x: complex, y: complex,
                      exclusion: float = DEFAULT_EXCLUSION) -> complex:
     """zeta(x-y) - zeta(x) + zeta(y); elliptic in both variables."""
-    if lattice_distance(L, x - y) < exclusion * L.r_min:
-        raise NearSingularError("x - y too close to the lattice")
-    zx = weier_eval(L, x, exclusion)[2]
-    zy = weier_eval(L, y, exclusion)[2]
-    zxy = weier_eval(L, x - y, exclusion)[2]
-    return zxy - zx + zy
+    return _zeta_values(*_two_point_values(L, x, y, exclusion))
 
 
 def func_bracket_diagonal(L: Lattice, n_value: complex, f_index: int,
                           g_index: int, x: complex,
                           exclusion: float = DEFAULT_EXCLUSION) -> complex:
     """Coincident-point limit (n-2) * (f'(x) g(x) - f(x) g'(x))."""
-    p, dp, _ = weier_eval(L, x, exclusion)
-    f, df = _e_from_values(L, f_index, p, dp)
-    g, dg = _e_from_values(L, g_index, p, dp)
-    return (complex(n_value) - 2) * (df * g - f * dg)
+    return _func_bracket_core(L, n_value, f_index, g_index,
+                              (weier_eval(L, x, exclusion),), with_scale=False)
 
 
-def func_bracket(L: Lattice, n_value: complex, f_index: int, g_index: int,
-                 x: complex, y: complex,
-                 exclusion: float = DEFAULT_EXCLUSION,
-                 with_scale: bool = False):
-    """Two-point bracket value of a generator pair.
-
-    Off the diagonal this is
-    n * Z * (f(x) g(y) - f(y) g(x)) - f'(x) g(y) - f'(y) g(x)
-    + f(x) g'(y) + f(y) g'(x) with Z = zeta(x-y) - zeta(x) + zeta(y);
-    at x == y (exact equality) the limit value is used.  With
-    ``with_scale`` the peak magnitude of the accumulated terms is returned
-    alongside the value.
-    """
-    if x == y:
-        value = func_bracket_diagonal(L, n_value, f_index, g_index, x, exclusion)
+def _func_bracket_core(L: Lattice, n_value, f_index: int, g_index: int,
+                       values, with_scale: bool):
+    """func_bracket from the point values of ``_bracket_values``."""
+    if len(values) == 1:
+        p, dp, _ = values[0]
+        f, df = _e_from_values(L, f_index, p, dp)
+        g, dg = _e_from_values(L, g_index, p, dp)
+        value = (complex(n_value) - 2) * (df * g - f * dg)
         if with_scale:
             return value, 1.0 + abs(value)
         return value
-    Z = zeta_combination(L, x, y, exclusion)
-    px, dpx, _ = weier_eval(L, x, exclusion)
-    py, dpy, _ = weier_eval(L, y, exclusion)
+    vx, vy, vxy = values
+    Z = _zeta_values(vx, vy, vxy)
+    px, dpx, _ = vx
+    py, dpy, _ = vy
     f_x, df_x = _e_from_values(L, f_index, px, dpx)
     f_y, df_y = _e_from_values(L, f_index, py, dpy)
     g_x, dg_x = _e_from_values(L, g_index, px, dpx)
@@ -360,50 +399,39 @@ def func_bracket(L: Lattice, n_value: complex, f_index: int, g_index: int,
     return value
 
 
-def identity5_residual(L: Lattice, x: complex, y: complex,
-                       exclusion: float = DEFAULT_EXCLUSION) -> tuple[float, float]:
-    """Absolute residuals of the two Z-identities relating p, p' at x, y."""
-    Z = zeta_combination(L, x, y, exclusion)
-    px, dpx, _ = weier_eval(L, x, exclusion)
-    py, dpy, _ = weier_eval(L, y, exclusion)
+def func_bracket(L: Lattice, n_value: complex, f_index: int, g_index: int,
+                 x: complex, y: complex,
+                 exclusion: float = DEFAULT_EXCLUSION,
+                 with_scale: bool = False):
+    """Two-point bracket value of a generator pair.
+
+    Off the diagonal this is
+    n * Z * (f(x) g(y) - f(y) g(x)) - f'(x) g(y) - f'(y) g(x)
+    + f(x) g'(y) + f(y) g'(x) with Z = zeta(x-y) - zeta(x) + zeta(y);
+    at x == y (exact equality) the limit value is used.  With
+    ``with_scale`` the peak magnitude of the accumulated terms is returned
+    alongside the value.
+    """
+    return _func_bracket_core(L, n_value, f_index, g_index,
+                              _bracket_values(L, x, y, exclusion), with_scale)
+
+
+def _identity5_core(L: Lattice, vx, vy, vxy) -> tuple[float, float]:
+    Z = _zeta_values(vx, vy, vxy)
+    px, dpx, _ = vx
+    py, dpy, _ = vy
     r1 = abs(Z * (px - py) - (dpx + dpy) / 2)
     r2 = abs(Z * (dpx - dpy) - (2 * px * px + 2 * px * py + 2 * py * py - L.g2 / 2))
     return r1, r2
 
 
+def identity5_residual(L: Lattice, x: complex, y: complex,
+                       exclusion: float = DEFAULT_EXCLUSION) -> tuple[float, float]:
+    """Absolute residuals of the two Z-identities relating p, p' at x, y."""
+    return _identity5_core(L, *_two_point_values(L, x, y, exclusion))
+
+
 # -- symmetric evaluation ----------------------------------------------------
-
-
-def _permanent(rows: list[list[complex]]) -> tuple[complex, float]:
-    """Permanent by Ryser's inclusion-exclusion formula.
-
-    Also returns the largest product magnitude entering the alternating
-    sum, which measures the conditioning of the cancellation.
-    """
-    m = len(rows)
-    if m == 0:
-        return 1 + 0j, 1.0
-    total = 0j
-    peak = 0.0
-    for mask in range(1, 1 << m):
-        col_sums = [0j] * m
-        bit = mask
-        j = 0
-        while bit:
-            if bit & 1:
-                for i in range(m):
-                    col_sums[i] += rows[i][j]
-            bit >>= 1
-            j += 1
-        prod = 1 + 0j
-        for s in col_sums:
-            prod *= s
-        peak = max(peak, abs(prod))
-        if (m - bin(mask).count("1")) % 2:
-            total -= prod
-        else:
-            total += prod
-    return total, peak
 
 
 def numeric_params(L: Lattice, n_value) -> dict[str, complex]:
@@ -419,7 +447,12 @@ def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
 
     A monomial e[a_1]...e[a_m] contributes the sum over all m!
     assignments of points to factors (repeated indices included, so
-    e[a]^2 at (x, y) evaluates to 2 e[a](x) e[a](y)).
+    e[a]^2 at (x, y) evaluates to 2 e[a](x) e[a](y)), which is the
+    permanent of the matrix e[a_i](z_j), taken by Ryser's formula.  The
+    column sums over each point subset are built once per generator and
+    shared by every monomial; with ``with_scale`` the largest product
+    magnitude entering the alternating sums (times |coefficient|) is
+    returned too, as the conditioning scale of the cancellation.
     """
     m = len(points)
     deg = P.homogeneous_degree()
@@ -429,13 +462,47 @@ def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
         raise ValueError("sym_eval needs a homogeneous element")
     if deg != m:
         raise ValueError(f"degree {deg} does not match {m} points")
-    values: dict[int, list[complex]] = {}
+    return _sym_eval_core(P, params, _point_values(L, points, exclusion), with_scale)
+
+
+def _sym_eval_core(P: EPoly, params: dict[str, complex], values,
+                   with_scale: bool):
+    """sym_eval of a homogeneous P of degree len(values), from the
+    (p, p', zeta) values at the points."""
+    m = len(values)
+    full = 1 << m
+    # sums[alpha][mask]: e[alpha] summed over the points in mask, in
+    # ascending point order, starting from 0j.
+    sums: dict[int, list[complex]] = {}
     for alpha in sorted(P.support()):
-        values[alpha] = [e_func(L, alpha, z, exclusion) for z in points]
+        v = [_e_value(alpha, p, dp) for p, dp, _ in values]
+        col = [0j] * full
+        for mask in range(1, full):
+            top = mask.bit_length() - 1
+            col[mask] = col[mask ^ (1 << top)] + v[top]
+        sums[alpha] = col
+    negative = [(m - bin(mask).count("1")) % 2 for mask in range(1, full)]
+    # prefix[k][mask]: product of the column sums of the first k factors of
+    # the current monomial; consecutive monomials share leading factors.
+    prefix = [[1 + 0j] * full]
+    previous: tuple[int, ...] = ()
     total = 0j
     peak = 0.0
     for mono, c in P.coefficient_values(params):
-        perm, perm_peak = _permanent([values[a] for a in mono])
+        if m == 0:
+            perm, perm_peak = 1 + 0j, 1.0
+        else:
+            k = 0
+            while k < len(previous) and mono[k] == previous[k]:
+                k += 1
+            del prefix[k + 1:]
+            for alpha in mono[k:]:
+                prefix.append([prod * s for prod, s in zip(prefix[-1], sums[alpha])])
+            previous = mono
+            prods = prefix[-1][1:]
+            perm = reduce(add, [-prod if neg else prod
+                                for prod, neg in zip(prods, negative)], 0j)
+            perm_peak = max(0.0, *map(abs, prods))
         total += c * perm
         peak = max(peak, abs(c) * perm_peak)
     if with_scale:
@@ -533,9 +600,10 @@ def identity5_sweep(L: Lattice, plan: SamplePlan, tol: float = 1e-8,
     failures = []
     worst = 0.0
     for x, y in sample_pairs(L, rng, plan.count, plan.exclusion_radius):
-        r1, r2 = identity5_residual(L, x, y, plan.exclusion_radius)
-        px, dpx, _ = weier_eval(L, x, plan.exclusion_radius)
-        py, dpy, _ = weier_eval(L, y, plan.exclusion_radius)
+        vx, vy, vxy = _two_point_values(L, x, y, plan.exclusion_radius)
+        r1, r2 = _identity5_core(L, vx, vy, vxy)
+        px, dpx, _ = vx
+        py, dpy, _ = vy
         scale = 1 + max(abs(px), abs(py)) ** 2 + max(abs(dpx), abs(dpy))
         rel = max(r1, r2) / scale
         worst = max(worst, rel)
@@ -566,19 +634,22 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     params_num = numeric_params(L, n_value)
     spec = BracketSpec.elliptic()
     nv = Fraction(n_value) if not isinstance(n_value, float) else None
+    # Per pair: the two-point values, and the values at [x, y] for sym_eval.
+    values = []
+    for x, y in pairs:
+        vals = _bracket_values(L, x, y, plan.exclusion_radius)
+        values.append((vals, [vals[0], vals[0]] if x == y else list(vals[:2])))
     failures = []
     worst = 0.0
     for i, alpha in enumerate(members):
         for beta in members[i:]:
             br = generator_bracket(alpha, beta, spec, n_value=nv)
-            for x, y in pairs:
-                lhs, lhs_scale = func_bracket(L, complex(n_value), alpha, beta,
-                                              x, y, plan.exclusion_radius,
-                                              with_scale=True)
+            for (x, y), (vals, xy_vals) in zip(pairs, values):
+                lhs, lhs_scale = _func_bracket_core(L, complex(n_value), alpha,
+                                                    beta, vals, with_scale=True)
                 if br:
-                    rhs, rhs_scale = sym_eval(L, br, params_num, [x, y],
-                                              plan.exclusion_radius,
-                                              with_scale=True)
+                    rhs, rhs_scale = _sym_eval_core(br, params_num, xy_vals,
+                                                    with_scale=True)
                 else:
                     rhs, rhs_scale = 0j, 1.0
                 rel = abs(lhs - rhs) / max(lhs_scale, rhs_scale)

@@ -1,6 +1,7 @@
 """Driver behavior: exit codes, report streams, golden files, config-file
 layering, and byte-level determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -200,6 +201,17 @@ def test_reports_deterministic(tmp_path):
     _, first = run_cli(args, tmp_path, "run1.jsonl")
     _, second = run_cli(args, tmp_path, "run2.jsonl")
     assert first == second and first
+
+
+# SHA-256 of the stdout of `all --seed 20240915`, as pinned by the benchmark
+# gate; a numeric change that moves one last bit of a report changes it.
+ALL_STDOUT_SHA256 = "0cc6cd3ee5a2bf2bf6b8987dc9697fc30c0311f12d5ae7ebff368619351d9cd5"
+
+
+def test_all_stdout_bytes_pinned(capsys):
+    assert main(["all", "--seed", "20240915"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ALL_STDOUT_SHA256
 
 
 def test_seed_env_default(tmp_path, monkeypatch):

@@ -191,3 +191,31 @@ def test_leaf_sample_admissibility():
         assert lattice_distance(L, s.u[i]) >= 0.05 * L.r_min
         for j in range(i + 1, 3):
             assert lattice_distance(L, s.u[i] - s.u[j]) >= 0.05 * L.r_min
+
+
+def test_prop3_evaluations_do_not_grow_with_pairs(weier_eval_points):
+    cfg = config(3, 8)
+    plan = SamplePlan(seed=11, count=4, tolerance=1e-6)
+    counts = []
+    for n in (3, 8):  # 6 and 28 generator pairs
+        weier_eval_points.clear()
+        assert prop3_check(cfg, IndexSet.fn(n).members(), plan).passed
+        counts.append(len(weier_eval_points))
+    # per sample: the p positions and the p(p-1) differences u_a - u_b
+    assert counts == [4 * (3 + 3 * 2)] * 2
+
+
+def test_nondegeneracy_rejects_unknown_convention():
+    cfg = config(2, 6)
+    s = draw_leaf_sample(cfg, Random(21))
+    with pytest.raises(ValueError, match="unknown convention"):
+        nondegeneracy_check(cfg, s, convention="flip")
+
+
+@pytest.mark.parametrize("p", [8, 10])
+def test_nondegeneracy_reach(p):
+    # a 2p x 2p determinant; the factorial expansion could not reach p = 8
+    cfg = config(p, 2 * p + 1)
+    rep = nondegeneracy_check(cfg, draw_leaf_sample(cfg, Random(22)))
+    assert rep.passed, rep.failures
+    assert rep.parameters["degenerate"] is False

@@ -1,0 +1,175 @@
+"""The numeric layer against the plain algorithms it replaced: Ryser's
+formula run once per monomial for ``sym_eval`` and the unmemoized Laplace
+expansion for the leaf determinant.  Both library paths perform the same
+floating-point operations in the same order, so results must be equal to
+the last bit, not merely close."""
+
+from fractions import Fraction
+from random import Random
+
+from hypothesis import given, settings, strategies as st
+
+from elliptic_poisson.casimirs import casimirs
+from elliptic_poisson.leaves import _collision_patterns, _det
+from elliptic_poisson.poly import EPoly, ParamPoly
+from elliptic_poisson.weierstrass import (
+    DEFAULT_EXCLUSION,
+    lattice_init,
+    numeric_params,
+    sample_points,
+    sym_eval,
+    weier_eval,
+)
+
+SQUARE = lattice_init(1, 1j)
+SKEW = lattice_init(1, 0.3 + 1.1j)
+
+
+def assert_same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+
+
+# -- reference implementations ----------------------------------------------
+
+def ref_e_func(L, alpha, z, exclusion=DEFAULT_EXCLUSION):
+    p, dp, _ = weier_eval(L, z, exclusion)
+    a, odd = (alpha // 2, False) if alpha % 2 == 0 else ((alpha - 3) // 2, True)
+    value = p ** a
+    if odd:
+        value *= -dp / 2
+    return value
+
+
+def ref_permanent(rows):
+    """Ryser's formula with the column sums rebuilt for every subset."""
+    m = len(rows)
+    if m == 0:
+        return 1 + 0j, 1.0
+    total = 0j
+    peak = 0.0
+    for mask in range(1, 1 << m):
+        col_sums = [0j] * m
+        bit = mask
+        j = 0
+        while bit:
+            if bit & 1:
+                for i in range(m):
+                    col_sums[i] += rows[i][j]
+            bit >>= 1
+            j += 1
+        prod = 1 + 0j
+        for s in col_sums:
+            prod *= s
+        peak = max(peak, abs(prod))
+        if (m - bin(mask).count("1")) % 2:
+            total -= prod
+        else:
+            total += prod
+    return total, peak
+
+
+def ref_sym_eval(L, P, params, points):
+    """sym_eval with one permanent per monomial, evaluated point by point
+    for every generator; returns (value, scale)."""
+    if not P:
+        return 0j, 1.0
+    values = {alpha: [ref_e_func(L, alpha, z) for z in points]
+              for alpha in sorted(P.support())}
+    total = 0j
+    peak = 0.0
+    for mono, c in P.coefficient_values(params):
+        perm, perm_peak = ref_permanent([values[a] for a in mono])
+        total += c * perm
+        peak = max(peak, abs(c) * perm_peak)
+    return total, 1.0 + peak
+
+
+def ref_det(matrix):
+    """Laplace expansion along the first row, skipping zero entries."""
+    size = len(matrix)
+    if size == 0:
+        return 1 + 0j
+    if size == 1:
+        return matrix[0][0]
+    total = 0j
+    for j in range(size):
+        if matrix[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        cofactor = matrix[0][j] * ref_det(minor)
+        total += cofactor if j % 2 == 0 else -cofactor
+    return total
+
+
+# -- the leaf determinant -------------------------------------------------------
+
+def random_matrix(rows, cols, seed, zero_share):
+    """Entries with full-width mantissas, so any change in the order of the
+    operations shows in the last bits; a share of them exact zeros."""
+    rng = Random(seed)
+    return [[0j if rng.random() < zero_share
+             else complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+seeds = st.integers(0, 2 ** 32)
+zero_shares = st.sampled_from([0.0, 0.2, 0.5, 0.8])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), seeds, zero_shares)
+def test_det_matches_plain_expansion(size, seed, zero_share):
+    matrix = random_matrix(size, size, seed, zero_share)
+    assert_same(_det(matrix), ref_det(matrix))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), seeds, zero_shares)
+def test_det_matches_on_leaf_block_shape(p, seed, zero_share):
+    # [[0, M], [-M^T, W]] with a zero diagonal in W, as nondegeneracy_check builds
+    M = random_matrix(p, p, seed, zero_share)
+    W = random_matrix(p, p, seed + 1, zero_share)
+    full = [[0j] * (2 * p) for _ in range(2 * p)]
+    for a in range(p):
+        for b in range(p):
+            full[a][p + b] = M[a][b]
+            full[p + a][b] = -M[b][a]
+            full[p + a][p + b] = W[a][b] if a != b else 0j
+    assert_same(_det(full), ref_det(full))
+
+
+# -- symmetric evaluation -------------------------------------------------------
+
+def test_sym_eval_casimir_n7_on_every_collision_pattern():
+    C = casimirs(7).elements[0]
+    params = numeric_params(SQUARE, Fraction(7))
+    base = sample_points(SQUARE, Random(7), 3, pairwise_distinct=True)
+    for pattern in _collision_patterns(7, 3):
+        points = [z for z, mult in zip(base, pattern) for _ in range(mult)]
+        assert_same(sym_eval(SQUARE, C, params, points, with_scale=True),
+                    ref_sym_eval(SQUARE, C, params, points))
+
+
+coefficients = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+    st.sampled_from([ParamPoly.symbol("n"), ParamPoly.symbol("g2"),
+                     ParamPoly.symbol("g3") * 3 - 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+    st.dictionaries(st.lists(st.integers(-2, 9), min_size=m, max_size=m)
+                    .map(lambda mono: tuple(sorted(mono))),
+                    coefficients, max_size=6),
+    st.lists(st.integers(0, m - 1) if m else st.just(0), min_size=m, max_size=m))),
+    st.integers(0, 2 ** 16), st.sampled_from([SQUARE, SKEW]))
+def test_sym_eval_matches_per_monomial_ryser(element, seed, L):
+    terms, picks = element
+    P = EPoly({mono: c for mono, c in terms.items()})
+    # Points drawn distinct, then some of them repeated (collisions).
+    distinct = sample_points(L, Random(seed), len(picks), pairwise_distinct=True)
+    points = [distinct[i] for i in picks]
+    params = numeric_params(L, Fraction(5))
+    assert_same(sym_eval(L, P, params, points, with_scale=True),
+                ref_sym_eval(L, P, params, points))

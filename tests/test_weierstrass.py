@@ -286,3 +286,22 @@ def test_verify_functional_acceptance_windows():
                                     SamplePlan(seed=42, count=20, tolerance=1e-6))
             assert rep.passed, rep.failures[:2]
             assert rep.max_residual < 1e-6
+
+
+# -- evaluation counts ----------------------------------------------------------
+
+def test_identity5_sweep_evaluates_each_point_once(weier_eval_points):
+    rep = identity5_sweep(SQUARE, SamplePlan(seed=3, count=25), tol=1e-8)
+    assert rep.passed
+    assert len(weier_eval_points) == 3 * 25  # x, y and x - y per pair
+
+
+def test_verify_functional_evaluations_do_not_grow_with_pairs(weier_eval_points):
+    plan = SamplePlan(seed=4, count=10, tolerance=1e-6)
+    counts = []
+    for window in ([0, 2], [0, 2, 3, 4, 5, 6]):  # 3 and 21 generator pairs
+        weier_eval_points.clear()
+        assert verify_functional(SQUARE, Fraction(6), window, plan).passed
+        counts.append(len(weier_eval_points))
+    # every fifth pair is diagonal and needs only x
+    assert counts == [3 * 8 + 2] * 2
