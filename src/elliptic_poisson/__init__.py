@@ -12,6 +12,8 @@ Subpackage map:
   pencil involution families
 * :mod:`elliptic_poisson.leaves`: the point-evaluation homomorphism,
   kernel and nondegeneracy checks
+* :mod:`elliptic_poisson.report`: check reports, the shared pass rule and
+  failure records (``Tally``), JSON and table rendering
 * :mod:`elliptic_poisson.cli`: command-line verification driver
 """
 
@@ -35,7 +37,6 @@ from .casimirs import (
     casimir_even,
     casimir_odd,
     casimirs,
-    fdiv_wp,
     fmul,
     involution_family,
     rank1_identity_check,

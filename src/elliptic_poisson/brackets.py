@@ -14,14 +14,13 @@ test suite only.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .poly import EPoly, IndexSet, ParamPoly
-from .report import Report, make_report
+from .report import Report, Tally
 
 __all__ = [
     "SDiffSpec",
@@ -208,12 +207,6 @@ def jacobiator(P: EPoly, Q: EPoly, R: EPoly, spec: BracketSpec,
     )
 
 
-def _window_members(window) -> list[int]:
-    if isinstance(window, IndexSet):
-        return sorted(window.members())
-    return sorted(window)
-
-
 def verify_jacobi_window(window, spec: BracketSpec,
                          n_value: Fraction | int | None = None,
                          check_name: str = "jacobi") -> Report:
@@ -222,21 +215,18 @@ def verify_jacobi_window(window, spec: BracketSpec,
     Triples with a repeated entry vanish identically by antisymmetry and
     bilinearity, so only strictly increasing triples are checked.
     """
-    start = time.monotonic()
-    members = _window_members(window)
-    failures = []
+    tally = Tally()
+    members = sorted(window)
     for a, b, c in combinations(members, 3):
-        res = jacobiator(EPoly.gen(a), EPoly.gen(b), EPoly.gen(c), spec, n_value)
-        if res:
-            failures.append({"witness": [a, b, c], "residual-text": res.to_text()})
+        tally.exact(jacobiator(EPoly.gen(a), EPoly.gen(b), EPoly.gen(c), spec, n_value),
+                    [a, b, c])
     params = {
         "window": members,
         "bracket": spec.describe(),
         "n": "formal" if n_value is None else str(Fraction(n_value)),
         "triples": len(members) * (len(members) - 1) * (len(members) - 2) // 6,
     }
-    return make_report(check_name, params, failures,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name, params)
 
 
 def verify_closure(n: int, spec: BracketSpec,
@@ -248,26 +238,17 @@ def verify_closure(n: int, spec: BracketSpec,
     """
     if n < 2:
         raise ValueError("closure check needs n >= 2")
-    start = time.monotonic()
+    tally = Tally()
     allowed = IndexSet.fn(n)
     members = allowed.members()
-    failures = []
     for idx, alpha in enumerate(members):
         for beta in members[idx:]:
             br = generator_bracket(alpha, beta, spec, n_value=Fraction(n))
             bad = sorted(a for a in br.support() if a not in allowed)
             if bad:
-                failures.append({
-                    "witness": [alpha, beta],
-                    "residual-text": br.to_text(),
-                    "escaped_indices": bad,
-                })
+                tally.fail([alpha, beta], br.to_text(), escaped_indices=bad)
             elif n == 2 and br:
-                failures.append({
-                    "witness": [alpha, beta],
-                    "residual-text": br.to_text(),
-                    "reason": "nonzero bracket in the commutative case",
-                })
+                tally.fail([alpha, beta], br.to_text(),
+                           reason="nonzero bracket in the commutative case")
     params = {"n": n, "bracket": spec.describe(), "pairs": len(members) * (len(members) + 1) // 2}
-    return make_report(check_name or f"closure-n{n}", params, failures,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name or f"closure-n{n}", params)

@@ -14,13 +14,12 @@ Two different products appear side by side here and must not be confused:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 from .poly import EPoly, IndexSet, ParamPoly
-from .report import Report, make_report
+from .report import Report, Tally
 from .brackets import BracketSpec, bracket_poly
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "IntegrityError",
     "fmul",
     "fmul_poly",
-    "fdiv_wp",
     "wp_shift",
     "build_matrix",
     "sym_det",
@@ -118,11 +116,6 @@ def wp_shift(P: EPoly, steps: int) -> EPoly:
     return EPoly({(m[0] + 2 * steps,): c for m, c in P.terms()})
 
 
-def fdiv_wp(P: EPoly) -> EPoly:
-    """Divide a degree-1 element by the weight-2 base function."""
-    return wp_shift(P, -1)
-
-
 def build_matrix(kind: str, n: int) -> FMatrix:
     """The three determinant matrices of the even-n construction.
 
@@ -147,7 +140,7 @@ def build_matrix(kind: str, n: int) -> FMatrix:
             return fmul(a, b)
     elif kind == "g1":
         def entry(a: int, b: int) -> EPoly:
-            return fdiv_wp(fmul(a + 1, b + 1))
+            return wp_shift(fmul(a + 1, b + 1), -1)
     elif kind == "g2m":
         def border(a: int) -> int:
             return -2 if a == 1 else (0 if a == 2 else a - 1)
@@ -259,28 +252,21 @@ def substituted_casimirs(n: int, l1: Fraction, l2: Fraction, l3: Fraction) -> Ca
 def verify_central(cs: CasimirSet, check_name: str | None = None) -> Report:
     """Exact centrality of every element against every subalgebra generator,
     under the elliptic combination with formal g2, g3 and numeric n."""
-    start = time.monotonic()
+    tally = Tally()
     spec = BracketSpec.elliptic()
     gens = IndexSet.fn(cs.n).members()
-    failures = []
     for ci, elem in enumerate(cs.elements):
         for gamma in gens:
-            res = bracket_poly(elem, EPoly.gen(gamma), spec, n_value=Fraction(cs.n))
-            if res:
-                failures.append({
-                    "witness": f"element {ci}, generator e[{gamma}]",
-                    "residual-text": res.to_text(),
-                })
+            tally.exact(bracket_poly(elem, EPoly.gen(gamma), spec, n_value=Fraction(cs.n)),
+                        "element {}, generator e[{}]", ci, gamma)
     params = {"n": cs.n, "kind": cs.kind, "generators": gens}
-    return make_report(check_name or f"centrality-n{cs.n}", params, failures,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name or f"centrality-n{cs.n}", params)
 
 
 def rank1_identity_check(M: FMatrix, check_name: str = "rank1") -> Report:
     """Pointwise rank-1 test: entry products must satisfy
     f[a,b] f[a',b'] = f[a,b'] f[a',b] as functions, exactly."""
-    start = time.monotonic()
-    failures = []
+    tally = Tally()
     size = M.size
     for a in range(size):
         for ap in range(a + 1, size):
@@ -288,13 +274,8 @@ def rank1_identity_check(M: FMatrix, check_name: str = "rank1") -> Report:
                 for bp in range(b + 1, size):
                     res = fmul_poly(M.entries[a][b], M.entries[ap][bp]) \
                         - fmul_poly(M.entries[a][bp], M.entries[ap][b])
-                    if res:
-                        failures.append({
-                            "witness": [a + 1, b + 1, ap + 1, bp + 1],
-                            "residual-text": res.to_text(),
-                        })
-    return make_report(check_name, {"size": size}, failures,
-                       duration=time.monotonic() - start)
+                    tally.exact(res, [a + 1, b + 1, ap + 1, bp + 1])
+    return tally.report(check_name, {"size": size})
 
 
 def pencil_family(n: int) -> list[EPoly]:
@@ -322,21 +303,15 @@ def involution_family(n: int, check_name: str | None = None) -> Report:
     elliptic combination and the pencil direction, at numeric n."""
     if n < 3:
         raise ValueError("involution check needs n >= 3")
-    start = time.monotonic()
+    tally = Tally()
     family = pencil_family(n)
     specs = (("elliptic", BracketSpec.elliptic()),
              ("direction", BracketSpec.pencil_direction()))
-    failures = []
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             for label, spec in specs:
-                res = bracket_poly(family[i], family[j], spec, n_value=Fraction(n))
-                if res:
-                    failures.append({
-                        "witness": f"pair ({i},{j}) under {label}",
-                        "residual-text": res.to_text(),
-                    })
+                tally.exact(bracket_poly(family[i], family[j], spec, n_value=Fraction(n)),
+                            "pair ({},{}) under {}", i, j, label)
     params = {"n": n, "family_size": len(family),
               "pairs": len(family) * (len(family) - 1) // 2}
-    return make_report(check_name or f"involution-n{n}", params, failures,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name or f"involution-n{n}", params)

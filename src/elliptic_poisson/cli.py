@@ -27,7 +27,7 @@ from .leaves import (
     prop3_check,
 )
 from .poly import IndexSet
-from .report import Report, make_report, render_table, summary
+from .report import Report, Tally, make_report, render_table, summary
 from .weierstrass import (
     SamplePlan,
     identity5_sweep,
@@ -48,6 +48,8 @@ ACCEPTANCE_CENTRAL_N = (3, 4, 5, 6, 7, 8)
 ACCEPTANCE_PROP3 = ((1, 4), (2, 5), (2, 6), (3, 7))
 ACCEPTANCE_KERNEL = ((4, 1), (6, 2), (3, 1), (5, 2), (7, 3))
 ACCEPTANCE_INVOLUTION_N = (4, 5, 6)
+CLOSURE_BRACKETS = (("elliptic", BracketSpec.elliptic()), ("1", BracketSpec.basis(1)),
+                    ("2", BracketSpec.basis(2)), ("3", BracketSpec.basis(3)))
 
 
 class UsageError(Exception):
@@ -161,15 +163,12 @@ def casimir_lines(n: int) -> list[str]:
 
 def golden_casimir_check(n: int) -> Report:
     """Compare the built central elements with the shipped golden file."""
+    tally = Tally()
     built = "\n".join(casimir_lines(n)) + "\n"
     frozen = _golden_text(n)
-    failures = []
     if built != frozen:
-        failures.append({
-            "witness": f"casimir n={n}",
-            "residual-text": f"built:\n{built}\ngolden:\n{frozen}",
-        })
-    return make_report(f"casimir-golden-n{n}", {"n": n}, failures)
+        tally.fail(f"casimir n={n}", f"built:\n{built}\ngolden:\n{frozen}")
+    return tally.report(f"casimir-golden-n{n}", {"n": n})
 
 
 def bracket_table(window: list[int], n_value: Fraction | None) -> tuple[Report, list[str]]:
@@ -225,9 +224,7 @@ def _cmd_verify_closure(args, config, out):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", str(n_text))
     ns = list(range(int(m.group(1)), int(m.group(2)) + 1)) if m else [int(parse_rational(str(n_text)))]
     bracket = _effective(args, config, "bracket", "all")
-    specs = ([("elliptic", BracketSpec.elliptic()), ("1", BracketSpec.basis(1)),
-              ("2", BracketSpec.basis(2)), ("3", BracketSpec.basis(3))]
-             if bracket == "all" else [(bracket, _resolve_bracket(bracket))])
+    specs = CLOSURE_BRACKETS if bracket == "all" else [(bracket, _resolve_bracket(bracket))]
     reports = []
     for n in ns:
         for name, spec in specs:
@@ -331,8 +328,7 @@ def _cmd_all(args, config, out):
     reports.append(verify_jacobi_window(list(CORE_WINDOW), BracketSpec.custom(),
                                         check_name="jacobi-core"))
     for n in range(2, 11):
-        for name, spec in (("elliptic", BracketSpec.elliptic()), ("1", BracketSpec.basis(1)),
-                           ("2", BracketSpec.basis(2)), ("3", BracketSpec.basis(3))):
+        for name, spec in CLOSURE_BRACKETS:
             reports.append(verify_closure(n, spec, check_name=f"closure-n{n}-b{name}"))
     for n in (4, 6):
         reports.append(golden_casimir_check(n))
@@ -412,37 +408,36 @@ def _default_seed() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every flag follows the subcommand: `elliptic-poisson all --format text`.
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="flat key=value configuration file; flags win")
+    flags.add_argument("--out", help="write reports to this path (default stdout)")
+    flags.add_argument("--format", choices=("json", "text"), default=None,
+                       help="report rendering (default json lines)")
+    flags.add_argument("--n", default=None, help="degree parameter (rational, range, or 'formal')")
+    flags.add_argument("--p", type=int, default=None, help="number of leaf points")
+    flags.add_argument("--window", default=None,
+                       help="index window: 'a..b', 'FN', or comma list")
+    flags.add_argument("--tau", default=None, help="period ratio a+bi")
+    flags.add_argument("--seed", type=int, default=None)
+    flags.add_argument("--samples", type=int, default=None)
+    flags.add_argument("--tol", type=float, default=None)
+    flags.add_argument("--bracket", default=None,
+                       help="elliptic | 1 | 2 | 3 | lambda | custom:a,b,c")
+    flags.add_argument("--formal-n", action="store_true",
+                       help="keep the degree parameter formal")
+    flags.add_argument("--formal-lambda", action="store_true",
+                       help="use the fully formal three-parameter combination")
+    flags.add_argument("--force", action="store_true",
+                       help="override the sweep-size guardrail")
     parser = argparse.ArgumentParser(
         prog="elliptic-poisson",
         description="Exact verification suite for the compatible quadratic "
                     "bracket family and its elliptic realization.",
     )
-    parser.add_argument("--config", help="flat key=value configuration file; flags win")
-    parser.add_argument("--out", help="write reports to this path (default stdout)")
-    parser.add_argument("--format", choices=("json", "text"), default=None,
-                        help="report rendering (default json lines)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value configuration file; flags win")
-        p.add_argument("--out", help="write reports to this path (default stdout)")
-        p.add_argument("--format", choices=("json", "text"), default=None)
-        p.add_argument("--n", default=None, help="degree parameter (rational, range, or 'formal')")
-        p.add_argument("--p", type=int, default=None, help="number of leaf points")
-        p.add_argument("--window", default=None,
-                       help="index window: 'a..b', 'FN', or comma list")
-        p.add_argument("--tau", default=None, help="period ratio a+bi")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--bracket", default=None,
-                       help="elliptic | 1 | 2 | 3 | lambda | custom:a,b,c")
-        p.add_argument("--formal-n", action="store_true",
-                       help="keep the degree parameter formal")
-        p.add_argument("--formal-lambda", action="store_true",
-                       help="use the fully formal three-parameter combination")
-        p.add_argument("--force", action="store_true",
-                       help="override the sweep-size guardrail")
+        sub.add_parser(name, parents=[flags])
     return parser
 
 

@@ -11,14 +11,13 @@ a toggle as a negative control.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from .casimirs import CasimirSet
-from .poly import EPoly, IndexSet
-from .report import Report, make_report
+from .poly import EPoly
+from .report import Report, Tally
 from .weierstrass import (
     DEFAULT_EXCLUSION,
     Lattice,
@@ -29,7 +28,6 @@ from .weierstrass import (
     numeric_params,
     sample_points,
     sym_eval,
-    zeta_combination,
 )
 
 __all__ = [
@@ -186,8 +184,8 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
     image of their symbolic bracket, over seeded samples."""
     from .brackets import BracketSpec, generator_bracket
 
-    start = time.monotonic()
-    members = sorted(window.members() if isinstance(window, IndexSet) else window)
+    tally = Tally(plan.tolerance)
+    members = sorted(window)
     rng = Random(plan.seed)
     samples = [draw_leaf_sample(cfg, rng, plan.exclusion_radius)
                for _ in range(plan.count)]
@@ -195,8 +193,6 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
     sample_values = [_leaf_values(cfg, s, plan.exclusion_radius) for s in samples]
     params = numeric_params(cfg.lattice, cfg.n_value)
     spec = BracketSpec.elliptic()
-    failures = []
-    worst = 0.0
     for i, f_index in enumerate(members):
         for g_index in members[i:]:
             br = generator_bracket(f_index, g_index, spec, n_value=cfg.n_value)
@@ -209,19 +205,13 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
                                               s.psi, with_scale=True)
                 else:
                     rhs, rhs_scale = 0j, 1.0
-                rel = abs(lhs - rhs) / max(lhs_scale, rhs_scale)
-                worst = max(worst, rel)
-                if rel >= plan.tolerance:
-                    failures.append({
-                        "witness": f"pair=({f_index},{g_index}) sample={k}",
-                        "residual-text": f"{rel:.3e}",
-                    })
+                tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
+                               "pair=({},{}) sample={}", f_index, g_index, k)
     params_out = {"p": cfg.p, "n": str(cfg.n_value), "window": members,
                   "samples": plan.count, "seed": plan.seed,
                   "tol": plan.tolerance, "convention": convention}
-    return make_report(check_name or f"homomorphism-p{cfg.p}-n{cfg.n_value}",
-                       params_out, failures, max_residual=worst,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name or f"homomorphism-p{cfg.p}-n{cfg.n_value}",
+                        params_out)
 
 
 def kernel_check(cfg: LeafConfig, cs: CasimirSet, plan: SamplePlan,
@@ -230,28 +220,18 @@ def kernel_check(cfg: LeafConfig, cs: CasimirSet, plan: SamplePlan,
     2p < n."""
     if 2 * cfg.p >= cs.n:
         raise ValueError(f"kernel membership needs 2p < n, got p={cfg.p}, n={cs.n}")
-    start = time.monotonic()
+    tally = Tally(plan.tolerance)
     rng = Random(plan.seed)
     params = numeric_params(cfg.lattice, cfg.n_value)
-    failures = []
-    worst = 0.0
     for k in range(plan.count):
         s = draw_leaf_sample(cfg, rng, plan.exclusion_radius)
         for ci, elem in enumerate(cs.elements):
             value, scale = xp_eval(cfg, elem, params, s,
                                    plan.exclusion_radius, with_scale=True)
-            rel = abs(value) / scale
-            worst = max(worst, rel)
-            if rel >= plan.tolerance:
-                failures.append({
-                    "witness": f"element {ci}, sample {k}",
-                    "residual-text": f"{rel:.3e}",
-                })
+            tally.residual(abs(value) / scale, "element {}, sample {}", ci, k)
     params_out = {"p": cfg.p, "n": cs.n, "samples": plan.count,
                   "seed": plan.seed, "tol": plan.tolerance}
-    return make_report(check_name or f"kernel-n{cs.n}-p{cfg.p}", params_out,
-                       failures, max_residual=worst,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name or f"kernel-n{cs.n}-p{cfg.p}", params_out)
 
 
 def _collision_patterns(degree: int, p: int) -> list[tuple[int, ...]]:
@@ -285,12 +265,10 @@ def diagonal_vanish_check(cfg: LeafConfig, C: EPoly, plan: SamplePlan,
         raise ValueError("diagonal check needs a homogeneous element")
     if degree < cfg.p + 1:
         raise ValueError("degree must exceed the number of distinct points")
-    start = time.monotonic()
+    tally = Tally(plan.tolerance)
     rng = Random(plan.seed)
     params = numeric_params(cfg.lattice, cfg.n_value)
     patterns = _collision_patterns(degree, cfg.p)
-    failures = []
-    worst = 0.0
     for k in range(plan.count):
         base = sample_points(cfg.lattice, rng, cfg.p, plan.exclusion_radius,
                              pairwise_distinct=True)
@@ -300,18 +278,11 @@ def diagonal_vanish_check(cfg: LeafConfig, C: EPoly, plan: SamplePlan,
                 points.extend([z] * mult)
             value, scale = sym_eval(cfg.lattice, C, params, points,
                                     plan.exclusion_radius, with_scale=True)
-            rel = abs(value) / scale
-            worst = max(worst, rel)
-            if rel >= plan.tolerance:
-                failures.append({
-                    "witness": f"sample {k}, multiplicities {pattern}",
-                    "residual-text": f"{rel:.3e}",
-                })
+            tally.residual(abs(value) / scale, "sample {}, multiplicities {}", k, pattern)
     params_out = {"p": cfg.p, "n": str(cfg.n_value), "degree": degree,
                   "patterns": [list(pt) for pt in patterns],
                   "samples": plan.count, "seed": plan.seed, "tol": plan.tolerance}
-    return make_report(check_name, params_out, failures, max_residual=worst,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name, params_out)
 
 
 def _det(matrix: list[list[complex]]) -> complex:
@@ -365,19 +336,15 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
     |(n/2)^(p-1) (p - n/2) prod(psi)|; it vanishes exactly at 2p = n and is
     nonzero for 2p < n.
     """
-    start = time.monotonic()
+    tally = Tally(tol)
     n = complex(cfg.n_value)
     diag, off = _convention_signs(n, convention)
     p = cfg.p
-    L = cfg.lattice
 
     M = [[(diag if a == b else off) * s.psi[b] for b in range(p)] for a in range(p)]
-    W = [[0j] * p for _ in range(p)]
-    for a in range(p):
-        for b in range(p):
-            if a != b:
-                Z = zeta_combination(L, s.u[a], s.u[b], exclusion)
-                W[a][b] = n * Z * s.psi[a] * s.psi[b]
+    _, Z = _leaf_values(cfg, s, exclusion)
+    W = [[0j if a == b else n * Z[a][b] * s.psi[a] * s.psi[b] for b in range(p)]
+         for a in range(p)]
     full = [[0j] * (2 * p) for _ in range(2 * p)]
     for a in range(p):
         for b in range(p):
@@ -395,22 +362,13 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
     degenerate = closed_factor == 0
 
     scale = 1 + max(abs(det_m), abs(closed))
-    failures = []
-    resid_block = abs(abs(det_m) - abs(closed)) / scale
-    if resid_block >= tol:
-        failures.append({"witness": "position-weight block determinant",
-                         "residual-text": f"{resid_block:.3e}"})
-    resid_square = abs(det_full - det_m * det_m) / (1 + abs(det_full))
-    if resid_square >= tol:
-        failures.append({"witness": "full determinant vs block square",
-                         "residual-text": f"{resid_square:.3e}"})
+    tally.residual(abs(abs(det_m) - abs(closed)) / scale,
+                   "position-weight block determinant")
+    tally.residual(abs(det_full - det_m * det_m) / (1 + abs(det_full)),
+                   "full determinant vs block square")
     if not degenerate and abs(det_m) <= tol * scale:
-        failures.append({"witness": "unexpected degeneracy",
-                         "residual-text": f"|det M| = {abs(det_m):.3e}"})
+        tally.fail("unexpected degeneracy", f"|det M| = {abs(det_m):.3e}")
     params = {"p": p, "n": str(cfg.n_value), "degenerate": degenerate,
               "closed_form": str(closed_factor), "tol": tol,
               "convention": convention}
-    return make_report(check_name or f"nondegeneracy-n{cfg.n_value}-p{p}",
-                       params, failures,
-                       max_residual=max(resid_block, resid_square),
-                       duration=time.monotonic() - start)
+    return tally.report(check_name or f"nondegeneracy-n{cfg.n_value}-p{p}", params)

@@ -566,7 +566,7 @@ class EPoly(_Packed):
     ``ParamPoly`` or rational coefficients.  Immutable and canonical.
     """
 
-    __slots__ = ()
+    __slots__ = ("_values",)
 
     def __init__(self, terms: Mapping[tuple, ParamPoly | Rational] | None = None):
         acc: dict[int, Fraction] = {}
@@ -684,12 +684,21 @@ class EPoly(_Packed):
         for mono, items in self._groups():
             yield mono, ParamPoly._wrap(*_reduce(dict(items), self._den))
 
-    def coefficient_values(self, values: Mapping[str, complex]) -> list[tuple[tuple, complex]]:
+    def coefficient_values(self, values: Mapping[str, complex]) -> tuple[tuple[tuple, complex], ...]:
         """(monomial, numeric coefficient) in the order of :meth:`terms`,
-        with each coefficient evaluated as :meth:`ParamPoly.evaluate` does."""
+        with each coefficient evaluated as :meth:`ParamPoly.evaluate` does.
+
+        The last result is kept on the value, keyed on the exact parameter
+        values: a numeric check evaluates one element at the same
+        parameters for every sample."""
         vals = _numeric_values(values)
-        return [(mono, _coefficient_value(items, self._den, vals))
-                for mono, items in self._groups()]
+        key = repr(vals)
+        memo = getattr(self, "_values", None)
+        if memo is None or memo[0] != key:
+            memo = self._values = (key, tuple(
+                (mono, _coefficient_value(items, self._den, vals))
+                for mono, items in self._groups()))
+        return memo[1]
 
     def num_terms(self) -> int:
         """Number of distinct generator monomials."""
@@ -820,58 +829,27 @@ def parse_epoly(text: str) -> EPoly:
 
 
 class IndexSet:
-    """Generator index windows: all of Z, F_n = {0} u {2..n}, or a range."""
+    """The generator index window F_n = {0} u {2..n}."""
 
-    __slots__ = ("kind", "lo", "hi", "n")
+    __slots__ = ("n",)
 
-    def __init__(self, kind: str, lo: int | None = None, hi: int | None = None,
-                 n: int | None = None):
-        if kind not in ("all", "fn", "window"):
-            raise ValueError(f"unknown IndexSet kind {kind!r}")
-        if kind == "fn" and (n is None or n < 1):
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("F_n needs a positive n")
-        if kind == "window" and (lo is None or hi is None or lo > hi):
-            raise ValueError("window needs lo <= hi")
-        self.kind = kind
-        self.lo = lo
-        self.hi = hi
         self.n = n
 
     @classmethod
-    def full_z(cls) -> "IndexSet":
-        return cls("all")
-
-    @classmethod
     def fn(cls, n: int) -> "IndexSet":
-        return cls("fn", n=n)
-
-    @classmethod
-    def window(cls, lo: int, hi: int) -> "IndexSet":
-        return cls("window", lo=lo, hi=hi)
+        return cls(n)
 
     def __contains__(self, alpha: int) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "fn":
-            return alpha == 0 or 2 <= alpha <= self.n
-        return self.lo <= alpha <= self.hi
+        return alpha == 0 or 2 <= alpha <= self.n
 
     def members(self) -> list[int]:
-        if self.kind == "all":
-            raise ValueError("the full index set is infinite")
-        if self.kind == "fn":
-            return [0] + list(range(2, self.n + 1))
-        return list(range(self.lo, self.hi + 1))
+        return [0] + list(range(2, self.n + 1))
 
     def __iter__(self):
         return iter(self.members())
 
-    def describe(self) -> str:
-        if self.kind == "all":
-            return "Z"
-        if self.kind == "fn":
-            return f"F{self.n}"
-        return f"{self.lo}..{self.hi}"
-
     def __repr__(self) -> str:
-        return f"IndexSet({self.describe()!r})"
+        return f"IndexSet.fn({self.n})"

@@ -2,12 +2,15 @@
 
 The JSON serialization is deterministic (sorted keys, no timing fields) so
 that re-running a suite with the same seed produces byte-identical output.
-Durations are kept on the object for the table renderer only.
+Durations are kept on the object for the table renderer only.  Every check
+records its outcome through a :class:`Tally`, which owns the pass rule, the
+failure record format and the clock.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -64,6 +67,48 @@ def make_report(check: str, parameters: dict, failures: list,
     return Report(check=check, parameters=parameters, status=status,
                   max_residual=max_residual, failures=failures,
                   duration=duration)
+
+
+class Tally:
+    """Failures, worst residual and duration of one check, from the moment
+    it is created.
+
+    Without a tolerance the check is exact: it passes with no failures and
+    then reports ``max_residual`` as exact-zero.  With one, every relative
+    residual enters the worst residual and fails unless ``rel < tol``, so a
+    NaN residual fails (and shows as ``nan`` in its failure record).
+    Witness strings are ``str.format`` templates filled in only on failure.
+    """
+
+    def __init__(self, tol: float | None = None):
+        self.tol = tol
+        self.worst = 0.0
+        self.failures: list[dict] = []
+        self._start = time.monotonic()
+
+    def fail(self, witness, text: str, **extra) -> None:
+        """Record a failure; ``extra`` keys ride along in the record."""
+        self.failures.append({"witness": witness, "residual-text": text, **extra})
+
+    def exact(self, residual, witness, *args) -> None:
+        """An exact residual (anything with ``to_text``) fails unless zero."""
+        if residual:
+            self.fail(witness.format(*args) if args else witness,
+                      residual.to_text())
+
+    def residual(self, rel: float, witness: str, *args,
+                 text: str | None = None) -> None:
+        """A relative residual against the tolerance; the record shows
+        ``text`` or else ``rel`` to four digits."""
+        self.worst = max(self.worst, rel)
+        if not rel < self.tol:
+            self.fail(witness.format(*args) if args else witness,
+                      f"{rel:.3e}" if text is None else text)
+
+    def report(self, check: str, parameters: dict) -> Report:
+        return make_report(check, parameters, self.failures,
+                           max_residual=None if self.tol is None else self.worst,
+                           duration=time.monotonic() - self._start)
 
 
 def summary(reports: list[Report]) -> Report:

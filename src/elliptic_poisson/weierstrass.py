@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
 from random import Random
 
-from .poly import EPoly, IndexSet
-from .report import Report, make_report
+from .poly import EPoly
+from .report import Report, Tally
 
 __all__ = [
     "Lattice",
@@ -334,9 +333,9 @@ def _zeta_values(vx, vy, vxy) -> complex:
 
 
 def _zeta_matrix(L: Lattice, points, values, exclusion: float) -> list[list]:
-    """Z(z_a, z_b) for every ordered pair a != b of points, from the values
-    at the points (row-major, so errors come in the order of a double loop
-    over zeta_combination); the diagonal holds None."""
+    """Z(z_a, z_b) = zeta(z_a - z_b) - zeta(z_a) + zeta(z_b) for every
+    ordered pair a != b of points, row-major, from the values at the
+    points; the diagonal holds None."""
     out = []
     for a, (x, vx) in enumerate(zip(points, values)):
         row = []
@@ -349,12 +348,6 @@ def _zeta_matrix(L: Lattice, points, values, exclusion: float) -> list[list]:
             row.append(_zeta_values(vx, vy, weier_eval(L, x - y, exclusion)))
         out.append(row)
     return out
-
-
-def zeta_combination(L: Lattice, x: complex, y: complex,
-                     exclusion: float = DEFAULT_EXCLUSION) -> complex:
-    """zeta(x-y) - zeta(x) + zeta(y); elliptic in both variables."""
-    return _zeta_values(*_two_point_values(L, x, y, exclusion))
 
 
 def func_bracket_diagonal(L: Lattice, n_value: complex, f_index: int,
@@ -556,64 +549,51 @@ def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float = 1e-9,
                          check_name: str = "weierstrass-selftest") -> Report:
     """Differential equation, periodicity, quasi-periodicity, parity, and
     the leading Laurent coefficients against g2/20 and g3/28."""
-    start = time.monotonic()
+    tally = Tally(tol)
     rng = Random(plan.seed)
-    failures = []
-    worst = 0.0
-
-    def note(kind, z, resid, bound):
-        nonlocal worst
-        worst = max(worst, resid)
-        if resid >= bound:
-            failures.append({"witness": f"{kind} at z={z!r}", "residual-text": f"{resid:.3e}"})
-
     c2 = L.laurent_c[2]
     c3 = L.laurent_c[3]
-    note("laurent-c2", 0, abs(c2 - L.g2 / 20) / (1 + abs(c2)), tol)
-    note("laurent-c3", 0, abs(c3 - L.g3 / 28) / (1 + abs(c3)), tol)
+    tally.residual(abs(c2 - L.g2 / 20) / (1 + abs(c2)), "laurent-c2 at z=0")
+    tally.residual(abs(c3 - L.g3 / 28) / (1 + abs(c3)), "laurent-c3 at z=0")
     legendre = L.eta1 * L.omega2 - L.eta2 * L.omega1 - 2j * math.pi
-    note("legendre", 0, abs(legendre) / (1 + abs(L.eta1 * L.omega2)), tol)
+    tally.residual(abs(legendre) / (1 + abs(L.eta1 * L.omega2)), "legendre at z=0")
 
     for z in sample_points(L, rng, plan.count, plan.exclusion_radius):
         p, dp, zt = weier_eval(L, z, plan.exclusion_radius)
         ode = abs(dp * dp - (4 * p ** 3 - L.g2 * p - L.g3))
-        note("ode", z, ode / (1 + abs(p) ** 3), tol)
+        tally.residual(ode / (1 + abs(p) ** 3), "ode at z={!r}", z)
         pm, dpm, ztm = weier_eval(L, -z, plan.exclusion_radius)
         scale = 1 + max(abs(p), abs(dp), abs(zt))
-        note("parity", z, max(abs(pm - p), abs(dpm + dp), abs(ztm + zt)) / scale, tol)
+        tally.residual(max(abs(pm - p), abs(dpm + dp), abs(ztm + zt)) / scale,
+                       "parity at z={!r}", z)
         for omega, eta in ((L.omega1, L.eta1), (L.omega2, L.eta2)):
             p2, dp2, zt2 = weier_eval(L, z + omega, plan.exclusion_radius)
-            note("periodicity", z, max(abs(p2 - p), abs(dp2 - dp)) / (1 + abs(p) + abs(dp)), tol)
-            note("quasi-periodicity", z, abs(zt2 - zt - eta) / (1 + abs(zt)), tol)
+            tally.residual(max(abs(p2 - p), abs(dp2 - dp)) / (1 + abs(p) + abs(dp)),
+                           "periodicity at z={!r}", z)
+            tally.residual(abs(zt2 - zt - eta) / (1 + abs(zt)),
+                           "quasi-periodicity at z={!r}", z)
 
     params = {"omega1": repr(L.omega1), "omega2": repr(L.omega2),
               "samples": plan.count, "seed": plan.seed, "tol": tol}
-    return make_report(check_name, params, failures, max_residual=worst,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name, params)
 
 
 def identity5_sweep(L: Lattice, plan: SamplePlan, tol: float = 1e-8,
                     check_name: str = "identity5") -> Report:
     """Relative residuals of the two Z-identities over sampled pairs."""
-    start = time.monotonic()
+    tally = Tally(tol)
     rng = Random(plan.seed)
-    failures = []
-    worst = 0.0
     for x, y in sample_pairs(L, rng, plan.count, plan.exclusion_radius):
         vx, vy, vxy = _two_point_values(L, x, y, plan.exclusion_radius)
         r1, r2 = _identity5_core(L, vx, vy, vxy)
         px, dpx, _ = vx
         py, dpy, _ = vy
         scale = 1 + max(abs(px), abs(py)) ** 2 + max(abs(dpx), abs(dpy))
-        rel = max(r1, r2) / scale
-        worst = max(worst, rel)
-        if rel >= tol:
-            failures.append({"witness": f"x={x!r}, y={y!r}",
-                             "residual-text": f"r1={r1:.3e} r2={r2:.3e}"})
+        tally.residual(max(r1, r2) / scale, "x={!r}, y={!r}", x, y,
+                       text=f"r1={r1:.3e} r2={r2:.3e}")
     params = {"omega1": repr(L.omega1), "omega2": repr(L.omega2),
               "samples": plan.count, "seed": plan.seed, "tol": tol}
-    return make_report(check_name, params, failures, max_residual=worst,
-                       duration=time.monotonic() - start)
+    return tally.report(check_name, params)
 
 
 def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
@@ -627,8 +607,8 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     """
     from .brackets import BracketSpec, generator_bracket
 
-    start = time.monotonic()
-    members = sorted(window.members() if isinstance(window, IndexSet) else window)
+    tally = Tally(plan.tolerance)
+    members = sorted(window)
     rng = Random(plan.seed)
     pairs = sample_pairs(L, rng, plan.count, plan.exclusion_radius, diagonal_every=5)
     params_num = numeric_params(L, n_value)
@@ -639,8 +619,6 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     for x, y in pairs:
         vals = _bracket_values(L, x, y, plan.exclusion_radius)
         values.append((vals, [vals[0], vals[0]] if x == y else list(vals[:2])))
-    failures = []
-    worst = 0.0
     for i, alpha in enumerate(members):
         for beta in members[i:]:
             br = generator_bracket(alpha, beta, spec, n_value=nv)
@@ -652,15 +630,9 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
                                                     with_scale=True)
                 else:
                     rhs, rhs_scale = 0j, 1.0
-                rel = abs(lhs - rhs) / max(lhs_scale, rhs_scale)
-                worst = max(worst, rel)
-                if rel >= plan.tolerance:
-                    failures.append({
-                        "witness": f"pair=({alpha},{beta}) x={x!r} y={y!r}",
-                        "residual-text": f"{rel:.3e}",
-                    })
+                tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
+                               "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
     params = {"n": str(n_value), "window": members, "samples": plan.count,
               "seed": plan.seed, "tol": plan.tolerance,
               "omega1": repr(L.omega1), "omega2": repr(L.omega2)}
-    return make_report(check_name or f"functional-n{n_value}", params, failures,
-                       max_residual=worst, duration=time.monotonic() - start)
+    return tally.report(check_name or f"functional-n{n_value}", params)

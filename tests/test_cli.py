@@ -68,6 +68,14 @@ def test_guardrail_requires_force(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [["--format", "text"], ["--out", "x.jsonl"],
+                                  ["--config", "run.cfg"]])
+def test_flags_before_subcommand_exit_2(flag, capsys):
+    # flags follow the subcommand; before it they used to be ignored silently
+    assert main(flag + ["verify-closure", "--n", "3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_casimir_build_needs_n(tmp_path):
     code, _ = run_cli(["casimir-build"], tmp_path)
     assert code == 2

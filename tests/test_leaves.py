@@ -7,10 +7,12 @@ from random import Random
 
 import pytest
 
+import elliptic_poisson.poly as poly
 from elliptic_poisson.casimirs import casimirs
 from elliptic_poisson.leaves import (
     CONVENTION_PRINTED,
     LeafConfig,
+    LeafSample,
     diagonal_vanish_check,
     draw_leaf_sample,
     kernel_check,
@@ -203,6 +205,37 @@ def test_prop3_evaluations_do_not_grow_with_pairs(weier_eval_points):
         counts.append(len(weier_eval_points))
     # per sample: the p positions and the p(p-1) differences u_a - u_b
     assert counts == [4 * (3 + 3 * 2)] * 2
+
+
+def test_kernel_check_evaluates_coefficients_once(monkeypatch):
+    calls = []
+    real = poly._coefficient_value
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(poly, "_coefficient_value", counting)
+    cs = casimirs(6)  # a fresh value: nothing evaluated yet
+    plan = SamplePlan(seed=12, count=5, tolerance=1e-8)
+    assert kernel_check(config(2, 6), cs, plan).passed
+    assert len(calls) == sum(elem.num_terms() for elem in cs.elements)
+
+
+def test_nondegeneracy_evaluates_each_point_once(weier_eval_points):
+    cfg = config(3, 7)
+    assert nondegeneracy_check(cfg, draw_leaf_sample(cfg, Random(23))).passed
+    # the p positions, then the p(p-1) differences u_a - u_b
+    assert len(weier_eval_points) == 3 + 3 * 2
+
+
+def test_nondegeneracy_overflow_fails():
+    # weights of 1e120 overflow the determinants to inf and then NaN
+    cfg = config(3, 7)
+    s = draw_leaf_sample(cfg, Random(1))
+    rep = nondegeneracy_check(cfg, LeafSample(u=s.u, psi=(1e120,) * 3))
+    assert rep.status == "fail"
+    assert {f["residual-text"] for f in rep.failures} == {"nan"}
 
 
 def test_nondegeneracy_rejects_unknown_convention():

@@ -249,15 +249,20 @@ def test_epoly_text_canonical_order():
     assert EPoly.one().to_text() == "(1)*1"
 
 
+def test_coefficient_values_kept_per_parameters():
+    P = EPoly.monomial((2, 4), N - 3) + EPoly.monomial((3,), N * N)
+    at2 = P.coefficient_values({"n": 2})
+    assert at2 == (((3,), 4 + 0j), ((2, 4), -1 + 0j))
+    assert P.coefficient_values({"n": 2}) is at2
+    assert P.coefficient_values({"n": 5}) == (((3,), 25 + 0j), ((2, 4), 2 + 0j))
+
+
 # -- IndexSet -----------------------------------------------------------------
 
 def test_index_sets():
     fn = IndexSet.fn(5)
     assert fn.members() == [0, 2, 3, 4, 5]
     assert 1 not in fn and 0 in fn and 5 in fn and 6 not in fn
-    win = IndexSet.window(-2, 3)
-    assert win.members() == [-2, -1, 0, 1, 2, 3]
-    full = IndexSet.full_z()
-    assert -100 in full
+    assert list(fn) == [0, 2, 3, 4, 5]
     with pytest.raises(ValueError):
-        full.members()
+        IndexSet.fn(0)
