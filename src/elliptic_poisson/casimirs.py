@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .poly import EPoly, IndexSet, ParamPoly
 from .report import Report, Tally
@@ -159,21 +158,49 @@ def build_matrix(kind: str, n: int) -> FMatrix:
     return FMatrix(rows)
 
 
+def _det(matrix, zero):
+    """Determinant over a commutative ring whose zero is ``zero``: Laplace
+    expansion along the first row, skipping zero entries, with the
+    determinant of every minor computed once.
+
+    The minor left after the first r rows is fixed by its remaining
+    columns, so the memo is keyed on that column set (a bit mask).  Each
+    minor is expanded in the same cofactor order as the plain recursion,
+    so floating-point entries give the same result to the last bit, but a
+    dense k x k matrix costs about 2^k * k products instead of k!; with
+    the zero block of the leaf Poisson matrix only about 2^(p+1) minors of
+    the 2p x 2p matrix are reached.
+    """
+    size = len(matrix)
+    if size == 0:
+        return zero + 1
+    if size == 1:
+        return matrix[0][0]
+    memo = {1 << col: matrix[-1][col] for col in range(size)}
+    nonzero = [[(col, entry) for col, entry in enumerate(row) if entry]
+               for row in matrix]
+
+    def minor_det(cols: int):
+        total = zero
+        for col, entry in nonzero[size - cols.bit_count()]:
+            bit = 1 << col
+            if not cols & bit:
+                continue
+            rest = cols ^ bit
+            sub = memo.get(rest)
+            if sub is None:
+                sub = minor_det(rest)
+            cofactor = entry * sub
+            total += -cofactor if (cols & (bit - 1)).bit_count() % 2 else cofactor
+        memo[cols] = total
+        return total
+
+    return minor_det((1 << size) - 1)
+
+
 def sym_det(M: FMatrix) -> EPoly:
-    """Determinant by permutation expansion in the symmetric algebra."""
-    size = M.size
-    out = EPoly.zero()
-    for perm in permutations(range(size)):
-        inversions = sum(
-            1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j]
-        )
-        prod = EPoly.one()
-        for i in range(size):
-            prod = prod * M.entries[i][perm[i]]
-            if not prod:
-                break
-        out = out + (prod if inversions % 2 == 0 else -prod)
-    return out
+    """Determinant in the symmetric algebra."""
+    return _det(M.entries, EPoly.zero())
 
 
 def _check_support(P: EPoly, n: int, what: str) -> None:

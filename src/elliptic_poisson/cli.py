@@ -2,7 +2,8 @@
 
 Reports stream as JSON lines (one object per check plus a summary object);
 ``--format text`` renders the same data as a table.  Exit codes: 0 all
-checks passed, 1 at least one failure, 2 usage or configuration error.
+checks passed, 1 at least one failure, 2 usage or configuration error,
+3 internal error (a crash, not a failed check).
 """
 
 from __future__ import annotations
@@ -472,6 +473,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

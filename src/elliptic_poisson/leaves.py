@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .casimirs import CasimirSet
+from .casimirs import CasimirSet, _det
 from .poly import EPoly
 from .report import Report, Tally
 from .weierstrass import (
@@ -98,15 +98,18 @@ def xp_eval(cfg: LeafConfig, P: EPoly, params: dict[str, complex],
             with_scale: bool = False):
     """Point-evaluation homomorphism: each generator e[a] is replaced by the
     linear form sum_alpha e[a](u_alpha) psi_alpha and monomials multiply."""
-    values = _point_values(cfg.lattice, s.u, exclusion) if P.support() else []
-    return _xp_core(cfg.lattice, P, params, values, s.psi, with_scale)
+    support = sorted(P.support())
+    values = _point_values(cfg.lattice, s.u, exclusion) if support else []
+    return _xp_core(cfg.lattice, P, support, params, values, s.psi, with_scale)
 
 
-def _xp_core(L: Lattice, P: EPoly, params: dict[str, complex], values,
-             psi: tuple[complex, ...], with_scale: bool):
-    """xp_eval from the (p, p', zeta) values at the positions."""
+def _xp_core(L: Lattice, P: EPoly, support: list[int],
+             params: dict[str, complex], values, psi: tuple[complex, ...],
+             with_scale: bool):
+    """xp_eval from the sorted support of ``P`` and the (p, p', zeta) values
+    at the positions."""
     linear: dict[int, complex] = {}
-    for a in sorted(P.support()):
+    for a in support:
         vals = [_e_from_values(L, a, p, dp) for p, dp, _ in values]
         linear[a] = sum(v * w for (v, _), w in zip(vals, psi))
     total = 0j
@@ -196,13 +199,14 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
     for i, f_index in enumerate(members):
         for g_index in members[i:]:
             br = generator_bracket(f_index, g_index, spec, n_value=cfg.n_value)
+            support = sorted(br.support())
             for k, (s, (values, Z)) in enumerate(zip(samples, sample_values)):
                 lhs, lhs_scale = _leaf_bracket_core(cfg, f_index, g_index, s.psi,
                                                     values, Z, signs,
                                                     with_scale=True)
                 if br:
-                    rhs, rhs_scale = _xp_core(cfg.lattice, br, params, values,
-                                              s.psi, with_scale=True)
+                    rhs, rhs_scale = _xp_core(cfg.lattice, br, support, params,
+                                              values, s.psi, with_scale=True)
                 else:
                     rhs, rhs_scale = 0j, 1.0
                 tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
@@ -285,45 +289,6 @@ def diagonal_vanish_check(cfg: LeafConfig, C: EPoly, plan: SamplePlan,
     return tally.report(check_name, params_out)
 
 
-def _det(matrix: list[list[complex]]) -> complex:
-    """Laplace expansion along the first row, skipping zero entries, with
-    the determinant of every minor computed once.
-
-    The minor left after the first r rows is fixed by its remaining
-    columns, so the memo is keyed on that column set (a bit mask).  Each
-    minor is expanded in the same cofactor order as the plain recursion,
-    so the result is the same to the last bit, but a dense k x k matrix
-    costs about 2^k * k products instead of k!; with the zero block of
-    the leaf Poisson matrix only about 2^(p+1) minors of the 2p x 2p
-    matrix are reached.
-    """
-    size = len(matrix)
-    if size == 0:
-        return 1 + 0j
-    if size == 1:
-        return matrix[0][0]
-    memo = {1 << col: matrix[-1][col] for col in range(size)}
-    nonzero = [[(col, entry) for col, entry in enumerate(row) if entry != 0]
-               for row in matrix]
-
-    def minor_det(cols: int) -> complex:
-        total = 0j
-        for col, entry in nonzero[size - cols.bit_count()]:
-            bit = 1 << col
-            if not cols & bit:
-                continue
-            rest = cols ^ bit
-            sub = memo.get(rest)
-            if sub is None:
-                sub = minor_det(rest)
-            cofactor = entry * sub
-            total += -cofactor if (cols & (bit - 1)).bit_count() % 2 else cofactor
-        memo[cols] = total
-        return total
-
-    return minor_det((1 << size) - 1)
-
-
 def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
                         convention: str = CONVENTION_FLIPPED,
                         tol: float = 1e-8,
@@ -352,8 +317,8 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
             full[p + a][b] = -M[b][a]
             full[p + a][p + b] = W[a][b]
 
-    det_m = _det(M)
-    det_full = _det(full)
+    det_m = _det(M, 0j)
+    det_full = _det(full, 0j)
     psi_prod = 1 + 0j
     for psi in s.psi:
         psi_prod *= psi

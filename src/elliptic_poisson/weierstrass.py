@@ -36,7 +36,6 @@ __all__ = [
     "e_func",
     "e_func_and_deriv",
     "func_bracket",
-    "func_bracket_diagonal",
     "identity5_residual",
     "numeric_params",
     "sym_eval",
@@ -348,14 +347,6 @@ def _zeta_matrix(L: Lattice, points, values, exclusion: float) -> list[list]:
             row.append(_zeta_values(vx, vy, weier_eval(L, x - y, exclusion)))
         out.append(row)
     return out
-
-
-def func_bracket_diagonal(L: Lattice, n_value: complex, f_index: int,
-                          g_index: int, x: complex,
-                          exclusion: float = DEFAULT_EXCLUSION) -> complex:
-    """Coincident-point limit (n-2) * (f'(x) g(x) - f(x) g'(x))."""
-    return _func_bracket_core(L, n_value, f_index, g_index,
-                              (weier_eval(L, x, exclusion),), with_scale=False)
 
 
 def _func_bracket_core(L: Lattice, n_value, f_index: int, g_index: int,

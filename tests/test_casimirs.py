@@ -5,9 +5,11 @@ pencil involution families."""
 import hashlib
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elliptic_poisson.brackets import BracketSpec, bracket_poly
 from elliptic_poisson.casimirs import (
@@ -32,6 +34,7 @@ from elliptic_poisson.weierstrass import e_func, lattice_init, sample_points
 
 G2 = ParamPoly.symbol("g2")
 G3 = ParamPoly.symbol("g3")
+N = ParamPoly.symbol("n")
 Q = Fraction(1, 4)
 
 
@@ -130,6 +133,49 @@ def test_sym_det_is_symmetric_algebra_det():
     # rank-1 function matrix has a nonzero symmetric determinant
     m = build_matrix("g2m", 4)
     assert sym_det(m) == gen(-2, 2) - gen(0, 0)
+
+
+def ref_sym_det(M):
+    """Permutation expansion with the sign from the inversion count."""
+    size = M.size
+    out = EPoly.zero()
+    for perm in permutations(range(size)):
+        inversions = sum(
+            1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j]
+        )
+        prod = EPoly.one()
+        for i in range(size):
+            prod = prod * M.entries[i][perm[i]]
+        out = out + (prod if inversions % 2 == 0 else -prod)
+    return out
+
+
+coefficients = st.builds(
+    lambda num, den, sym: Fraction(num, den) * sym,
+    st.integers(-5, 5).filter(bool), st.integers(1, 4),
+    st.sampled_from([ParamPoly.one(), G2, G3, N]),
+)
+entries = st.one_of(
+    st.just(EPoly.zero()),
+    st.dictionaries(st.integers(-4, 8).map(lambda a: (a,)), coefficients,
+                    min_size=1, max_size=2).map(EPoly),
+)
+matrices = st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(entries, min_size=k, max_size=k).map(tuple),
+                       min_size=k, max_size=k).map(lambda rows: FMatrix(tuple(rows))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_sym_det_matches_permutation_expansion(M):
+    assert sym_det(M) == ref_sym_det(M)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+@pytest.mark.parametrize("kind", ["g", "g1", "g2m"])
+def test_sym_det_matches_permutation_expansion_on_construction(kind, n):
+    M = build_matrix(kind, n)
+    assert sym_det(M) == ref_sym_det(M)
 
 
 # -- central elements ---------------------------------------------------------
@@ -253,7 +299,7 @@ def _golden_digests():
     return {int(n): digest for n, digest in rows}
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12, 14])
 def test_casimir_matches_golden_digest(n):
     text = "\n".join(elem.to_text() for elem in casimirs(n).elements)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _golden_digests()[n]

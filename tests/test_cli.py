@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import elliptic_poisson
+from elliptic_poisson import cli
+from elliptic_poisson.casimirs import IntegrityError
 from elliptic_poisson.cli import main, parse_tau, parse_window
 from elliptic_poisson.cli import UsageError
 
@@ -79,6 +81,16 @@ def test_flags_before_subcommand_exit_2(flag, capsys):
 def test_casimir_build_needs_n(tmp_path):
     code, _ = run_cli(["casimir-build"], tmp_path)
     assert code == 2
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    # a construction that breaks its own promise is a crash, not a failed check
+    def broken(n):
+        raise IntegrityError(f"even n={n}: cancellation failed")
+    monkeypatch.setattr(cli, "casimirs", broken)
+    code, _ = run_cli(["casimir-verify", "--n", "4"], tmp_path)
+    assert code == 3
+    assert "internal error: IntegrityError: even n=4" in capsys.readouterr().err
 
 
 # -- command behavior ---------------------------------------------------------

@@ -9,8 +9,8 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from elliptic_poisson.casimirs import casimirs
-from elliptic_poisson.leaves import _collision_patterns, _det
+from elliptic_poisson.casimirs import _det, casimirs
+from elliptic_poisson.leaves import _collision_patterns
 from elliptic_poisson.poly import EPoly, ParamPoly
 from elliptic_poisson.weierstrass import (
     DEFAULT_EXCLUSION,
@@ -121,7 +121,7 @@ zero_shares = st.sampled_from([0.0, 0.2, 0.5, 0.8])
 @given(st.integers(0, 8), seeds, zero_shares)
 def test_det_matches_plain_expansion(size, seed, zero_share):
     matrix = random_matrix(size, size, seed, zero_share)
-    assert_same(_det(matrix), ref_det(matrix))
+    assert_same(_det(matrix, 0j), ref_det(matrix))
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,7 +136,7 @@ def test_det_matches_on_leaf_block_shape(p, seed, zero_share):
             full[a][p + b] = M[a][b]
             full[p + a][b] = -M[b][a]
             full[p + a][p + b] = W[a][b] if a != b else 0j
-    assert_same(_det(full), ref_det(full))
+    assert_same(_det(full, 0j), ref_det(full))
 
 
 # -- symmetric evaluation -------------------------------------------------------
