@@ -2,8 +2,9 @@
 
 Reports stream as JSON lines (one object per check plus a summary object);
 ``--format text`` renders the same data as a table.  Exit codes: 0 all
-checks passed, 1 at least one failure, 2 usage or configuration error,
-3 internal error (a crash, not a failed check).
+checks passed, 1 at least one failure (a lattice that fails its own
+certification included), 2 usage or configuration error (an unwritable
+``--out`` included), 3 internal error (a crash, not a failed check).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .leaves import (
 from .poly import IndexSet
 from .report import Report, Tally, make_report, render_table, summary
 from .weierstrass import (
+    CertificationError,
     SamplePlan,
     identity5_sweep,
     lattice_init,
@@ -234,9 +236,17 @@ def _cmd_verify_closure(args, config, out):
 
 
 def _make_lattice(args, config):
-    tau = parse_tau(_effective(args, config, "tau", DEFAULT_TAU))
+    """The lattice of --tau, or a failing lattice-certification report when
+    the lattice fails its own self-checks; degenerate periods are a usage
+    error."""
+    tau_text = _effective(args, config, "tau", DEFAULT_TAU)
+    tau = parse_tau(tau_text)
     try:
         return lattice_init(1, tau)
+    except CertificationError as exc:
+        tally = Tally()
+        tally.fail(f"tau={tau_text}", str(exc))
+        return tally.report("lattice-certification", {"tau": tau_text})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -251,6 +261,8 @@ def _make_plan(args, config, default_samples=20, default_tol=1e-6):
 
 def _cmd_verify_elliptic(args, config, out):
     L = _make_lattice(args, config)
+    if isinstance(L, Report):
+        return [L]
     plan = _make_plan(args, config)
     reports = [
         weierstrass_selftest(L, SamplePlan(plan.seed, plan.count, tolerance=1e-9), tol=1e-9),
@@ -301,6 +313,8 @@ def _cmd_involution(args, config, out):
 
 def _cmd_leaves_verify(args, config, out):
     L = _make_lattice(args, config)
+    if isinstance(L, Report):
+        return [L]
     plan = _make_plan(args, config, default_samples=10)
     n_text = _effective(args, config, "n", None)
     p_value = _effective(args, config, "p", None)
@@ -454,7 +468,10 @@ def main(argv: list[str] | None = None) -> int:
         fmt = _effective(args, config, "format", None) or "json"
         if fmt not in ("json", "text"):
             raise UsageError(f"unknown format {fmt!r}")
-        sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
+        try:
+            sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
+        except OSError as exc:
+            raise UsageError(f"cannot write report file: {exc}") from None
         try:
             reports = _COMMANDS[args.command](args, config, sink)
             reports.append(summary(reports))

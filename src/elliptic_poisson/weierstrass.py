@@ -4,10 +4,16 @@ Evaluation strategy: reduce the argument to the centered fundamental cell,
 evaluate p, p', zeta by the Laurent series with recursively generated
 coefficients inside the disc |z| <= 0.3 * r_min, and otherwise apply
 argument halving through the duplication identities until the series disc
-is reached.  The lattice invariants are seeded from the geometrically
-convergent Fourier expansions of the weight-4 and weight-6 Eisenstein
-series; every lattice is certified at construction time by the
-differential-equation, periodicity, quasi-periodicity and Legendre checks.
+is reached.  Everything these steps need that depends on the lattice alone
+(the cell-coordinate conjugates and denominators, the eight neighbour
+products m*omega1 and k*omega2, the Horner rows of the three series, the
+series radius and g2/2) is computed once, into the evaluation tables of
+``Lattice``; each call performs the same floating-point operations on the
+same operands as if it computed them itself.  The lattice invariants are
+seeded from the geometrically convergent Fourier expansions of the weight-4
+and weight-6 Eisenstein series; every lattice is certified at construction
+time by the differential-equation, periodicity, quasi-periodicity and
+Legendre checks, and a lattice that fails them raises CertificationError.
 
 All tolerances are relative to a scale factor 1 + max(|operand values|):
 values near poles grow, so absolute tolerances would be meaningless.
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -29,6 +35,7 @@ from .report import Report, Tally
 __all__ = [
     "Lattice",
     "SamplePlan",
+    "CertificationError",
     "PoleProximityError",
     "NearSingularError",
     "lattice_init",
@@ -50,6 +57,10 @@ _SERIES_FRACTION = 0.3  # series disc radius as a fraction of r_min
 DEFAULT_EXCLUSION = 0.05  # pole exclusion radius as a fraction of r_min
 
 
+class CertificationError(ValueError):
+    """A lattice failed its own self-checks at construction."""
+
+
 class PoleProximityError(ValueError):
     """Argument too close to a lattice point."""
 
@@ -64,6 +75,20 @@ class Lattice:
 
     laurent_c[k] is the coefficient of z^(2k-2) in the expansion of p
     around 0, for k >= 2 (entries 0 and 1 are unused placeholders).
+
+    The evaluation tables are filled from these fields at construction and
+    take no part in ==, hash or repr:
+
+    * ``_cell``: conj(omega2), Im(omega1 conj(omega2)), conj(omega1),
+      Im(omega2 conj(omega1)), the terms of the cell coordinates;
+    * ``_neighbours``: (m*omega1, k*omega2) for the eight neighbours
+      m, k in {-1, 0, 1}, not both zero, in the order lattice_distance
+      visits them;
+    * ``_horner``: (c_k, (2k-2) c_k, c_k / (2k-1)) for k from the top
+      Laurent order down to 2, the rows of the p, p' and zeta series;
+    * ``_series_radius``: 0.3 * r_min, the disc the series is used in;
+    * ``_half_g2``: g2 / 2, in p'' = 6 p^2 - g2/2 and the second
+      Z-identity.
     """
 
     omega1: complex
@@ -74,6 +99,29 @@ class Lattice:
     eta1: complex
     eta2: complex
     r_min: float
+    _cell: tuple[complex, float, complex, float] = field(
+        init=False, compare=False, repr=False)
+    _neighbours: tuple[tuple[complex, complex], ...] = field(
+        init=False, compare=False, repr=False)
+    _horner: tuple[tuple[complex, complex, complex], ...] = field(
+        init=False, compare=False, repr=False)
+    _series_radius: float = field(init=False, compare=False, repr=False)
+    _half_g2: complex = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        o1, o2, c = self.omega1, self.omega2, self.laurent_c
+        tables = {
+            "_cell": (o2.conjugate(), (o1 * o2.conjugate()).imag,
+                      o1.conjugate(), (o2 * o1.conjugate()).imag),
+            "_neighbours": tuple((m * o1, k * o2) for m in (-1, 0, 1)
+                                 for k in (-1, 0, 1) if m or k),
+            "_horner": tuple((c[k], (2 * k - 2) * c[k], c[k] / (2 * k - 1))
+                             for k in range(len(c) - 1, 1, -1)),
+            "_series_radius": _SERIES_FRACTION * self.r_min,
+            "_half_g2": self.g2 / 2,
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -138,9 +186,8 @@ def _laurent_coeffs(g2: complex, g3: complex, order: int) -> tuple[complex, ...]
 
 def _cell_coordinates(L: Lattice, z: complex) -> tuple[float, float]:
     # Real solution of z = a*omega1 + b*omega2.
-    a = (z * L.omega2.conjugate()).imag / (L.omega1 * L.omega2.conjugate()).imag
-    b = (z * L.omega1.conjugate()).imag / (L.omega2 * L.omega1.conjugate()).imag
-    return a, b
+    conj2, den1, conj1, den2 = L._cell
+    return (z * conj2).imag / den1, (z * conj1).imag / den2
 
 
 def _reduce(L: Lattice, z: complex) -> tuple[complex, int, int]:
@@ -155,10 +202,10 @@ def lattice_distance(L: Lattice, z: complex) -> float:
     """Distance from z to the nearest lattice point."""
     z0, _, _ = _reduce(L, z)
     best = abs(z0)
-    for m in (-1, 0, 1):
-        for k in (-1, 0, 1):
-            if m or k:
-                best = min(best, abs(z0 - m * L.omega1 - k * L.omega2))
+    for mo, ko in L._neighbours:
+        d = abs(z0 - mo - ko)
+        if d < best:
+            best = d
     return best
 
 
@@ -168,12 +215,10 @@ def _series_eval(L: Lattice, z: complex) -> tuple[complex, complex, complex]:
     tail_p = 0j
     tail_dp = 0j
     tail_zt = 0j
-    order = len(L.laurent_c) - 1
-    for k in range(order, 1, -1):
-        ck = L.laurent_c[k]
+    for ck, dk, zk in L._horner:
         tail_p = tail_p * w + ck
-        tail_dp = tail_dp * w + (2 * k - 2) * ck
-        tail_zt = tail_zt * w + ck / (2 * k - 1)
+        tail_dp = tail_dp * w + dk
+        tail_zt = tail_zt * w + zk
     p = 1 / w + w * tail_p
     dp = -2 / (z * w) + z * tail_dp
     zt = 1 / z - z * w * tail_zt
@@ -181,10 +226,10 @@ def _series_eval(L: Lattice, z: complex) -> tuple[complex, complex, complex]:
 
 
 def _eval_reduced(L: Lattice, z: complex) -> tuple[complex, complex, complex]:
-    if abs(z) <= _SERIES_FRACTION * L.r_min:
+    if abs(z) <= L._series_radius:
         return _series_eval(L, z)
     p1, dp1, zt1 = _eval_reduced(L, z / 2)
-    ddp1 = 6 * p1 * p1 - L.g2 / 2
+    ddp1 = 6 * p1 * p1 - L._half_g2
     lam = ddp1 / dp1
     p2 = lam * lam / 4 - 2 * p1
     dp2 = -(dp1 + lam * (p2 - p1))
@@ -205,9 +250,10 @@ def weier_eval(L: Lattice, z: complex,
 def lattice_init(omega1: complex, omega2: complex, series_order: int = 26) -> Lattice:
     """Build a lattice from its periods and certify the evaluation data.
 
-    Requires Im(omega2/omega1) > 0 and series_order >= 10.  Raises when the
-    self-checks (differential equation, periodicity, quasi-periodicity,
-    Legendre relation) fail at 1e-9 relative tolerance.
+    Requires Im(omega2/omega1) > 0 and series_order >= 10 (ValueError
+    otherwise).  Raises CertificationError when the self-checks
+    (differential equation, periodicity, quasi-periodicity, Legendre
+    relation) fail at 1e-9 relative tolerance.
     """
     omega1 = complex(omega1)
     omega2 = complex(omega2)
@@ -235,7 +281,7 @@ def lattice_init(omega1: complex, omega2: complex, series_order: int = 26) -> La
 def _certify(L: Lattice, tol: float = 1e-9) -> None:
     legendre = L.eta1 * L.omega2 - L.eta2 * L.omega1 - 2j * math.pi
     if abs(legendre) > tol * (1 + abs(L.eta1 * L.omega2)):
-        raise ValueError(f"Legendre relation residual {abs(legendre):.2e}")
+        raise CertificationError(f"Legendre relation residual {abs(legendre):.2e}")
     rng = Random(0x5EED)
     for _ in range(8):
         a = rng.uniform(-0.5, 0.5)
@@ -246,14 +292,14 @@ def _certify(L: Lattice, tol: float = 1e-9) -> None:
         p, dp, zt = weier_eval(L, z)
         ode = dp * dp - (4 * p ** 3 - L.g2 * p - L.g3)
         if abs(ode) > tol * (1 + abs(p) ** 3):
-            raise ValueError(f"differential equation residual {abs(ode):.2e} at {z}")
+            raise CertificationError(f"differential equation residual {abs(ode):.2e} at {z}")
         for omega, eta in ((L.omega1, L.eta1), (L.omega2, L.eta2)):
             p2, dp2, zt2 = weier_eval(L, z + omega)
             scale = 1 + abs(p)
             if abs(p2 - p) > tol * scale or abs(dp2 - dp) > tol * scale:
-                raise ValueError(f"periodicity residual at {z} + {omega}")
+                raise CertificationError(f"periodicity residual at {z} + {omega}")
             if abs(zt2 - zt - eta) > tol * (1 + abs(zt)):
-                raise ValueError(f"quasi-periodicity residual at {z} + {omega}")
+                raise CertificationError(f"quasi-periodicity residual at {z} + {omega}")
 
 
 # -- the e-basis -----------------------------------------------------------
@@ -294,7 +340,7 @@ def _e_from_values(L: Lattice, alpha: int, p: complex, dp: complex) -> tuple[com
     pam1 = p ** (a - 1)
     if not odd:
         return pa, a * pam1 * dp
-    ddp = 6 * p * p - L.g2 / 2
+    ddp = 6 * p * p - L._half_g2
     value = -pa * dp / 2
     deriv = -(a * pam1 * dp * dp + pa * ddp) / 2
     return value, deriv
@@ -405,7 +451,7 @@ def _identity5_core(L: Lattice, vx, vy, vxy) -> tuple[float, float]:
     px, dpx, _ = vx
     py, dpy, _ = vy
     r1 = abs(Z * (px - py) - (dpx + dpy) / 2)
-    r2 = abs(Z * (dpx - dpy) - (2 * px * px + 2 * px * py + 2 * py * py - L.g2 / 2))
+    r2 = abs(Z * (dpx - dpy) - (2 * px * px + 2 * px * py + 2 * py * py - L._half_g2))
     return r1, r2
 
 

@@ -83,6 +83,40 @@ def test_casimir_build_needs_n(tmp_path):
     assert code == 2
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # an --out path that cannot be opened is a usage error, like --config
+    code = main(["verify-closure", "--n", "3", "--out", str(tmp_path / "no" / "x.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report file")
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["verify-elliptic", "leaves-verify"])
+def test_certification_failure_is_a_failed_check(command, tmp_path):
+    # lattice_init rejects tau = 5i by its own Legendre check: a numerics
+    # failure, reported as a failing check (exit 1), not as a usage error
+    code, text = run_cli([command, "--tau", "5i"], tmp_path)
+    assert code == 1
+    rep, summ = parse_reports(text)
+    assert rep["check"] == "lattice-certification"
+    assert rep["status"] == "fail"
+    assert rep["parameters"] == {"tau": "5i"}
+    assert rep["failures"] == [{"witness": "tau=5i",
+                                "residual-text": "Legendre relation residual 4.23e-08"}]
+    assert summ["check"] == "summary"
+    assert summ["failures"] == [{"witness": "lattice-certification"}]
+
+
+@pytest.mark.parametrize("tau", ["2.5", "-1i"])
+def test_degenerate_tau_exits_2(tau, tmp_path, capsys):
+    # "--tau=-1i": "--tau -1i" would already fail in argparse (a flag-like value)
+    code, text = run_cli(["verify-elliptic", f"--tau={tau}"], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "degenerate periods" in capsys.readouterr().err
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     # a construction that breaks its own promise is a crash, not a failed check
     def broken(n):

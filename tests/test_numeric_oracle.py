@@ -1,19 +1,31 @@
 """The numeric layer against the plain algorithms it replaced: Ryser's
-formula run once per monomial for ``sym_eval`` and the unmemoized Laplace
-expansion for the leaf determinant.  Both library paths perform the same
-floating-point operations in the same order, so results must be equal to
-the last bit, not merely close."""
+formula run once per monomial for ``sym_eval``, the unmemoized Laplace
+expansion for the leaf determinant, and Weierstrass evaluation that
+computes every per-lattice constant on each call.  The library paths
+perform the same floating-point operations in the same order, so results
+must be equal to the last bit, not merely close."""
 
+import cmath
+import math
+from dataclasses import fields
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from elliptic_poisson.casimirs import _det, casimirs
 from elliptic_poisson.leaves import _collision_patterns
 from elliptic_poisson.poly import EPoly, ParamPoly
 from elliptic_poisson.weierstrass import (
+    _SERIES_FRACTION,
     DEFAULT_EXCLUSION,
+    PoleProximityError,
+    _cell_coordinates,
+    _eval_reduced,
+    _reduce,
+    _series_eval,
+    lattice_distance,
     lattice_init,
     numeric_params,
     sample_points,
@@ -23,6 +35,11 @@ from elliptic_poisson.weierstrass import (
 
 SQUARE = lattice_init(1, 1j)
 SKEW = lattice_init(1, 0.3 + 1.1j)
+HEX = lattice_init(1, cmath.exp(1j * math.pi / 3))
+# The certifying lattices of test_weierstrass.py and the five period
+# ratios of the benchmark's numeric sweep.
+TABLE_LATTICES = (SQUARE, SKEW, HEX) + tuple(
+    lattice_init(1, tau) for tau in (2j, 0.5 + 0.9j, -0.4 + 1.2j))
 
 
 def assert_same(got, want):
@@ -100,6 +117,130 @@ def ref_det(matrix):
         cofactor = matrix[0][j] * ref_det(minor)
         total += cofactor if j % 2 == 0 else -cofactor
     return total
+
+
+def ref_cell_coordinates(L, z):
+    a = (z * L.omega2.conjugate()).imag / (L.omega1 * L.omega2.conjugate()).imag
+    b = (z * L.omega1.conjugate()).imag / (L.omega2 * L.omega1.conjugate()).imag
+    return a, b
+
+
+def ref_reduce(L, z):
+    a, b = ref_cell_coordinates(L, z)
+    m = round(a)
+    k = round(b)
+    return z - m * L.omega1 - k * L.omega2, m, k
+
+
+def ref_lattice_distance(L, z):
+    z0, _, _ = ref_reduce(L, z)
+    best = abs(z0)
+    for m in (-1, 0, 1):
+        for k in (-1, 0, 1):
+            if m or k:
+                best = min(best, abs(z0 - m * L.omega1 - k * L.omega2))
+    return best
+
+
+def ref_series_eval(L, z):
+    w = z * z
+    tail_p = 0j
+    tail_dp = 0j
+    tail_zt = 0j
+    order = len(L.laurent_c) - 1
+    for k in range(order, 1, -1):
+        ck = L.laurent_c[k]
+        tail_p = tail_p * w + ck
+        tail_dp = tail_dp * w + (2 * k - 2) * ck
+        tail_zt = tail_zt * w + ck / (2 * k - 1)
+    p = 1 / w + w * tail_p
+    dp = -2 / (z * w) + z * tail_dp
+    zt = 1 / z - z * w * tail_zt
+    return p, dp, zt
+
+
+def ref_eval_reduced(L, z):
+    if abs(z) <= _SERIES_FRACTION * L.r_min:
+        return ref_series_eval(L, z)
+    p1, dp1, zt1 = ref_eval_reduced(L, z / 2)
+    ddp1 = 6 * p1 * p1 - L.g2 / 2
+    lam = ddp1 / dp1
+    p2 = lam * lam / 4 - 2 * p1
+    dp2 = -(dp1 + lam * (p2 - p1))
+    zt2 = 2 * zt1 + lam / 2
+    return p2, dp2, zt2
+
+
+def ref_weier_eval(L, z, exclusion=DEFAULT_EXCLUSION):
+    z0, m, k = ref_reduce(L, z)
+    if ref_lattice_distance(L, z0) < exclusion * L.r_min:
+        raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
+    p, dp, zt = ref_eval_reduced(L, z0)
+    return p, dp, zt + m * L.eta1 + k * L.eta2
+
+
+# -- Weierstrass evaluation from the lattice tables -----------------------------
+
+lattices = st.sampled_from(TABLE_LATTICES)
+# Cell coordinates, the cell edges +-0.5 among them, shifted by lattice vectors.
+cell_coords = st.one_of(st.floats(-0.5, 0.5), st.sampled_from([-0.5, 0.5]))
+shifts = st.integers(-2, 2)
+exclusions = st.sampled_from([DEFAULT_EXCLUSION, 0.01, 0.2])
+
+
+def assert_same_eval(L, z, exclusion):
+    """weier_eval and the per-call constants give the same values, or the
+    same PoleProximityError."""
+    try:
+        want = ref_weier_eval(L, z, exclusion)
+    except PoleProximityError as exc:
+        with pytest.raises(PoleProximityError) as got:
+            weier_eval(L, z, exclusion)
+        assert str(got.value) == str(exc)
+        return False
+    assert repr(weier_eval(L, z, exclusion)) == repr(want)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices, cell_coords, cell_coords, shifts, shifts, exclusions)
+def test_weier_eval_matches_per_call_constants(L, a, b, m, k, exclusion):
+    z = a * L.omega1 + b * L.omega2 + m * L.omega1 + k * L.omega2
+    assert repr(_cell_coordinates(L, z)) == repr(ref_cell_coordinates(L, z))
+    assert repr(_reduce(L, z)) == repr(ref_reduce(L, z))
+    assert repr(lattice_distance(L, z)) == repr(ref_lattice_distance(L, z))
+    if assert_same_eval(L, z, exclusion):
+        z0 = _reduce(L, z)[0]
+        assert repr(_eval_reduced(L, z0)) == repr(ref_eval_reduced(L, z0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices, st.floats(0, 0.12), st.floats(0, 2 * math.pi), shifts, shifts,
+       exclusions)
+def test_weier_eval_near_lattice_points(L, r, theta, m, k, exclusion):
+    # Inside the exclusion radius both raise; just outside both evaluate.
+    z = m * L.omega1 + k * L.omega2 + r * L.r_min * cmath.exp(1j * theta)
+    assert repr(lattice_distance(L, z)) == repr(ref_lattice_distance(L, z))
+    assert_same_eval(L, z, exclusion)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices, st.floats(1e-3, 1), st.floats(0, 2 * math.pi))
+def test_series_eval_matches_per_call_constants(L, r, theta):
+    z = r * _SERIES_FRACTION * L.r_min * cmath.exp(1j * theta)
+    assert repr(_series_eval(L, z)) == repr(ref_series_eval(L, z))
+
+
+def test_lattice_tables_ignored_by_eq_hash_repr():
+    tables = [f.name for f in fields(SKEW) if not f.init]
+    assert tables == ["_cell", "_neighbours", "_horner", "_series_radius", "_half_g2"]
+    twin = lattice_init(1, 0.3 + 1.1j)
+    for name in tables:
+        object.__setattr__(twin, name, None)
+    assert twin == SKEW
+    assert hash(twin) == hash(SKEW)
+    assert repr(twin) == repr(SKEW)
+    assert all(name not in repr(SKEW) for name in tables)
 
 
 # -- the leaf determinant -------------------------------------------------------
