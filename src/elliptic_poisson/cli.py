@@ -226,6 +226,8 @@ def _cmd_verify_closure(args, config, out):
     n_text = _effective(args, config, "n", "2..10")
     m = re.fullmatch(r"(\d+)\.\.(\d+)", str(n_text))
     ns = list(range(int(m.group(1)), int(m.group(2)) + 1)) if m else [int(parse_rational(str(n_text)))]
+    if not ns:
+        raise UsageError(f"empty range {n_text!r}")
     bracket = _effective(args, config, "bracket", "all")
     specs = CLOSURE_BRACKETS if bracket == "all" else [(bracket, _resolve_bracket(bracket))]
     reports = []
@@ -260,10 +262,10 @@ def _make_plan(args, config, default_samples=20, default_tol=1e-6):
 
 
 def _cmd_verify_elliptic(args, config, out):
+    plan = _make_plan(args, config)
     L = _make_lattice(args, config)
     if isinstance(L, Report):
         return [L]
-    plan = _make_plan(args, config)
     reports = [
         weierstrass_selftest(L, SamplePlan(plan.seed, plan.count, tolerance=1e-9), tol=1e-9),
         identity5_sweep(L, SamplePlan(plan.seed, plan.count, tolerance=1e-8), tol=1e-8),
@@ -312,14 +314,16 @@ def _cmd_involution(args, config, out):
 
 
 def _cmd_leaves_verify(args, config, out):
-    L = _make_lattice(args, config)
-    if isinstance(L, Report):
-        return [L]
     plan = _make_plan(args, config, default_samples=10)
     n_text = _effective(args, config, "n", None)
     p_value = _effective(args, config, "p", None)
-    cases = [(int(p_value), int(parse_rational(str(n_text))))] if n_text and p_value \
-        else [(p, n) for p, n in ACCEPTANCE_PROP3]
+    if (n_text is None) != (p_value is None):
+        raise UsageError("leaves-verify needs both --n and --p, or neither")
+    L = _make_lattice(args, config)
+    if isinstance(L, Report):
+        return [L]
+    cases = [(int(p_value), int(parse_rational(str(n_text))))] if n_text is not None \
+        else list(ACCEPTANCE_PROP3)
     reports = []
     for p, n in cases:
         cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
@@ -433,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     flags.add_argument("--p", type=int, default=None, help="number of leaf points")
     flags.add_argument("--window", default=None,
                        help="index window: 'a..b', 'FN', or comma list")
-    flags.add_argument("--tau", default=None, help="period ratio a+bi")
+    flags.add_argument("--tau", default=None,
+                       help="period ratio a+bi; negative real part as --tau=-0.4+1.2i")
     flags.add_argument("--seed", type=int, default=None)
     flags.add_argument("--samples", type=int, default=None)
     flags.add_argument("--tol", type=float, default=None)

@@ -6,6 +6,9 @@ Their bracket follows the convention under which the point-evaluation map
 intertwines the two-point bracket (see ``leaf_bracket_xp``); the printed
 alternative, which flips the sign of every derivative term, is kept behind
 a toggle as a negative control.
+
+Positions stay ``DEFAULT_EXCLUSION`` * r_min clear of the lattice and of
+each other.  ``xp_eval`` and ``leaf_bracket_xp`` return (value, scale).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .casimirs import CasimirSet, _det
 from .poly import EPoly
 from .report import Report, Tally
 from .weierstrass import (
-    DEFAULT_EXCLUSION,
     Lattice,
     SamplePlan,
     _e_from_values,
@@ -73,9 +75,8 @@ class LeafSample:
     psi: tuple[complex, ...]
 
 
-def draw_leaf_sample(cfg: LeafConfig, rng: Random,
-                     exclusion: float = DEFAULT_EXCLUSION) -> LeafSample:
-    u = sample_points(cfg.lattice, rng, cfg.p, exclusion, pairwise_distinct=True)
+def draw_leaf_sample(cfg: LeafConfig, rng: Random) -> LeafSample:
+    u = sample_points(cfg.lattice, rng, cfg.p, pairwise_distinct=True)
     psi = []
     for _ in range(cfg.p):
         radius = rng.uniform(0.5, 1.5)
@@ -94,18 +95,17 @@ def _convention_signs(n: complex, convention: str) -> tuple[complex, float]:
 
 
 def xp_eval(cfg: LeafConfig, P: EPoly, params: dict[str, complex],
-            s: LeafSample, exclusion: float = DEFAULT_EXCLUSION,
-            with_scale: bool = False):
+            s: LeafSample) -> tuple[complex, float]:
     """Point-evaluation homomorphism: each generator e[a] is replaced by the
     linear form sum_alpha e[a](u_alpha) psi_alpha and monomials multiply."""
     support = sorted(P.support())
-    values = _point_values(cfg.lattice, s.u, exclusion) if support else []
-    return _xp_core(cfg.lattice, P, support, params, values, s.psi, with_scale)
+    values = _point_values(cfg.lattice, s.u) if support else []
+    return _xp_core(cfg.lattice, P, support, params, values, s.psi)
 
 
 def _xp_core(L: Lattice, P: EPoly, support: list[int],
-             params: dict[str, complex], values, psi: tuple[complex, ...],
-             with_scale: bool):
+             params: dict[str, complex], values,
+             psi: tuple[complex, ...]) -> tuple[complex, float]:
     """xp_eval from the sorted support of ``P`` and the (p, p', zeta) values
     at the positions."""
     linear: dict[int, complex] = {}
@@ -119,38 +119,33 @@ def _xp_core(L: Lattice, P: EPoly, support: list[int],
             term *= linear[a]
         total += term
         peak = max(peak, abs(term))
-    if with_scale:
-        return total, 1.0 + peak
-    return total
+    return total, 1.0 + peak
 
 
-def _leaf_values(cfg: LeafConfig, s: LeafSample, exclusion: float):
+def _leaf_values(cfg: LeafConfig, s: LeafSample):
     """Values at the positions of one sample and its Z(u_a, u_b) matrix."""
-    values = _point_values(cfg.lattice, s.u, exclusion)
-    return values, _zeta_matrix(cfg.lattice, s.u, values, exclusion)
+    values = _point_values(cfg.lattice, s.u)
+    return values, _zeta_matrix(cfg.lattice, s.u, values)
 
 
 def leaf_bracket_xp(cfg: LeafConfig, f_index: int, g_index: int, s: LeafSample,
-                    convention: str = CONVENTION_FLIPPED,
-                    exclusion: float = DEFAULT_EXCLUSION,
-                    with_scale: bool = False):
+                    convention: str = CONVENTION_FLIPPED) -> tuple[complex, float]:
     """Bracket of the images of two generators, expanded by Leibniz over the
-    leaf generator brackets.
+    leaf generator brackets, and its scale.
 
     The weight-weight bracket is n * Z(u_a, u_b) psi_a psi_b off the
-    diagonal; the position-weight brackets carry the convention sign.  With
-    ``with_scale`` the peak magnitude of the accumulated terms is returned
-    alongside the value (the conditioning scale of the cancellation).
+    diagonal; the position-weight brackets carry the convention sign.  The
+    scale is one plus the peak magnitude of the accumulated terms (the
+    conditioning scale of the cancellation).
     """
     signs = _convention_signs(complex(cfg.n_value), convention)
-    values, Z = _leaf_values(cfg, s, exclusion)
-    return _leaf_bracket_core(cfg, f_index, g_index, s.psi, values, Z, signs,
-                              with_scale)
+    values, Z = _leaf_values(cfg, s)
+    return _leaf_bracket_core(cfg, f_index, g_index, s.psi, values, Z, signs)
 
 
 def _leaf_bracket_core(cfg: LeafConfig, f_index: int, g_index: int,
-                       psi: tuple[complex, ...], values, Z, signs,
-                       with_scale: bool):
+                       psi: tuple[complex, ...], values, Z,
+                       signs) -> tuple[complex, float]:
     """leaf_bracket_xp from the values and Z matrix of ``_leaf_values`` and
     the ``_convention_signs``."""
     n = complex(cfg.n_value)
@@ -175,9 +170,7 @@ def _leaf_bracket_core(cfg: LeafConfig, f_index: int, g_index: int,
             for term in terms:
                 total += term
                 peak = max(peak, abs(term))
-    if with_scale:
-        return total, 1.0 + peak
-    return total
+    return total, 1.0 + peak
 
 
 def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
@@ -190,10 +183,9 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
     tally = Tally(plan.tolerance)
     members = sorted(window)
     rng = Random(plan.seed)
-    samples = [draw_leaf_sample(cfg, rng, plan.exclusion_radius)
-               for _ in range(plan.count)]
+    samples = [draw_leaf_sample(cfg, rng) for _ in range(plan.count)]
     signs = _convention_signs(complex(cfg.n_value), convention)
-    sample_values = [_leaf_values(cfg, s, plan.exclusion_radius) for s in samples]
+    sample_values = [_leaf_values(cfg, s) for s in samples]
     params = numeric_params(cfg.lattice, cfg.n_value)
     spec = BracketSpec.elliptic()
     for i, f_index in enumerate(members):
@@ -202,11 +194,10 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
             support = sorted(br.support())
             for k, (s, (values, Z)) in enumerate(zip(samples, sample_values)):
                 lhs, lhs_scale = _leaf_bracket_core(cfg, f_index, g_index, s.psi,
-                                                    values, Z, signs,
-                                                    with_scale=True)
+                                                    values, Z, signs)
                 if br:
                     rhs, rhs_scale = _xp_core(cfg.lattice, br, support, params,
-                                              values, s.psi, with_scale=True)
+                                              values, s.psi)
                 else:
                     rhs, rhs_scale = 0j, 1.0
                 tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
@@ -218,8 +209,7 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
                         params_out)
 
 
-def kernel_check(cfg: LeafConfig, cs: CasimirSet, plan: SamplePlan,
-                 check_name: str | None = None) -> Report:
+def kernel_check(cfg: LeafConfig, cs: CasimirSet, plan: SamplePlan) -> Report:
     """Central elements must evaluate to zero under the point map whenever
     2p < n."""
     if 2 * cfg.p >= cs.n:
@@ -228,14 +218,13 @@ def kernel_check(cfg: LeafConfig, cs: CasimirSet, plan: SamplePlan,
     rng = Random(plan.seed)
     params = numeric_params(cfg.lattice, cfg.n_value)
     for k in range(plan.count):
-        s = draw_leaf_sample(cfg, rng, plan.exclusion_radius)
+        s = draw_leaf_sample(cfg, rng)
         for ci, elem in enumerate(cs.elements):
-            value, scale = xp_eval(cfg, elem, params, s,
-                                   plan.exclusion_radius, with_scale=True)
+            value, scale = xp_eval(cfg, elem, params, s)
             tally.residual(abs(value) / scale, "element {}, sample {}", ci, k)
     params_out = {"p": cfg.p, "n": cs.n, "samples": plan.count,
                   "seed": plan.seed, "tol": plan.tolerance}
-    return tally.report(check_name or f"kernel-n{cs.n}-p{cfg.p}", params_out)
+    return tally.report(f"kernel-n{cs.n}-p{cfg.p}", params_out)
 
 
 def _collision_patterns(degree: int, p: int) -> list[tuple[int, ...]]:
@@ -274,14 +263,12 @@ def diagonal_vanish_check(cfg: LeafConfig, C: EPoly, plan: SamplePlan,
     params = numeric_params(cfg.lattice, cfg.n_value)
     patterns = _collision_patterns(degree, cfg.p)
     for k in range(plan.count):
-        base = sample_points(cfg.lattice, rng, cfg.p, plan.exclusion_radius,
-                             pairwise_distinct=True)
+        base = sample_points(cfg.lattice, rng, cfg.p, pairwise_distinct=True)
         for pattern in patterns:
             points: list[complex] = []
             for z, mult in zip(base, pattern):
                 points.extend([z] * mult)
-            value, scale = sym_eval(cfg.lattice, C, params, points,
-                                    plan.exclusion_radius, with_scale=True)
+            value, scale = sym_eval(cfg.lattice, C, params, points)
             tally.residual(abs(value) / scale, "sample {}, multiplicities {}", k, pattern)
     params_out = {"p": cfg.p, "n": str(cfg.n_value), "degree": degree,
                   "patterns": [list(pt) for pt in patterns],
@@ -290,24 +277,22 @@ def diagonal_vanish_check(cfg: LeafConfig, C: EPoly, plan: SamplePlan,
 
 
 def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
-                        convention: str = CONVENTION_FLIPPED,
-                        tol: float = 1e-8,
-                        exclusion: float = DEFAULT_EXCLUSION,
-                        check_name: str | None = None) -> Report:
+                        convention: str = CONVENTION_FLIPPED) -> Report:
     """Assembled 2p x 2p leaf Poisson matrix versus the closed form.
 
     The determinant of the full matrix equals det(M)^2 where M is the
     position-weight block, and |det M| must match
     |(n/2)^(p-1) (p - n/2) prod(psi)|; it vanishes exactly at 2p = n and is
-    nonzero for 2p < n.
+    nonzero for 2p < n.  Relative residuals must stay below 1e-8.
     """
+    tol = 1e-8
     tally = Tally(tol)
     n = complex(cfg.n_value)
     diag, off = _convention_signs(n, convention)
     p = cfg.p
 
     M = [[(diag if a == b else off) * s.psi[b] for b in range(p)] for a in range(p)]
-    _, Z = _leaf_values(cfg, s, exclusion)
+    _, Z = _leaf_values(cfg, s)
     W = [[0j if a == b else n * Z[a][b] * s.psi[a] * s.psi[b] for b in range(p)]
          for a in range(p)]
     full = [[0j] * (2 * p) for _ in range(2 * p)]
@@ -336,4 +321,4 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
     params = {"p": p, "n": str(cfg.n_value), "degenerate": degenerate,
               "closed_form": str(closed_factor), "tol": tol,
               "convention": convention}
-    return tally.report(check_name or f"nondegeneracy-n{cfg.n_value}-p{p}", params)
+    return tally.report(f"nondegeneracy-n{cfg.n_value}-p{p}", params)

@@ -15,8 +15,11 @@ and weight-6 Eisenstein series; every lattice is certified at construction
 time by the differential-equation, periodicity, quasi-periodicity and
 Legendre checks, and a lattice that fails them raises CertificationError.
 
-All tolerances are relative to a scale factor 1 + max(|operand values|):
-values near poles grow, so absolute tolerances would be meaningless.
+Points stay DEFAULT_EXCLUSION * r_min clear of the lattice, as does x - y
+in the two-point functions; only ``weier_eval`` takes the radius as an
+argument.  Evaluators return (value, scale): tolerances are relative to a
+scale 1 + max(|operand values|), since values near poles grow and absolute
+tolerances would be meaningless.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
 ]
 
 _SERIES_FRACTION = 0.3  # series disc radius as a fraction of r_min
+_SERIES_ORDER = 26  # highest Laurent coefficient index of the series
 DEFAULT_EXCLUSION = 0.05  # pole exclusion radius as a fraction of r_min
 
 
@@ -130,14 +134,11 @@ class SamplePlan:
 
     seed: int
     count: int
-    exclusion_radius: float = DEFAULT_EXCLUSION
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.exclusion_radius < 0.5:
-            raise ValueError("exclusion_radius must lie in (0, 0.5)")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.count < 1:
             raise ValueError("count must be positive")
 
@@ -247,23 +248,21 @@ def weier_eval(L: Lattice, z: complex,
     return p, dp, zt + m * L.eta1 + k * L.eta2
 
 
-def lattice_init(omega1: complex, omega2: complex, series_order: int = 26) -> Lattice:
+def lattice_init(omega1: complex, omega2: complex) -> Lattice:
     """Build a lattice from its periods and certify the evaluation data.
 
-    Requires Im(omega2/omega1) > 0 and series_order >= 10 (ValueError
-    otherwise).  Raises CertificationError when the self-checks
-    (differential equation, periodicity, quasi-periodicity, Legendre
-    relation) fail at 1e-9 relative tolerance.
+    Requires Im(omega2/omega1) > 0 (ValueError otherwise).  Raises
+    CertificationError when the self-checks (differential equation,
+    periodicity, quasi-periodicity, Legendre relation) fail at 1e-9
+    relative tolerance.
     """
     omega1 = complex(omega1)
     omega2 = complex(omega2)
-    if series_order < 10:
-        raise ValueError("series_order must be at least 10")
     tau_im = (omega2 / omega1).imag
     if not tau_im > 0:
         raise ValueError("degenerate periods: Im(omega2/omega1) must be positive")
     g2, g3 = _invariants(omega1, omega2)
-    coeffs = _laurent_coeffs(g2, g3, series_order)
+    coeffs = _laurent_coeffs(g2, g3, _SERIES_ORDER)
     r_min = min(
         abs(m * omega1 + k * omega2)
         for m in range(-3, 4)
@@ -312,10 +311,9 @@ def _decode_index(alpha: int) -> tuple[int, bool]:
     return (alpha - 3) // 2, True
 
 
-def e_func(L: Lattice, alpha: int, z: complex,
-           exclusion: float = DEFAULT_EXCLUSION) -> complex:
+def e_func(L: Lattice, alpha: int, z: complex) -> complex:
     """e[2a] = p^a, e[2a+3] = -p^a * p'/2, valid for any integer index."""
-    p, dp, _ = weier_eval(L, z, exclusion)
+    p, dp, _ = weier_eval(L, z)
     return _e_value(alpha, p, dp)
 
 
@@ -327,10 +325,9 @@ def _e_value(alpha: int, p: complex, dp: complex) -> complex:
     return value
 
 
-def e_func_and_deriv(L: Lattice, alpha: int, z: complex,
-                     exclusion: float = DEFAULT_EXCLUSION) -> tuple[complex, complex]:
+def e_func_and_deriv(L: Lattice, alpha: int, z: complex) -> tuple[complex, complex]:
     """Value and z-derivative of e[alpha] at z."""
-    p, dp, _ = weier_eval(L, z, exclusion)
+    p, dp, _ = weier_eval(L, z)
     return _e_from_values(L, alpha, p, dp)
 
 
@@ -353,31 +350,30 @@ def _e_from_values(L: Lattice, alpha: int, p: complex, dp: complex) -> tuple[com
 # values to the core for every generator pair.
 
 
-def _point_values(L: Lattice, points, exclusion: float) -> list:
+def _point_values(L: Lattice, points) -> list:
     """(p, p', zeta) at each point, in order."""
-    return [weier_eval(L, z, exclusion) for z in points]
+    return [weier_eval(L, z) for z in points]
 
 
-def _two_point_values(L: Lattice, x: complex, y: complex, exclusion: float):
+def _two_point_values(L: Lattice, x: complex, y: complex):
     """(p, p', zeta) at x, y and x - y; x - y must stay clear of the lattice."""
-    if lattice_distance(L, x - y) < exclusion * L.r_min:
+    if lattice_distance(L, x - y) < DEFAULT_EXCLUSION * L.r_min:
         raise NearSingularError("x - y too close to the lattice")
-    return (weier_eval(L, x, exclusion), weier_eval(L, y, exclusion),
-            weier_eval(L, x - y, exclusion))
+    return weier_eval(L, x), weier_eval(L, y), weier_eval(L, x - y)
 
 
-def _bracket_values(L: Lattice, x: complex, y: complex, exclusion: float):
+def _bracket_values(L: Lattice, x: complex, y: complex):
     """Point values a two-point bracket needs: at x alone when x == y."""
     if x == y:
-        return (weier_eval(L, x, exclusion),)
-    return _two_point_values(L, x, y, exclusion)
+        return (weier_eval(L, x),)
+    return _two_point_values(L, x, y)
 
 
 def _zeta_values(vx, vy, vxy) -> complex:
     return vxy[2] - vx[2] + vy[2]
 
 
-def _zeta_matrix(L: Lattice, points, values, exclusion: float) -> list[list]:
+def _zeta_matrix(L: Lattice, points, values) -> list[list]:
     """Z(z_a, z_b) = zeta(z_a - z_b) - zeta(z_a) + zeta(z_b) for every
     ordered pair a != b of points, row-major, from the values at the
     points; the diagonal holds None."""
@@ -388,24 +384,22 @@ def _zeta_matrix(L: Lattice, points, values, exclusion: float) -> list[list]:
             if a == b:
                 row.append(None)
                 continue
-            if lattice_distance(L, x - y) < exclusion * L.r_min:
+            if lattice_distance(L, x - y) < DEFAULT_EXCLUSION * L.r_min:
                 raise NearSingularError("x - y too close to the lattice")
-            row.append(_zeta_values(vx, vy, weier_eval(L, x - y, exclusion)))
+            row.append(_zeta_values(vx, vy, weier_eval(L, x - y)))
         out.append(row)
     return out
 
 
 def _func_bracket_core(L: Lattice, n_value, f_index: int, g_index: int,
-                       values, with_scale: bool):
+                       values) -> tuple[complex, float]:
     """func_bracket from the point values of ``_bracket_values``."""
     if len(values) == 1:
         p, dp, _ = values[0]
         f, df = _e_from_values(L, f_index, p, dp)
         g, dg = _e_from_values(L, g_index, p, dp)
         value = (complex(n_value) - 2) * (df * g - f * dg)
-        if with_scale:
-            return value, 1.0 + abs(value)
-        return value
+        return value, 1.0 + abs(value)
     vx, vy, vxy = values
     Z = _zeta_values(vx, vy, vxy)
     px, dpx, _ = vx
@@ -423,27 +417,21 @@ def _func_bracket_core(L: Lattice, n_value, f_index: int, g_index: int,
         f_x * dg_y,
         f_y * dg_x,
     )
-    value = sum(terms)
-    if with_scale:
-        return value, 1.0 + max(abs(t) for t in terms)
-    return value
+    return sum(terms), 1.0 + max(abs(t) for t in terms)
 
 
 def func_bracket(L: Lattice, n_value: complex, f_index: int, g_index: int,
-                 x: complex, y: complex,
-                 exclusion: float = DEFAULT_EXCLUSION,
-                 with_scale: bool = False):
-    """Two-point bracket value of a generator pair.
+                 x: complex, y: complex) -> tuple[complex, float]:
+    """Two-point bracket value of a generator pair, and its scale.
 
     Off the diagonal this is
     n * Z * (f(x) g(y) - f(y) g(x)) - f'(x) g(y) - f'(y) g(x)
     + f(x) g'(y) + f(y) g'(x) with Z = zeta(x-y) - zeta(x) + zeta(y);
-    at x == y (exact equality) the limit value is used.  With
-    ``with_scale`` the peak magnitude of the accumulated terms is returned
-    alongside the value.
+    at x == y (exact equality) the limit value is used.  The scale is one
+    plus the peak magnitude of the accumulated terms.
     """
     return _func_bracket_core(L, n_value, f_index, g_index,
-                              _bracket_values(L, x, y, exclusion), with_scale)
+                              _bracket_values(L, x, y))
 
 
 def _identity5_core(L: Lattice, vx, vy, vxy) -> tuple[float, float]:
@@ -455,10 +443,9 @@ def _identity5_core(L: Lattice, vx, vy, vxy) -> tuple[float, float]:
     return r1, r2
 
 
-def identity5_residual(L: Lattice, x: complex, y: complex,
-                       exclusion: float = DEFAULT_EXCLUSION) -> tuple[float, float]:
+def identity5_residual(L: Lattice, x: complex, y: complex) -> tuple[float, float]:
     """Absolute residuals of the two Z-identities relating p, p' at x, y."""
-    return _identity5_core(L, *_two_point_values(L, x, y, exclusion))
+    return _identity5_core(L, *_two_point_values(L, x, y))
 
 
 # -- symmetric evaluation ----------------------------------------------------
@@ -470,9 +457,7 @@ def numeric_params(L: Lattice, n_value) -> dict[str, complex]:
 
 
 def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
-             points: list[complex],
-             exclusion: float = DEFAULT_EXCLUSION,
-             with_scale: bool = False):
+             points: list[complex]) -> tuple[complex, float]:
     """Evaluate a degree-m element as a symmetric function of m variables.
 
     A monomial e[a_1]...e[a_m] contributes the sum over all m!
@@ -480,23 +465,23 @@ def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
     e[a]^2 at (x, y) evaluates to 2 e[a](x) e[a](y)), which is the
     permanent of the matrix e[a_i](z_j), taken by Ryser's formula.  The
     column sums over each point subset are built once per generator and
-    shared by every monomial; with ``with_scale`` the largest product
-    magnitude entering the alternating sums (times |coefficient|) is
-    returned too, as the conditioning scale of the cancellation.
+    shared by every monomial.  Returns (value, scale): the scale is one
+    plus the largest product magnitude entering the alternating sums
+    (times |coefficient|), the conditioning scale of the cancellation.
     """
     m = len(points)
     deg = P.homogeneous_degree()
     if deg is None:
         if not P:
-            return (0j, 1.0) if with_scale else 0j
+            return 0j, 1.0
         raise ValueError("sym_eval needs a homogeneous element")
     if deg != m:
         raise ValueError(f"degree {deg} does not match {m} points")
-    return _sym_eval_core(P, params, _point_values(L, points, exclusion), with_scale)
+    return _sym_eval_core(P, params, _point_values(L, points))
 
 
-def _sym_eval_core(P: EPoly, params: dict[str, complex], values,
-                   with_scale: bool):
+def _sym_eval_core(P: EPoly, params: dict[str, complex],
+                   values) -> tuple[complex, float]:
     """sym_eval of a homogeneous P of degree len(values), from the
     (p, p', zeta) values at the points."""
     m = len(values)
@@ -535,16 +520,13 @@ def _sym_eval_core(P: EPoly, params: dict[str, complex], values,
             perm_peak = max(0.0, *map(abs, prods))
         total += c * perm
         peak = max(peak, abs(c) * perm_peak)
-    if with_scale:
-        return total, 1.0 + peak
-    return total
+    return total, 1.0 + peak
 
 
 # -- sampling ----------------------------------------------------------------
 
 
 def sample_points(L: Lattice, rng: Random, count: int,
-                  exclusion: float = DEFAULT_EXCLUSION,
                   pairwise_distinct: bool = False) -> list[complex]:
     """Seeded points in the fundamental cell, clear of the lattice."""
     out: list[complex] = []
@@ -552,12 +534,12 @@ def sample_points(L: Lattice, rng: Random, count: int,
     while len(out) < count:
         attempts += 1
         if attempts > 10000 * count:
-            raise RuntimeError("sampling failed; exclusion radius too large?")
+            raise RuntimeError("sampling failed: too few admissible points in the cell")
         z = rng.uniform(-0.5, 0.5) * L.omega1 + rng.uniform(-0.5, 0.5) * L.omega2
-        if lattice_distance(L, z) < exclusion * L.r_min:
+        if lattice_distance(L, z) < DEFAULT_EXCLUSION * L.r_min:
             continue
         if pairwise_distinct and any(
-            lattice_distance(L, z - w) < exclusion * L.r_min for w in out
+            lattice_distance(L, z - w) < DEFAULT_EXCLUSION * L.r_min for w in out
         ):
             continue
         out.append(z)
@@ -565,16 +547,15 @@ def sample_points(L: Lattice, rng: Random, count: int,
 
 
 def sample_pairs(L: Lattice, rng: Random, count: int,
-                 exclusion: float = DEFAULT_EXCLUSION,
                  diagonal_every: int = 0) -> list[tuple[complex, complex]]:
     """Admissible (x, y) pairs; every diagonal_every-th pair has x == y."""
     out: list[tuple[complex, complex]] = []
     while len(out) < count:
         if diagonal_every and (len(out) + 1) % diagonal_every == 0:
-            x = sample_points(L, rng, 1, exclusion)[0]
+            x = sample_points(L, rng, 1)[0]
             out.append((x, x))
             continue
-        x, y = sample_points(L, rng, 2, exclusion, pairwise_distinct=True)
+        x, y = sample_points(L, rng, 2, pairwise_distinct=True)
         out.append((x, y))
     return out
 
@@ -595,16 +576,16 @@ def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float = 1e-9,
     legendre = L.eta1 * L.omega2 - L.eta2 * L.omega1 - 2j * math.pi
     tally.residual(abs(legendre) / (1 + abs(L.eta1 * L.omega2)), "legendre at z=0")
 
-    for z in sample_points(L, rng, plan.count, plan.exclusion_radius):
-        p, dp, zt = weier_eval(L, z, plan.exclusion_radius)
+    for z in sample_points(L, rng, plan.count):
+        p, dp, zt = weier_eval(L, z)
         ode = abs(dp * dp - (4 * p ** 3 - L.g2 * p - L.g3))
         tally.residual(ode / (1 + abs(p) ** 3), "ode at z={!r}", z)
-        pm, dpm, ztm = weier_eval(L, -z, plan.exclusion_radius)
+        pm, dpm, ztm = weier_eval(L, -z)
         scale = 1 + max(abs(p), abs(dp), abs(zt))
         tally.residual(max(abs(pm - p), abs(dpm + dp), abs(ztm + zt)) / scale,
                        "parity at z={!r}", z)
         for omega, eta in ((L.omega1, L.eta1), (L.omega2, L.eta2)):
-            p2, dp2, zt2 = weier_eval(L, z + omega, plan.exclusion_radius)
+            p2, dp2, zt2 = weier_eval(L, z + omega)
             tally.residual(max(abs(p2 - p), abs(dp2 - dp)) / (1 + abs(p) + abs(dp)),
                            "periodicity at z={!r}", z)
             tally.residual(abs(zt2 - zt - eta) / (1 + abs(zt)),
@@ -620,8 +601,8 @@ def identity5_sweep(L: Lattice, plan: SamplePlan, tol: float = 1e-8,
     """Relative residuals of the two Z-identities over sampled pairs."""
     tally = Tally(tol)
     rng = Random(plan.seed)
-    for x, y in sample_pairs(L, rng, plan.count, plan.exclusion_radius):
-        vx, vy, vxy = _two_point_values(L, x, y, plan.exclusion_radius)
+    for x, y in sample_pairs(L, rng, plan.count):
+        vx, vy, vxy = _two_point_values(L, x, y)
         r1, r2 = _identity5_core(L, vx, vy, vxy)
         px, dpx, _ = vx
         py, dpy, _ = vy
@@ -647,24 +628,23 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     tally = Tally(plan.tolerance)
     members = sorted(window)
     rng = Random(plan.seed)
-    pairs = sample_pairs(L, rng, plan.count, plan.exclusion_radius, diagonal_every=5)
+    pairs = sample_pairs(L, rng, plan.count, diagonal_every=5)
     params_num = numeric_params(L, n_value)
     spec = BracketSpec.elliptic()
     nv = Fraction(n_value) if not isinstance(n_value, float) else None
     # Per pair: the two-point values, and the values at [x, y] for sym_eval.
     values = []
     for x, y in pairs:
-        vals = _bracket_values(L, x, y, plan.exclusion_radius)
+        vals = _bracket_values(L, x, y)
         values.append((vals, [vals[0], vals[0]] if x == y else list(vals[:2])))
     for i, alpha in enumerate(members):
         for beta in members[i:]:
             br = generator_bracket(alpha, beta, spec, n_value=nv)
             for (x, y), (vals, xy_vals) in zip(pairs, values):
                 lhs, lhs_scale = _func_bracket_core(L, complex(n_value), alpha,
-                                                    beta, vals, with_scale=True)
+                                                    beta, vals)
                 if br:
-                    rhs, rhs_scale = _sym_eval_core(br, params_num, xy_vals,
-                                                    with_scale=True)
+                    rhs, rhs_scale = _sym_eval_core(br, params_num, xy_vals)
                 else:
                     rhs, rhs_scale = 0j, 1.0
                 tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),

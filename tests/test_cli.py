@@ -4,6 +4,8 @@ layering, and byte-level determinism."""
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +117,42 @@ def test_degenerate_tau_exits_2(tau, tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert "degenerate periods" in capsys.readouterr().err
+
+
+def test_negative_real_tau_needs_equals_form(tmp_path, capsys):
+    # "--tau -0.4+1.2i" stops in argparse: the value looks like a flag
+    assert main(["verify-elliptic", "--tau", "-0.4+1.2i", "--n", "3"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, text = run_cli(["verify-elliptic", "--tau=-0.4+1.2i", "--n", "3",
+                          "--samples", "6"], tmp_path)
+    assert code == 0
+    checks = [r["check"] for r in parse_reports(text)]
+    assert checks == ["weierstrass-selftest", "identity5", "functional-n3", "summary"]
+
+
+def test_empty_closure_range_exits_2(tmp_path, capsys):
+    code, text = run_cli(["verify-closure", "--n", "5..3"], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "empty range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--n", "5"], ["--p", "2"]])
+def test_leaves_verify_lone_n_or_p_exits_2(flag, tmp_path, capsys):
+    # one of the two used to be dropped silently for the default matrix
+    code, text = run_cli(["leaves-verify"] + flag, tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "both --n and --p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(tol, tmp_path, capsys):
+    # nan failed every residual and inf passed every finite one
+    code, text = run_cli(["verify-elliptic", "--n", "3", "--tol", tol], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -287,3 +325,18 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "C = " in proc.stdout
+
+
+# -- README ---------------------------------------------------------------------
+
+def readme_cli_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                      re.M | re.S).group(1)
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_examples_exit_0(line, capsys):
+    assert main(shlex.split(line, comments=True)[1:]) == 0
+    assert capsys.readouterr().out

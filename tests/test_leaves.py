@@ -40,7 +40,7 @@ def config(p, n, lattice=L):
 def test_xp_of_unit_sums_weights():
     cfg = config(3, 7)
     s = draw_leaf_sample(cfg, Random(1))
-    got = xp_eval(cfg, EPoly.gen(0), {}, s)
+    got, _ = xp_eval(cfg, EPoly.gen(0), {}, s)
     assert abs(got - sum(s.psi)) < 1e-12 * (1 + abs(got))
 
 
@@ -48,7 +48,7 @@ def test_xp_rank1_collapse_at_p1():
     cfg = config(1, 4)
     s = draw_leaf_sample(cfg, Random(2))
     c0 = casimirs(4).elements[0]
-    value = xp_eval(cfg, c0, numeric_params(L, 4), s)
+    value, _ = xp_eval(cfg, c0, numeric_params(L, 4), s)
     assert abs(value) < 1e-10
 
 
@@ -58,15 +58,15 @@ def test_xp_multiplicative():
     params = numeric_params(L, 5)
     P = EPoly.gen(2) * EPoly.gen(3) - 2 * EPoly.gen(0)
     Q = EPoly.gen(4) + EPoly.gen(2)
-    lhs = xp_eval(cfg, P * Q, params, s)
-    rhs = xp_eval(cfg, P, params, s) * xp_eval(cfg, Q, params, s)
+    lhs, _ = xp_eval(cfg, P * Q, params, s)
+    rhs = xp_eval(cfg, P, params, s)[0] * xp_eval(cfg, Q, params, s)[0]
     assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
 
 
 def test_leaf_bracket_same_index_vanishes():
     cfg = config(3, 6)
     s = draw_leaf_sample(cfg, Random(4))
-    value, scale = leaf_bracket_xp(cfg, 4, 4, s, with_scale=True)
+    value, scale = leaf_bracket_xp(cfg, 4, 4, s)
     assert abs(value) < 1e-10 * scale
 
 
@@ -78,7 +78,7 @@ def test_leaf_bracket_p1_closed_form():
         f, df = e_func_and_deriv(L, f_idx, u)
         g, dg = e_func_and_deriv(L, g_idx, u)
         expect = (5 - 2) / 2 * (df * g - f * dg) * psi * psi
-        got = leaf_bracket_xp(cfg, f_idx, g_idx, s)
+        got, _ = leaf_bracket_xp(cfg, f_idx, g_idx, s)
         assert abs(got - expect) < 1e-9 * (1 + abs(expect))
 
 
@@ -87,11 +87,11 @@ def test_leaf_bracket_matches_two_point_kernel():
     from elliptic_poisson.weierstrass import func_bracket
     cfg = config(2, 5)
     s = draw_leaf_sample(cfg, Random(6))
-    lhs = leaf_bracket_xp(cfg, 0, 2, s)
+    lhs, _ = leaf_bracket_xp(cfg, 0, 2, s)
     total = 0j
     for a in range(2):
         for b in range(2):
-            total += func_bracket(L, 5, 0, 2, s.u[a], s.u[b]) * s.psi[a] * s.psi[b]
+            total += func_bracket(L, 5, 0, 2, s.u[a], s.u[b])[0] * s.psi[a] * s.psi[b]
     assert abs(lhs - total / 2) < 1e-6 * (1 + abs(lhs))
 
 

@@ -288,7 +288,7 @@ def test_sym_eval_casimir_n7_on_every_collision_pattern():
     base = sample_points(SQUARE, Random(7), 3, pairwise_distinct=True)
     for pattern in _collision_patterns(7, 3):
         points = [z for z, mult in zip(base, pattern) for _ in range(mult)]
-        assert_same(sym_eval(SQUARE, C, params, points, with_scale=True),
+        assert_same(sym_eval(SQUARE, C, params, points),
                     ref_sym_eval(SQUARE, C, params, points))
 
 
@@ -312,5 +312,5 @@ def test_sym_eval_matches_per_monomial_ryser(element, seed, L):
     distinct = sample_points(L, Random(seed), len(picks), pairwise_distinct=True)
     points = [distinct[i] for i in picks]
     params = numeric_params(L, Fraction(5))
-    assert_same(sym_eval(L, P, params, points, with_scale=True),
+    assert_same(sym_eval(L, P, params, points),
                 ref_sym_eval(L, P, params, points))

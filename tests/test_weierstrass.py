@@ -15,6 +15,8 @@ from elliptic_poisson.weierstrass import (
     NearSingularError,
     PoleProximityError,
     SamplePlan,
+    _e_value,
+    _func_bracket_core,
     e_func,
     e_func_and_deriv,
     func_bracket,
@@ -57,9 +59,10 @@ def test_degenerate_periods_rejected():
         lattice_init(1, -1j)  # wrong orientation
 
 
-def test_small_series_order_rejected():
-    with pytest.raises(ValueError):
-        lattice_init(1, 1j, series_order=5)
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+def test_sample_plan_needs_positive_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SamplePlan(seed=1, count=5, tolerance=tol)
 
 
 def test_pole_proximity_raises():
@@ -131,7 +134,8 @@ def test_pole_order_and_residue():
     for L in LATTICES:
         z = 1e-3 * L.r_min * cmath.exp(0.7j)
         for alpha in (2, 3, 4, 5, 6, 7):
-            val = z ** alpha * e_func(L, alpha, z, exclusion=1e-4)
+            p, dp, _ = weier_eval(L, z, exclusion=1e-4)
+            val = z ** alpha * _e_value(alpha, p, dp)
             assert abs(val - 1) < 1e-3
 
 
@@ -184,16 +188,16 @@ def test_weierstrass_selftest_report():
 def test_func_bracket_same_index_vanishes():
     x, y = 0.21 + 0.13j, -0.17 + 0.29j
     for alpha in (0, 2, 3):
-        v = func_bracket(SQUARE, 5, alpha, alpha, x, y)
+        v, _ = func_bracket(SQUARE, 5, alpha, alpha, x, y)
         assert abs(v) < 1e-9 * (1 + abs(v))
 
 
 def test_func_bracket_symmetry_and_antisymmetry():
     x, y = 0.21 + 0.13j, -0.17 + 0.29j
-    v_xy = func_bracket(SKEW, 5, 2, 3, x, y)
-    v_yx = func_bracket(SKEW, 5, 2, 3, y, x)
+    v_xy, _ = func_bracket(SKEW, 5, 2, 3, x, y)
+    v_yx, _ = func_bracket(SKEW, 5, 2, 3, y, x)
     assert abs(v_xy - v_yx) < 1e-9 * (1 + abs(v_xy))  # symmetric in points
-    w = func_bracket(SKEW, 5, 3, 2, x, y)
+    w, _ = func_bracket(SKEW, 5, 3, 2, x, y)
     assert abs(v_xy + w) < 1e-9 * (1 + abs(v_xy))  # antisymmetric in entries
 
 
@@ -206,16 +210,19 @@ def test_func_bracket_closed_form_pair23():
         B, Bp, _ = weier_eval(L, y)
         closed = ((n - 3) * (A * A * B + A * B * B) + (1 - n / 4) * Ap * Bp
                   + L.g2 / 4 * (A + B) + n / 4 * L.g3)
-        direct = func_bracket(L, n, 2, 3, x, y)
+        direct, _ = func_bracket(L, n, 2, 3, x, y)
         assert abs(closed - direct) < 1e-9 * (1 + abs(direct))
 
 
 def test_func_bracket_diagonal_limit():
     x = 0.23 + 0.19j
-    v0 = func_bracket(SQUARE, 5, 0, 2, x, x)
+    v0, _ = func_bracket(SQUARE, 5, 0, 2, x, x)
     errors = []
     for eps in (1e-3, 1e-4):
-        v = func_bracket(SQUARE, 5, 0, 2, x, x + eps, exclusion=1e-5)
+        # x - y lies inside the default exclusion radius: evaluate directly
+        y = x + eps
+        values = [weier_eval(SQUARE, z, exclusion=1e-5) for z in (x, y, x - y)]
+        v, _ = _func_bracket_core(SQUARE, 5, 0, 2, values)
         errors.append(abs(v - v0) / (1 + abs(v0)))
     assert errors[1] < errors[0] / 5  # shrinks with the offset
     assert errors[1] < 1e-3
@@ -225,7 +232,7 @@ def test_func_bracket_diagonal_value():
     # diagonal of the (e0, e2) bracket: -(n-2) p'(x) = 2 (n-2) e3(x)
     x = 0.23 + 0.19j
     n = 7
-    v = func_bracket(SQUARE, n, 0, 2, x, x)
+    v, _ = func_bracket(SQUARE, n, 0, 2, x, x)
     expect = 2 * (n - 2) * e_func(SQUARE, 3, x)
     assert abs(v - expect) < 1e-9 * (1 + abs(v))
 
@@ -240,14 +247,14 @@ def test_func_bracket_near_singular():
 
 def test_sym_eval_constants():
     pts = [0.21 + 0.13j, -0.17 + 0.29j]
-    got = sym_eval(SQUARE, EPoly.monomial((0, 0)), {}, pts)
+    got, _ = sym_eval(SQUARE, EPoly.monomial((0, 0)), {}, pts)
     assert abs(got - 2) < 1e-12
 
 
 def test_sym_eval_difference_square():
     pts = [0.21 + 0.13j, -0.17 + 0.29j]
     P = EPoly.monomial((0, 4)) - EPoly.monomial((2, 2))
-    got = sym_eval(SQUARE, P, {}, pts)
+    got, _ = sym_eval(SQUARE, P, {}, pts)
     px = weier_eval(SQUARE, pts[0])[0]
     py = weier_eval(SQUARE, pts[1])[0]
     assert abs(got - (px - py) ** 2) < 1e-9 * (1 + abs(got))
@@ -255,7 +262,7 @@ def test_sym_eval_difference_square():
 
 def test_sym_eval_repeated_index_multiplicity():
     pts = [0.21 + 0.13j, -0.17 + 0.29j]
-    got = sym_eval(SQUARE, EPoly.monomial((2, 2)), {}, pts)
+    got, _ = sym_eval(SQUARE, EPoly.monomial((2, 2)), {}, pts)
     px = weier_eval(SQUARE, pts[0])[0]
     py = weier_eval(SQUARE, pts[1])[0]
     assert abs(got - 2 * px * py) < 1e-10 * (1 + abs(got))
@@ -273,8 +280,8 @@ def test_sym_eval_matches_func_bracket():
         (x, y), = sample_pairs(L, rng, 1)
         for (alpha, beta) in ((0, 2), (2, 3), (3, 4), (0, 5)):
             br = generator_bracket(alpha, beta, spec, n_value=Fraction(5))
-            lhs = func_bracket(L, 5, alpha, beta, x, y)
-            rhs = sym_eval(L, br, numeric_params(L, 5), [x, y])
+            lhs, _ = func_bracket(L, 5, alpha, beta, x, y)
+            rhs, _ = sym_eval(L, br, numeric_params(L, 5), [x, y])
             assert abs(lhs - rhs) < 1e-6 * (1 + abs(lhs))
 
 
