@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .poly import EPoly, IndexSet, ParamPoly
+from .poly import EPoly, IndexSet, ParamPoly, Partials, generator_bracket_sum
 from .report import Report, Tally
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
     "verify_jacobi_window",
     "verify_closure",
 ]
-
-_N = ParamPoly.symbol("n")
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -58,6 +55,18 @@ class SDiffSpec:
             raise ValueError(f"{a} and {c} are not congruent mod {self.k}")
 
 
+def _sdiff_terms(spec: SDiffSpec) -> list[tuple[tuple[int, int], int]]:
+    """(monomial, sign) terms of :func:`s_diff`; monomials may coincide."""
+    k = spec.k
+    a, b = spec.first
+    c, d = spec.second
+    if a < c:
+        sign, base_a, base_b, m = 1, a, b, (c - a) // k
+    else:
+        sign, base_a, base_b, m = -1, c, d, (a - c) // k
+    return [((base_a + k * r, base_b - k * r), sign) for r in range(m)]
+
+
 def s_diff(spec: SDiffSpec) -> EPoly:
     """Finite remainder of S_k(first) - S_k(second).
 
@@ -65,24 +74,16 @@ def s_diff(spec: SDiffSpec) -> EPoly:
     sum_{r=0}^{(c-a)/k - 1} e[a+k*r] * e[b-k*r]; the orientation flips the
     sign when a > c.
     """
-    k = spec.k
-    a, b = spec.first
-    c, d = spec.second
-    if a == c:
-        return EPoly.zero()
-    if a < c:
-        sign, base_a, base_b, m = 1, a, b, (c - a) // k
-    else:
-        sign, base_a, base_b, m = -1, c, d, (a - c) // k
-    return EPoly({(base_a + k * r, base_b - k * r): sign for r in range(m)})
+    return EPoly.from_integers((mono, 0, sign) for mono, sign in _sdiff_terms(spec))
 
 
-def _sdiff(k: int, first: tuple[int, int], second: tuple[int, int]) -> EPoly:
-    return s_diff(SDiffSpec(k, first, second))
-
-
-def _mono2(a: int, b: int, coeff) -> EPoly:
-    return EPoly.monomial((a, b), coeff)
+def _basis_terms(k: int, first: tuple[int, int], second: tuple[int, int],
+                 *rest: tuple[tuple[int, int], int, int]):
+    """The terms n * s_diff(k, first, second) followed by ``rest``, as
+    (monomial, degree in n, numerator) items for ``EPoly.from_integers``."""
+    for mono, sign in _sdiff_terms(SDiffSpec(k, first, second)):
+        yield mono, 1, sign
+    yield from rest
 
 
 @lru_cache(maxsize=None)
@@ -91,12 +92,14 @@ def bracket_basis(i: int, alpha: int, beta: int) -> EPoly:
 
     Total on all integer index pairs; antisymmetric; homogeneous of weight
     alpha+beta+1, alpha+beta-3, alpha+beta-5 for i = 1, 2, 3 (or zero).
+    Built in integers over the denominator 2, 8 or 4 of its ``n`` term.
     """
     if i == 1:
-        res = (_N * _HALF) * _sdiff(1, (alpha + 1, beta), (beta + 1, alpha))
-        res = res + _mono2(alpha + 1, beta, ParamPoly.const(alpha) - _N)
-        res = res - _mono2(alpha, beta + 1, ParamPoly.const(beta) - _N)
-        return res
+        # n/2 * s_diff + (alpha - n) e[alpha+1] e[beta] - (beta - n) e[alpha] e[beta+1]
+        return EPoly.from_integers(_basis_terms(
+            1, (alpha + 1, beta), (beta + 1, alpha),
+            ((alpha + 1, beta), 0, 2 * alpha), ((alpha + 1, beta), 1, -2),
+            ((alpha, beta + 1), 0, -2 * beta), ((alpha, beta + 1), 1, 2)), 2)
     if i not in (2, 3):
         raise ValueError(f"bracket index must be 1, 2 or 3, got {i}")
     alpha_even = alpha % 2 == 0
@@ -110,20 +113,26 @@ def bracket_basis(i: int, alpha: int, beta: int) -> EPoly:
         a = alpha // 2
         b = (beta - 3) // 2
         if i == 2:
-            return (_N * Fraction(1, 8)) * _sdiff(2, (2 * b + 2, 2 * a - 2), (2 * a, 2 * b)) \
-                + _mono2(2 * a, 2 * b, Fraction(2 * b + 1, 4))
-        return (_N * Fraction(1, 8)) * _sdiff(2, (2 * b, 2 * a - 2), (2 * a, 2 * b - 2)) \
-            + _mono2(2 * a, 2 * b - 2, Fraction(b, 2))
+            # n/8 * s_diff + (2b+1)/4 e[2a] e[2b]
+            return EPoly.from_integers(_basis_terms(
+                2, (2 * b + 2, 2 * a - 2), (2 * a, 2 * b),
+                ((2 * a, 2 * b), 0, 2 * (2 * b + 1))), 8)
+        # n/8 * s_diff + b/2 e[2a] e[2b-2]
+        return EPoly.from_integers(_basis_terms(
+            2, (2 * b, 2 * a - 2), (2 * a, 2 * b - 2),
+            ((2 * a, 2 * b - 2), 0, 4 * b)), 8)
     # pair (e[2a+3], e[2b+3])
     a = (alpha - 3) // 2
     b = (beta - 3) // 2
     if i == 2:
-        return (_N * Fraction(1, 4)) * _sdiff(2, (2 * b + 2, 2 * a + 1), (2 * a + 2, 2 * b + 1)) \
-            - _mono2(2 * a, 2 * b + 3, Fraction(2 * a + 1, 4)) \
-            + _mono2(2 * a + 3, 2 * b, Fraction(2 * b + 1, 4))
-    return (_N * Fraction(1, 4)) * _sdiff(2, (2 * b, 2 * a + 1), (2 * a, 2 * b + 1)) \
-        - _mono2(2 * a - 2, 2 * b + 3, Fraction(a, 2)) \
-        + _mono2(2 * a + 3, 2 * b - 2, Fraction(b, 2))
+        # n/4 * s_diff - (2a+1)/4 e[2a] e[2b+3] + (2b+1)/4 e[2a+3] e[2b]
+        return EPoly.from_integers(_basis_terms(
+            2, (2 * b + 2, 2 * a + 1), (2 * a + 2, 2 * b + 1),
+            ((2 * a, 2 * b + 3), 0, -(2 * a + 1)), ((2 * a + 3, 2 * b), 0, 2 * b + 1)), 4)
+    # n/4 * s_diff - a/2 e[2a-2] e[2b+3] + b/2 e[2a+3] e[2b-2]
+    return EPoly.from_integers(_basis_terms(
+        2, (2 * b, 2 * a + 1), (2 * a, 2 * b + 1),
+        ((2 * a - 2, 2 * b + 3), 0, -2 * a), ((2 * a + 3, 2 * b - 2), 0, 2 * b)), 4)
 
 
 @dataclass(frozen=True)
@@ -207,19 +216,50 @@ def jacobiator(P: EPoly, Q: EPoly, R: EPoly, spec: BracketSpec,
     )
 
 
+def _generator_jacobiators(members, spec: BracketSpec, n_value: Fraction | None):
+    """((a, b, c), J) for every increasing triple of ``members``, where
+    J = jacobiator(e[a], e[b], e[c]) = sum over the cyclic shifts of
+    {e[a], {e[b], e[c]}} = sum over beta of {e[a], e[beta]} * d{e[b], e[c]}/de[beta].
+
+    Each ordered pair's bracket and partials are taken once per call, and
+    each triple is one ``generator_bracket_sum``.
+    """
+    rules: dict[tuple[int, int], EPoly] = {}
+    partials: dict[tuple[int, int], Partials] = {}
+
+    def rule(a: int, b: int) -> EPoly:
+        r = rules.get((a, b))
+        if r is None:
+            r = rules[a, b] = _generator_bracket_cached(a, b, spec, n_value)
+        return r
+
+    def partial(b: int, c: int) -> Partials:
+        p = partials.get((b, c))
+        if p is None:
+            p = partials[b, c] = rule(b, c).partials()
+        return p
+
+    for a, b, c in combinations(members, 3):
+        yield (a, b, c), generator_bracket_sum(
+            ((a, partial(b, c)), (b, partial(c, a)), (c, partial(a, b))), rule)
+
+
 def verify_jacobi_window(window, spec: BracketSpec,
                          n_value: Fraction | int | None = None,
                          check_name: str = "jacobi") -> Report:
     """Run the Jacobi identity on all distinct generator triples in a window.
 
     Triples with a repeated entry vanish identically by antisymmetry and
-    bilinearity, so only strictly increasing triples are checked.
+    bilinearity, so only strictly increasing triples are checked.  Each
+    triple's Jacobiator is accumulated at once from the generator brackets
+    and their partial derivatives; it equals :func:`jacobiator` on the three
+    generators.
     """
     tally = Tally()
     members = sorted(window)
-    for a, b, c in combinations(members, 3):
-        tally.exact(jacobiator(EPoly.gen(a), EPoly.gen(b), EPoly.gen(c), spec, n_value),
-                    [a, b, c])
+    nv = Fraction(n_value) if n_value is not None else None
+    for triple, jac in _generator_jacobiators(members, spec, nv):
+        tally.exact(jac, list(triple))
     params = {
         "window": members,
         "bracket": spec.describe(),

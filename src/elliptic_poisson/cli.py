@@ -76,6 +76,8 @@ def parse_window(text: str) -> list[int]:
     s = text.strip()
     m = re.fullmatch(r"[Ff](\d+)", s)
     if m:
+        if int(m.group(1)) < 1:
+            raise UsageError(f"empty window {text!r}")
         return IndexSet.fn(int(m.group(1))).members()
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", s)
     if m:
@@ -94,6 +96,17 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed rational {text!r}") from None
+
+
+def parse_degree(text: str, minimum: int, what: str) -> int:
+    """An integer degree parameter of at least ``minimum``; a fractional or
+    smaller value is a usage error, never truncated."""
+    value = parse_rational(str(text))
+    if value.denominator != 1:
+        raise UsageError(f"{what} needs an integer n, got {text!r}")
+    if value < minimum:
+        raise UsageError(f"{what} needs n >= {minimum}, got {value}")
+    return int(value)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -225,9 +238,12 @@ def _cmd_verify_jacobi(args, config, out):
 def _cmd_verify_closure(args, config, out):
     n_text = _effective(args, config, "n", "2..10")
     m = re.fullmatch(r"(\d+)\.\.(\d+)", str(n_text))
-    ns = list(range(int(m.group(1)), int(m.group(2)) + 1)) if m else [int(parse_rational(str(n_text)))]
-    if not ns:
-        raise UsageError(f"empty range {n_text!r}")
+    if m:
+        ns = list(range(parse_degree(m.group(1), 2, "closure check"), int(m.group(2)) + 1))
+        if not ns:
+            raise UsageError(f"empty range {n_text!r}")
+    else:
+        ns = [parse_degree(n_text, 2, "closure check")]
     bracket = _effective(args, config, "bracket", "all")
     specs = CLOSURE_BRACKETS if bracket == "all" else [(bracket, _resolve_bracket(bracket))]
     reports = []
@@ -253,8 +269,17 @@ def _make_lattice(args, config):
         raise UsageError(str(exc)) from None
 
 
+def _sample_plan(seed: int, count: int, tolerance: float) -> SamplePlan:
+    """A sample plan from flags or configuration; a value it rejects is a
+    usage error."""
+    try:
+        return SamplePlan(seed, count, tolerance)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _make_plan(args, config, default_samples=20, default_tol=1e-6):
-    return SamplePlan(
+    return _sample_plan(
         seed=int(_effective(args, config, "seed", _default_seed())),
         count=int(_effective(args, config, "samples", default_samples)),
         tolerance=float(_effective(args, config, "tol", default_tol)),
@@ -267,8 +292,8 @@ def _cmd_verify_elliptic(args, config, out):
     if isinstance(L, Report):
         return [L]
     reports = [
-        weierstrass_selftest(L, SamplePlan(plan.seed, plan.count, tolerance=1e-9), tol=1e-9),
-        identity5_sweep(L, SamplePlan(plan.seed, plan.count, tolerance=1e-8), tol=1e-8),
+        weierstrass_selftest(L, SamplePlan(plan.seed, plan.count, tolerance=1e-9)),
+        identity5_sweep(L, SamplePlan(plan.seed, plan.count, tolerance=1e-8)),
     ]
     n_text = _effective(args, config, "n", None)
     ns = [parse_rational(str(n_text))] if n_text is not None else [Fraction(k) for k in ACCEPTANCE_FUNCTIONAL_N]
@@ -283,9 +308,7 @@ def _cmd_casimir_build(args, config, out):
     n_text = _effective(args, config, "n", None)
     if n_text is None:
         raise UsageError("casimir-build needs --n")
-    n = int(parse_rational(str(n_text)))
-    if n < 3:
-        raise UsageError("casimir construction needs n >= 3")
+    n = parse_degree(n_text, 3, "casimir construction")
     for line in casimir_lines(n):
         out.write(line + "\n")
     cs = casimirs(n)
@@ -297,7 +320,8 @@ def _cmd_casimir_build(args, config, out):
 
 def _cmd_casimir_verify(args, config, out):
     n_text = _effective(args, config, "n", None)
-    ns = [int(parse_rational(str(n_text)))] if n_text is not None else list(ACCEPTANCE_CENTRAL_N)
+    ns = [parse_degree(n_text, 3, "casimir construction")] if n_text is not None \
+        else list(ACCEPTANCE_CENTRAL_N)
     reports = []
     for n in ns:
         reports.append(verify_central(casimirs(n)))
@@ -309,7 +333,8 @@ def _cmd_casimir_verify(args, config, out):
 
 def _cmd_involution(args, config, out):
     n_text = _effective(args, config, "n", None)
-    ns = [int(parse_rational(str(n_text)))] if n_text is not None else list(ACCEPTANCE_INVOLUTION_N)
+    ns = [parse_degree(n_text, 3, "involution check")] if n_text is not None \
+        else list(ACCEPTANCE_INVOLUTION_N)
     return [involution_family(n) for n in ns]
 
 
@@ -319,14 +344,17 @@ def _cmd_leaves_verify(args, config, out):
     p_value = _effective(args, config, "p", None)
     if (n_text is None) != (p_value is None):
         raise UsageError("leaves-verify needs both --n and --p, or neither")
+    cases = [(int(p_value), parse_degree(n_text, 1, "leaves-verify"))] if n_text is not None \
+        else list(ACCEPTANCE_PROP3)
     L = _make_lattice(args, config)
     if isinstance(L, Report):
         return [L]
-    cases = [(int(p_value), int(parse_rational(str(n_text))))] if n_text is not None \
-        else list(ACCEPTANCE_PROP3)
     reports = []
     for p, n in cases:
-        cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
+        try:
+            cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         window = IndexSet.fn(n).members()
         reports.append(prop3_check(cfg, window, plan))
         if 2 * p < n:
@@ -343,6 +371,9 @@ def _cmd_leaves_verify(args, config, out):
 
 
 def _cmd_all(args, config, out):
+    seed = int(_effective(args, config, "seed", _default_seed()))
+    samples = int(_effective(args, config, "samples", 20))
+    functional_plan = _sample_plan(seed, samples, 1e-6)
     reports = []
     reports.append(verify_jacobi_window(list(CORE_WINDOW), BracketSpec.custom(),
                                         check_name="jacobi-core"))
@@ -353,22 +384,20 @@ def _cmd_all(args, config, out):
         reports.append(golden_casimir_check(n))
     for n in ACCEPTANCE_CENTRAL_N:
         reports.append(verify_central(casimirs(n)))
-    seed = int(_effective(args, config, "seed", _default_seed()))
-    samples = int(_effective(args, config, "samples", 20))
     for tau_text in ACCEPTANCE_TAUS:
         tau = parse_tau(tau_text)
         L = lattice_init(1, tau)
         tag = tau_text.replace("+", "p")
         reports.append(weierstrass_selftest(
-            L, SamplePlan(seed, samples, tolerance=1e-9), tol=1e-9,
+            L, SamplePlan(seed, samples, tolerance=1e-9),
             check_name=f"weierstrass-selftest-tau{tag}"))
         reports.append(identity5_sweep(
-            L, SamplePlan(seed, samples, tolerance=1e-8), tol=1e-8,
+            L, SamplePlan(seed, samples, tolerance=1e-8),
             check_name=f"identity5-tau{tag}"))
         for n in ACCEPTANCE_FUNCTIONAL_N:
             window = [0] + list(range(2, min(8, n) + 1))
             reports.append(verify_functional(
-                L, Fraction(n), window, SamplePlan(seed, samples, tolerance=1e-6),
+                L, Fraction(n), window, functional_plan,
                 check_name=f"functional-tau{tag}-n{n}"))
     L = lattice_init(1, parse_tau(ACCEPTANCE_TAUS[0]))
     plan = SamplePlan(seed, 10, tolerance=1e-6)
@@ -490,9 +519,6 @@ def main(argv: list[str] | None = None) -> int:
                 sink.close()
         return 0 if all(r.passed for r in reports) else 1
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

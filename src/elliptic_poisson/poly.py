@@ -49,13 +49,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "SYMBOLS",
     "ParamPoly",
     "EPoly",
     "IndexSet",
+    "generator_bracket_sum",
     "parse_parampoly",
     "parse_epoly",
 ]
@@ -225,6 +226,25 @@ def _mul(a: Terms, da: int, b: Terms, db: int) -> tuple[Terms, int]:
     return _reduce(acc, da * db)
 
 
+# (rule terms, rule denominator, partial [(key, numerator)]) for _rule_products
+_Piece = tuple[Terms, int, list[tuple[int, int]]]
+
+
+def _rule_products(pieces: Iterable[_Piece], common: int) -> Terms:
+    """Sum of rule * partial over the pieces, each scaled from its own
+    denominator to ``common``; entries that cancel to zero stay."""
+    acc: Terms = {}
+    get = acc.get
+    for terms, den, part in pieces:
+        scale = common // den
+        for kr, vr in terms.items():
+            vr *= scale
+            for kq, vq in part:
+                k = kr + kq
+                acc[k] = get(k, 0) + vr * vq
+    return acc
+
+
 def _partials(terms: Terms) -> dict[int, list[tuple[int, int]]]:
     """Partial derivatives by generator: {alpha: [(key / e[alpha], numerator)]}."""
     out: dict[int, list[tuple[int, int]]] = {}
@@ -235,6 +255,10 @@ def _partials(terms: Terms) -> dict[int, list[tuple[int, int]]]:
                 out[alpha] = part = []
             part.append((k - unit, v * mult))
     return out
+
+
+# ({beta: [(key / e[beta], numerator)]}, denominator), from ``EPoly.partials``
+Partials = tuple[dict[int, list[tuple[int, int]]], int]
 
 
 def _substitute(terms: Terms, den: int,
@@ -597,6 +621,27 @@ class EPoly(_Packed):
     def monomial(cls, indices, coeff: ParamPoly | Rational = 1) -> "EPoly":
         return cls({tuple(indices): coeff})
 
+    @classmethod
+    def from_integers(cls, terms: Iterable[tuple[tuple[int, ...], int, int]],
+                      den: int = 1) -> "EPoly":
+        """Sum of num * n^d * e[mono] / den over (mono, d, num) items.
+
+        The packed constructor for coefficients that are integer polynomials
+        in ``n`` over one positive denominator: terms are summed in integers
+        and reduced once, with no ``Fraction``."""
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        n_unit = 1 << _SYM_SHIFT[0]
+        acc: Terms = {}
+        for mono, d, num in terms:
+            if not 0 <= d <= _MAX_EXP:
+                raise OverflowError(f"symbol exponent {d} outside 0..{_MAX_EXP}")
+            key = _pack_mono(mono) + d * n_unit
+            acc[key] = acc.get(key, 0) + num
+        acc = {k: v for k, v in acc.items() if v}
+        _check_slots(acc)
+        return cls._wrap(*_reduce(acc, den))
+
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
@@ -618,39 +663,36 @@ class EPoly(_Packed):
         """
         dp = _partials(self._terms)
         dq = _partials(other._terms)
-        rules = {}
+        rows: dict[int, list[_Piece]] = {}
         for a in dp:
-            for b in dq:
+            row = []
+            for b, qb in dq.items():
                 r = rule(a, b)
                 if r:
-                    rules[a, b] = r
-        if not rules:
+                    row.append((r._terms, r._den, qb))
+            if row:
+                rows[a] = row
+        if not rows:
             return _EP_ZERO
-        common = lcm(*(r._den for r in rules.values()))
+        common = lcm(*(den for row in rows.values() for _, den, _ in row))
         acc: Terms = {}
         get = acc.get
-        for a, pa in dp.items():
+        for a, row in rows.items():
             # h = sum over b of rule(a, b) * dQ/de[b], over the common denominator
-            h: Terms = {}
-            for b, qb in dq.items():
-                r = rules.get((a, b))
-                if r is None:
-                    continue
-                scale = common // r._den
-                for kr, vr in r._terms.items():
-                    vr *= scale
-                    for kq, vq in qb:
-                        k = kr + kq
-                        h[k] = h.get(k, 0) + vr * vq
-            for kh, vh in h.items():
+            for kh, vh in _rule_products(row, common).items():
                 if not vh:
                     continue
-                for kp, vp in pa:
+                for kp, vp in dp[a]:
                     k = kp + kh
                     acc[k] = get(k, 0) + vh * vp
         acc = {k: v for k, v in acc.items() if v}
         _check_slots(acc)
         return self._wrap(*_reduce(acc, self._den * other._den * common))
+
+    def partials(self) -> "Partials":
+        """Every partial derivative dQ/de[beta] of this element, packed for
+        :func:`generator_bracket_sum`."""
+        return _partials(self._terms), self._den
 
     # -- queries ----------------------------------------------------------
 
@@ -796,6 +838,28 @@ class EPoly(_Packed):
 EPoly._OPERANDS = (EPoly, ParamPoly)
 _EP_ZERO = EPoly()
 _EP_ONE = EPoly({(): 1})
+
+def generator_bracket_sum(items: Iterable[tuple[int, Partials]],
+                          rule: Callable[[int, int], EPoly]) -> EPoly:
+    """Sum of {e[alpha], Q} = sum over beta of rule(alpha, beta) * dQ/de[beta]
+    over (alpha, Q.partials()) items.
+
+    Equal to the sum of ``EPoly.gen(alpha).bracket(Q, rule)``, but every
+    product goes into one integer dict over one common denominator, which is
+    reduced once.  ``rule`` is called once per (alpha, beta) that occurs.
+    """
+    pieces: list[_Piece] = []
+    for alpha, (parts, den) in items:
+        for beta, part in parts.items():
+            r = rule(alpha, beta)
+            if r:
+                pieces.append((r._terms, r._den * den, part))
+    if not pieces:
+        return _EP_ZERO
+    common = lcm(*(den for _, den, _ in pieces))
+    acc = {k: v for k, v in _rule_products(pieces, common).items() if v}
+    _check_slots(acc)
+    return EPoly._wrap(*_reduce(acc, common))
 
 _EP_TERM_RE = re.compile(r"\(([^()]*)\)\*((?:e\[-?\d+\])(?:\*e\[-?\d+\])*|1)")
 _EP_IDX_RE = re.compile(r"e\[(-?\d+)\]")

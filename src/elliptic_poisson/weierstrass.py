@@ -563,10 +563,19 @@ def sample_pairs(L: Lattice, rng: Random, count: int,
 # -- sweeps -------------------------------------------------------------------
 
 
-def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float = 1e-9,
+def _plan_tolerance(plan: SamplePlan, tol: float | None) -> float:
+    """The plan's tolerance; a ``tol`` given as well must equal it."""
+    if tol is not None and tol != plan.tolerance:
+        raise ValueError(f"tol {tol!r} differs from the plan's tolerance {plan.tolerance!r}")
+    return plan.tolerance
+
+
+def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float | None = None,
                          check_name: str = "weierstrass-selftest") -> Report:
     """Differential equation, periodicity, quasi-periodicity, parity, and
-    the leading Laurent coefficients against g2/20 and g3/28."""
+    the leading Laurent coefficients against g2/20 and g3/28, at the plan's
+    tolerance (``tol``, if given, must equal it)."""
+    tol = _plan_tolerance(plan, tol)
     tally = Tally(tol)
     rng = Random(plan.seed)
     c2 = L.laurent_c[2]
@@ -596,9 +605,11 @@ def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float = 1e-9,
     return tally.report(check_name, params)
 
 
-def identity5_sweep(L: Lattice, plan: SamplePlan, tol: float = 1e-8,
+def identity5_sweep(L: Lattice, plan: SamplePlan, tol: float | None = None,
                     check_name: str = "identity5") -> Report:
-    """Relative residuals of the two Z-identities over sampled pairs."""
+    """Relative residuals of the two Z-identities over sampled pairs, at the
+    plan's tolerance (``tol``, if given, must equal it)."""
+    tol = _plan_tolerance(plan, tol)
     tally = Tally(tol)
     rng = Random(plan.seed)
     for x, y in sample_pairs(L, rng, plan.count):

@@ -17,6 +17,7 @@ from elliptic_poisson import cli
 from elliptic_poisson.casimirs import IntegrityError
 from elliptic_poisson.cli import main, parse_tau, parse_window
 from elliptic_poisson.cli import UsageError
+from elliptic_poisson.weierstrass import NearSingularError, PoleProximityError
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -163,6 +164,50 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(["casimir-verify", "--n", "4"], tmp_path)
     assert code == 3
     assert "internal error: IntegrityError: even n=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, n", [("casimir-build", "7/2"), ("casimir-verify", "9/2"),
+                                        ("involution", "11/2"), ("verify-closure", "5/2"),
+                                        ("leaves-verify", "5/2")])
+def test_fractional_degree_exits_2(command, n, tmp_path, capsys):
+    # the degree was truncated: casimir-build --n 7/2 built n=3 and exited 0
+    extra = ["--p", "2"] if command == "leaves-verify" else []
+    code, text = run_cli([command, "--n", n] + extra, tmp_path)
+    assert code == 2
+    assert text == ""
+    assert f"needs an integer n, got '{n}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify-closure", "--n", "1"], "closure check needs n >= 2, got 1"),
+    (["verify-closure", "--n", "0..3"], "closure check needs n >= 2, got 0"),
+    (["casimir-verify", "--n", "2"], "casimir construction needs n >= 3, got 2"),
+    (["involution", "--n", "2"], "involution check needs n >= 3, got 2"),
+    (["leaves-verify", "--n", "0", "--p", "1"], "leaves-verify needs n >= 1, got 0"),
+    (["leaves-verify", "--n", "5", "--p", "0"], "p must be a positive integer"),
+    (["verify-elliptic", "--n", "3", "--samples", "0"], "count must be positive"),
+    (["all", "--samples", "0"], "count must be positive"),
+    (["bracket-table", "--window", "F0"], "empty window 'F0'"),
+])
+def test_out_of_range_input_exits_2(args, message, tmp_path, capsys):
+    code, text = run_cli(args, tmp_path)
+    assert code == 2
+    assert text == ""
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [PoleProximityError("z within the exclusion radius"),
+                                   NearSingularError("x - y near the lattice"),
+                                   ValueError("math domain error"), KeyError("g2")])
+def test_numeric_error_in_a_check_exits_3(error, tmp_path, monkeypatch, capsys):
+    # an exception that escapes a check is a crash, not a usage error
+    def broken(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "identity5_sweep", broken)
+    code, text = run_cli(["verify-elliptic", "--n", "3", "--samples", "2"], tmp_path)
+    assert code == 3
+    assert text == ""
+    assert f"internal error: {type(error).__name__}: " in capsys.readouterr().err
 
 
 # -- command behavior ---------------------------------------------------------

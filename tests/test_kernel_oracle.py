@@ -1,14 +1,28 @@
 """The packed polynomial kernel against a reference built on sorted index
 tuples and Fraction dicts: products, Leibniz brackets, and the slot guard
-that must raise instead of carrying into the next slot."""
+that must raise instead of carrying into the next slot.  The Jacobi window
+kernel against the general ``jacobiator``, and the packed basis brackets
+against their constructor-based definition."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elliptic_poisson.brackets import BracketSpec, generator_bracket
-from elliptic_poisson.poly import SYMBOLS, EPoly, ParamPoly
+from elliptic_poisson import brackets
+from elliptic_poisson.brackets import (
+    BracketSpec,
+    SDiffSpec,
+    bracket_basis,
+    bracket_poly,
+    generator_bracket,
+    jacobiator,
+    s_diff,
+    verify_jacobi_window,
+)
+from elliptic_poisson.poly import SYMBOLS, EPoly, ParamPoly, generator_bracket_sum
+from elliptic_poisson.report import Tally
 
 SLOT_MAX = 127  # largest multiplicity or exponent a slot holds
 
@@ -167,3 +181,172 @@ def test_bracket_guards_the_slot():
     ok = EPoly.monomial((0,) * (SLOT_MAX - 1)).bracket(
         EPoly.gen(1), lambda a, b: EPoly.monomial((0, 0)))
     assert ok == EPoly.monomial((0,) * SLOT_MAX, SLOT_MAX - 1)
+
+
+# -- the Jacobi window kernel -------------------------------------------------
+
+ORACLE_SPECS = (BracketSpec.custom(), BracketSpec.elliptic(), BracketSpec.basis(1),
+                BracketSpec.basis(2), BracketSpec.basis(3))
+windows = st.lists(st.integers(-5, 9), min_size=3, max_size=6, unique=True).map(sorted)
+
+
+def window_jacobiators(window, spec, n_value):
+    nv = None if n_value is None else Fraction(n_value)
+    return dict(brackets._generator_jacobiators(window, spec, nv))
+
+
+def oracle_jacobiators(window, spec, n_value):
+    return {(a, b, c): jacobiator(EPoly.gen(a), EPoly.gen(b), EPoly.gen(c), spec, n_value)
+            for a, b, c in combinations(window, 3)}
+
+
+def oracle_report(window, spec, n_value, check_name):
+    """verify_jacobi_window's report, with every triple run through jacobiator."""
+    tally = Tally()
+    for (a, b, c), jac in oracle_jacobiators(window, spec, n_value).items():
+        tally.exact(jac, [a, b, c])
+    n = len(window)
+    return tally.report(check_name, {
+        "window": window, "bracket": spec.describe(),
+        "n": "formal" if n_value is None else str(Fraction(n_value)),
+        "triples": n * (n - 1) * (n - 2) // 6})
+
+
+@settings(max_examples=25, deadline=None)
+@given(elements, st.integers(-4, 8), st.sampled_from(ORACLE_SPECS),
+       st.sampled_from([None, Fraction(7), Fraction(-3, 2)]))
+def test_generator_bracket_sum_is_the_leibniz_bracket(Q, alpha, spec, n_value):
+    rule = lambda a, b: generator_bracket(a, b, spec, n_value)  # noqa: E731
+    q = from_ref(Q)
+    assert generator_bracket_sum([(alpha, q.partials())], rule) == \
+        bracket_poly(EPoly.gen(alpha), q, spec, n_value)
+    # two items accumulate to the sum of their brackets
+    p = q * EPoly.gen(alpha + 1) + EPoly.gen(-2)
+    assert generator_bracket_sum([(alpha, q.partials()), (alpha - 1, p.partials())], rule) == \
+        bracket_poly(EPoly.gen(alpha), q, spec, n_value) \
+        + bracket_poly(EPoly.gen(alpha - 1), p, spec, n_value)
+
+
+def perturbed(pair, extra, antisymmetric):
+    """A generator rule that is no longer Poisson: ``extra`` is added to the
+    bracket of one ordered pair (and subtracted from the reversed pair when
+    ``antisymmetric``)."""
+    original = brackets._generator_bracket_cached
+
+    def rule(alpha, beta, spec, n_value):
+        value = original(alpha, beta, spec, n_value)
+        if (alpha, beta) == pair:
+            return value + extra
+        if antisymmetric and (beta, alpha) == pair:
+            return value - extra
+        return value
+    return rule
+
+
+@settings(max_examples=30, deadline=None)
+@given(windows, st.sampled_from(ORACLE_SPECS), st.sampled_from([None, 5, Fraction(7, 3)]),
+       st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()))
+def test_window_kernel_matches_jacobiator(window, spec, n_value, perturb):
+    with pytest.MonkeyPatch.context() as mp:
+        if perturb is not None:
+            i, j, antisymmetric = perturb
+            pair = (window[i % len(window)], window[j % len(window)])
+            extra = EPoly.monomial((pair[0] - 1, 3), Fraction(2, 3)) + EPoly.gen(-1)
+            mp.setattr(brackets, "_generator_bracket_cached",
+                       perturbed(pair, extra, antisymmetric))
+        assert window_jacobiators(window, spec, n_value) == \
+            oracle_jacobiators(window, spec, n_value)
+
+
+@pytest.mark.parametrize("antisymmetric", [True, False])
+@pytest.mark.parametrize("pair", [(2, 3), (5, -2)])  # (5, -2) is read as {e[c], e[a]}
+@pytest.mark.parametrize("n_value", [None, 6])
+def test_perturbed_rule_fails_alike(monkeypatch, antisymmetric, pair, n_value):
+    window = [-2, 0, 2, 3, 4, 5, 7]
+    spec = BracketSpec.custom()
+    extra = EPoly.monomial((0, 5), ParamPoly.symbol("l1") * Fraction(1, 3))
+    monkeypatch.setattr(brackets, "_generator_bracket_cached",
+                        perturbed(pair, extra, antisymmetric))
+    kernel = window_jacobiators(window, spec, n_value)
+    assert kernel == oracle_jacobiators(window, spec, n_value)
+    assert any(kernel.values())
+    rep = verify_jacobi_window(window, spec, n_value, check_name="jacobi-perturbed")
+    assert not rep.passed
+    assert rep.to_json() == oracle_report(window, spec, n_value, "jacobi-perturbed").to_json()
+
+
+# -- packed basis brackets ----------------------------------------------------
+# The basis brackets and s_diff as they were first written: ParamPoly and
+# Fraction arithmetic through the EPoly constructor.
+
+def ref_s_diff(spec):
+    k, (a, b), (c, d) = spec.k, spec.first, spec.second
+    if a == c:
+        return EPoly.zero()
+    if a < c:
+        sign, base_a, base_b, m = 1, a, b, (c - a) // k
+    else:
+        sign, base_a, base_b, m = -1, c, d, (a - c) // k
+    terms = {}
+    for r in range(m):
+        mono = tuple(sorted((base_a + k * r, base_b - k * r)))
+        terms[mono] = terms.get(mono, 0) + sign
+    return EPoly(terms)
+
+
+def ref_bracket_basis(i, alpha, beta):
+    N = ParamPoly.symbol("n")
+
+    def sd(k, first, second):
+        return ref_s_diff(SDiffSpec(k, first, second))
+
+    def mono2(a, b, coeff):
+        return EPoly.monomial((a, b), coeff)
+
+    if i == 1:
+        return (N * Fraction(1, 2)) * sd(1, (alpha + 1, beta), (beta + 1, alpha)) \
+            + mono2(alpha + 1, beta, ParamPoly.const(alpha) - N) \
+            - mono2(alpha, beta + 1, ParamPoly.const(beta) - N)
+    if alpha % 2 == 0 and beta % 2 == 0:
+        return EPoly.zero()
+    if alpha % 2 and beta % 2 == 0:
+        return -ref_bracket_basis(i, beta, alpha)
+    if alpha % 2 == 0:
+        a, b = alpha // 2, (beta - 3) // 2
+        if i == 2:
+            return (N * Fraction(1, 8)) * sd(2, (2 * b + 2, 2 * a - 2), (2 * a, 2 * b)) \
+                + mono2(2 * a, 2 * b, Fraction(2 * b + 1, 4))
+        return (N * Fraction(1, 8)) * sd(2, (2 * b, 2 * a - 2), (2 * a, 2 * b - 2)) \
+            + mono2(2 * a, 2 * b - 2, Fraction(b, 2))
+    a, b = (alpha - 3) // 2, (beta - 3) // 2
+    if i == 2:
+        return (N * Fraction(1, 4)) * sd(2, (2 * b + 2, 2 * a + 1), (2 * a + 2, 2 * b + 1)) \
+            - mono2(2 * a, 2 * b + 3, Fraction(2 * a + 1, 4)) \
+            + mono2(2 * a + 3, 2 * b, Fraction(2 * b + 1, 4))
+    return (N * Fraction(1, 4)) * sd(2, (2 * b, 2 * a + 1), (2 * a, 2 * b + 1)) \
+        - mono2(2 * a - 2, 2 * b + 3, Fraction(a, 2)) \
+        + mono2(2 * a + 3, 2 * b - 2, Fraction(b, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(-12, 16), st.integers(-12, 16))
+def test_packed_bracket_basis_matches_constructor(i, alpha, beta):
+    assert bracket_basis(i, alpha, beta) == ref_bracket_basis(i, alpha, beta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(-8, 8), st.integers(-8, 8), st.integers(-3, 3))
+def test_packed_s_diff_matches_constructor(k, a, b, steps):
+    spec = SDiffSpec(k, (a, b), (a + k * steps, b - k * steps))
+    assert s_diff(spec) == ref_s_diff(spec)
+
+
+@pytest.mark.parametrize("k, first, second", [
+    (1, (0, 4), (4, 0)),    # e[1]e[3] twice, e[2]^2 once
+    (2, (-3, 5), (5, -3)),  # e[-1]e[3] twice, e[1]^2 once
+    (1, (5, 1), (1, 5)),    # reversed orientation: e[2]e[4] twice, e[3]^2 once
+    (2, (2, 2), (2, 2)),    # equal first entries: zero
+])
+def test_s_diff_coinciding_indices(k, first, second):
+    spec = SDiffSpec(k, first, second)
+    assert s_diff(spec) == ref_s_diff(spec)

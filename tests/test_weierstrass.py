@@ -295,10 +295,20 @@ def test_verify_functional_acceptance_windows():
             assert rep.max_residual < 1e-6
 
 
+@pytest.mark.parametrize("sweep", [weierstrass_selftest, identity5_sweep])
+def test_sweeps_read_the_plan_tolerance(sweep):
+    plan = SamplePlan(seed=3, count=4, tolerance=1e-7)
+    rep = sweep(SQUARE, plan)
+    assert rep.parameters["tol"] == 1e-7
+    assert sweep(SQUARE, plan, tol=1e-7).to_json() == rep.to_json()
+    with pytest.raises(ValueError, match="differs from the plan's tolerance"):
+        sweep(SQUARE, plan, tol=1e-9)
+
+
 # -- evaluation counts ----------------------------------------------------------
 
 def test_identity5_sweep_evaluates_each_point_once(weier_eval_points):
-    rep = identity5_sweep(SQUARE, SamplePlan(seed=3, count=25), tol=1e-8)
+    rep = identity5_sweep(SQUARE, SamplePlan(seed=3, count=25, tolerance=1e-8))
     assert rep.passed
     assert len(weier_eval_points) == 3 * 25  # x, y and x - y per pair
 
