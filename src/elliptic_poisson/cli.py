@@ -288,6 +288,8 @@ def _make_plan(args, config, default_samples=20, default_tol=1e-6):
 
 def _cmd_verify_elliptic(args, config, out):
     plan = _make_plan(args, config)
+    n_text = _effective(args, config, "n", None)
+    ns = [parse_rational(str(n_text))] if n_text is not None else [Fraction(k) for k in ACCEPTANCE_FUNCTIONAL_N]
     L = _make_lattice(args, config)
     if isinstance(L, Report):
         return [L]
@@ -295,8 +297,6 @@ def _cmd_verify_elliptic(args, config, out):
         weierstrass_selftest(L, SamplePlan(plan.seed, plan.count, tolerance=1e-9)),
         identity5_sweep(L, SamplePlan(plan.seed, plan.count, tolerance=1e-8)),
     ]
-    n_text = _effective(args, config, "n", None)
-    ns = [parse_rational(str(n_text))] if n_text is not None else [Fraction(k) for k in ACCEPTANCE_FUNCTIONAL_N]
     for n in ns:
         hi = min(8, int(n)) if n == int(n) else 8
         window = [0] + list(range(2, hi + 1))

@@ -839,6 +839,7 @@ EPoly._OPERANDS = (EPoly, ParamPoly)
 _EP_ZERO = EPoly()
 _EP_ONE = EPoly({(): 1})
 
+
 def generator_bracket_sum(items: Iterable[tuple[int, Partials]],
                           rule: Callable[[int, int], EPoly]) -> EPoly:
     """Sum of {e[alpha], Q} = sum over beta of rule(alpha, beta) * dQ/de[beta]
@@ -860,6 +861,7 @@ def generator_bracket_sum(items: Iterable[tuple[int, Partials]],
     acc = {k: v for k, v in _rule_products(pieces, common).items() if v}
     _check_slots(acc)
     return EPoly._wrap(*_reduce(acc, common))
+
 
 _EP_TERM_RE = re.compile(r"\(([^()]*)\)\*((?:e\[-?\d+\])(?:\*e\[-?\d+\])*|1)")
 _EP_IDX_RE = re.compile(r"e\[(-?\d+)\]")

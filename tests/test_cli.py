@@ -111,6 +111,17 @@ def test_certification_failure_is_a_failed_check(command, tmp_path):
     assert summ["failures"] == [{"witness": "lattice-certification"}]
 
 
+@pytest.mark.parametrize("args", [["verify-elliptic", "--n", "abc"],
+                                  ["leaves-verify", "--n", "abc", "--p", "2"],
+                                  ["leaves-verify", "--n", "5/2", "--p", "2"]])
+def test_usage_error_not_masked_by_certification(args, tmp_path, capsys):
+    # --n is checked before the lattice, whose certification fails at 5i
+    code, text = run_cli(args + ["--tau", "5i"], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("tau", ["2.5", "-1i"])
 def test_degenerate_tau_exits_2(tau, tmp_path, capsys):
     # "--tau=-1i": "--tau -1i" would already fail in argparse (a flag-like value)
