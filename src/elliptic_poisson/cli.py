@@ -18,7 +18,14 @@ from importlib import resources
 from random import Random
 
 from .brackets import BracketSpec, generator_bracket, verify_closure, verify_jacobi_window
-from .casimirs import build_matrix, casimirs, involution_family, rank1_identity_check, verify_central
+from .casimirs import (
+    CasimirSet,
+    build_matrix,
+    casimirs,
+    involution_family,
+    rank1_identity_check,
+    verify_central,
+)
 from .leaves import (
     CONVENTION_PRINTED,
     LeafConfig,
@@ -171,8 +178,7 @@ def _golden_text(n: int) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def casimir_lines(n: int) -> list[str]:
-    cs = casimirs(n)
+def casimir_lines(cs: CasimirSet) -> list[str]:
     label = {"even-pair": ("C0", "C1"), "odd-single": ("C",)}[cs.kind]
     return [f"{name} = {elem.to_text()}" for name, elem in zip(label, cs.elements)]
 
@@ -180,7 +186,7 @@ def casimir_lines(n: int) -> list[str]:
 def golden_casimir_check(n: int) -> Report:
     """Compare the built central elements with the shipped golden file."""
     tally = Tally()
-    built = "\n".join(casimir_lines(n)) + "\n"
+    built = "\n".join(casimir_lines(casimirs(n))) + "\n"
     frozen = _golden_text(n)
     if built != frozen:
         tally.fail(f"casimir n={n}", f"built:\n{built}\ngolden:\n{frozen}")
@@ -309,9 +315,9 @@ def _cmd_casimir_build(args, config, out):
     if n_text is None:
         raise UsageError("casimir-build needs --n")
     n = parse_degree(n_text, 3, "casimir construction")
-    for line in casimir_lines(n):
-        out.write(line + "\n")
     cs = casimirs(n)
+    for line in casimir_lines(cs):
+        out.write(line + "\n")
     return [make_report(f"casimir-build-n{n}", {
         "n": n, "kind": cs.kind,
         "degrees": [c.homogeneous_degree() for c in cs.elements],
@@ -344,17 +350,17 @@ def _cmd_leaves_verify(args, config, out):
     p_value = _effective(args, config, "p", None)
     if (n_text is None) != (p_value is None):
         raise UsageError("leaves-verify needs both --n and --p, or neither")
-    cases = [(int(p_value), parse_degree(n_text, 1, "leaves-verify"))] if n_text is not None \
-        else list(ACCEPTANCE_PROP3)
+    cases = list(ACCEPTANCE_PROP3)
+    if n_text is not None:
+        cases = [(p_value, parse_degree(n_text, 1, "leaves-verify"))]
+        if p_value < 1:
+            raise UsageError("p must be a positive integer")
     L = _make_lattice(args, config)
     if isinstance(L, Report):
         return [L]
     reports = []
     for p, n in cases:
-        try:
-            cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
         window = IndexSet.fn(n).members()
         reports.append(prop3_check(cfg, window, plan))
         if 2 * p < n:

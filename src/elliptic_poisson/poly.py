@@ -25,6 +25,17 @@ Multiplying two terms adds their keys; removing one ``e[alpha]`` subtracts
 its slot unit; a multiplicity is a shift and a mask.  Generator monomials
 are decoded to sorted index tuples only for ``terms``, text and evaluation.
 
+Order.  ``terms``, ``to_text`` and evaluation list monomials in graded
+lexicographic order: by size, then by sorted index tuple.  ``_graded_lex``
+sorts one integer per term instead of tuples.  It pads the generator parts
+to one even width ``w`` bytes and reads each one as the index vector, the
+multiplicities of ``e[-w/2] .. e[w/2 - 1]`` in index order, taken as a
+big-endian integer ``v``.  For two sorted tuples of one size, the first
+index whose multiplicity differs decides, and the larger multiplicity sorts
+first.  So ascending ``(size << 8*w) - v`` is ascending ``(size, tuple)``.
+Each monomial's tuple or text is joined from the decodes of the two halves
+of its index vector, and each distinct half is decoded once per call.
+
 Slot guard.  The top bit of every slot is a guard bit: stored slot values
 stay below 128, so the sum of two stored keys never carries from one slot
 into the next.  Every operation that adds keys checks its result keys and
@@ -49,7 +60,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "SYMBOLS",
@@ -112,20 +123,38 @@ def _gen_slots(key: int) -> Iterator[tuple[int, int, int]]:
                    1 << (_SYM_BITS + _SLOT_BITS * slot))
 
 
-def _mono(key: int) -> tuple[int, ...]:
-    """Sorted index tuple of the generator part of a key: negative indices
-    sit in the odd slots (most negative last), the others in the even ones."""
-    slots = _gen_bytes(key)
-    out: list[int] = []
-    neg = slots[1::2]
-    if any(neg):
-        for s in range(len(neg) - 1, -1, -1):
-            if neg[s]:
-                out += [~s] * neg[s]
-    for alpha, mult in enumerate(slots[::2]):
+def _index_width(g: int) -> int:
+    """Even byte width that holds the generator part ``g``."""
+    return 2 * ((g.bit_length() + 15) // 16)
+
+
+def _index_vector(g: int, width: int) -> bytes:
+    """Multiplicities of e[-width/2] .. e[width/2 - 1], in index order, of a
+    generator part: the odd slots (negative indices) reversed, then the even
+    ones."""
+    slots = g.to_bytes(width, "little")
+    return slots[::-2] + slots[::2]
+
+
+def _indices(vector: bytes, first: int) -> tuple[int, ...]:
+    """Sorted index tuple of multiplicities of consecutive indices from ``first``."""
+    out: tuple[int, ...] = ()
+    for alpha, mult in enumerate(vector, first):
         if mult:
-            out += [alpha] * mult
-    return tuple(out)
+            out += (alpha,) * mult
+    return out
+
+
+def _indices_text(vector: bytes, first: int) -> str:
+    """Text of :func:`_indices`, each factor led by ``*``."""
+    return "".join(f"*e[{alpha}]" * mult for alpha, mult in enumerate(vector, first) if mult)
+
+
+def _mono(key: int) -> tuple[int, ...]:
+    """Sorted index tuple of the generator part of a key."""
+    g = key >> _SYM_BITS
+    width = _index_width(g)
+    return _indices(_index_vector(g, width), -width // 2)
 
 
 def _pack_mono(mono) -> int:
@@ -159,11 +188,6 @@ def _exponents(sym_key: int) -> tuple[tuple[int, int], ...]:
 def _symbol_text(sym_key: int) -> str:
     return "*".join(SYMBOLS[i] if e == 1 else f"{SYMBOLS[i]}^{e}"
                     for i, e in _exponents(sym_key))
-
-
-@lru_cache(maxsize=None)
-def _gen_text(alpha: int) -> str:
-    return f"e[{alpha}]"
 
 
 def _symbol_shift(name: str) -> int:
@@ -320,20 +344,24 @@ def _compose(terms: Terms, den: int,
     return _reduce(acc[0], acc[1] * den)
 
 
+def _term_text(sym_key: int, mag: int, den: int) -> str:
+    """Text of mag * symbols(sym_key) / den for a positive ``mag``."""
+    g = gcd(mag, den)
+    mag_text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+    mono = _symbol_text(sym_key)
+    if not mono:
+        return mag_text
+    if mag == den:
+        return mono
+    return f"{mag_text}*{mono}"
+
+
 def _coefficient_text(items, den: int) -> str:
-    """Text of sum(num * symbols(sym_key)) / den over (sym_key, num) items."""
+    """Text of sum(num * symbols(sym_key)) / den over (sym_key, num) items
+    in descending symbol-key order."""
     chunks: list[str] = []
-    for sym_key, num in sorted(items, reverse=True):
-        mag = abs(num)
-        g = gcd(mag, den)
-        mag_text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
-        mono = _symbol_text(sym_key)
-        if not mono:
-            body = mag_text
-        elif mag == den:
-            body = mono
-        else:
-            body = f"{mag_text}*{mono}"
+    for sym_key, num in items:
+        body = _term_text(sym_key, abs(num), den)
         if not chunks:
             chunks.append(body if num > 0 else f"-{body}")
         else:
@@ -347,10 +375,11 @@ def _numeric_values(values: Mapping[str, complex]) -> dict[int, complex]:
 
 
 def _coefficient_value(items, den: int, vals: dict[int, complex]) -> complex:
-    """Numeric value of a coefficient, summed in descending lexicographic
-    order of the exponent vectors so that equal values evaluate equally."""
+    """Numeric value of a coefficient over (sym_key, num) items in descending
+    symbol-key order (descending lexicographic order of the exponent
+    vectors), so that equal values evaluate equally."""
     total = 0j
-    for sym_key, num in sorted(items, reverse=True):
+    for sym_key, num in items:
         term = complex(num / den)
         for i, e in _exponents(sym_key):
             if i not in vals:
@@ -358,6 +387,67 @@ def _coefficient_value(items, den: int, vals: dict[int, complex]) -> complex:
             term *= vals[i] ** e
         total += term
     return total
+
+
+def _graded_lex(terms: Terms, decode: Callable[[bytes, int], Sequence]
+                ) -> Iterator[tuple[Sequence, int, int, list[tuple[int, int]] | None]]:
+    """Terms by generator monomial in graded lexicographic order.
+
+    Yields (monomial, sym_key, num, items) per monomial.  ``items`` is None
+    when the monomial has the single term (sym_key, num); otherwise it lists
+    its (sym_key, num) terms in descending symbol-key order, and sym_key and
+    num are 0.  The monomial is ``decode(low) + decode(high)`` over the two
+    halves of its index vector, where ``decode(multiplicities, first
+    index)`` runs once per distinct half.
+
+    Each term sorts as one integer: its size, the complement of its index
+    vector and the complement of its symbol key, most significant first.
+    """
+    merged = reduce(or_, terms, 0) >> _SYM_BITS
+    width = _index_width(merged)
+    vbits = 8 * width
+    vmask = (1 << vbits) - 1
+    ranked: Terms = {}
+    for k, num in terms.items():
+        # _index_vector inlined: this loop runs once per term
+        slots = (k >> _SYM_BITS).to_bytes(width, "little")
+        vector = int.from_bytes(slots[::-2] + slots[::2], "big")
+        ranked[(sum(slots) << vbits | vector ^ vmask) << _SYM_BITS
+               | k & _SYM_MASK ^ _SYM_MASK] = num
+    order = sorted(ranked)
+    # Split the occurring positions start..stop-1 of the index vector in the
+    # middle, so that each half takes few distinct values; the halves are
+    # decoded without the zero bytes outside those positions.
+    used = [i for i, mult in enumerate(_index_vector(merged, width)) if mult]
+    start, stop = (used[0], used[-1] + 1) if used else (0, 0)
+    split = (start + stop) // 2
+    # the low-index half is the more significant part of the vector
+    high_bits = 8 * (width - split)
+    high_mask = (1 << high_bits) - 1
+    first = -width // 2
+    lows: dict[int, Sequence] = {}
+    highs: dict[int, Sequence] = {}
+    i, count = 0, len(order)
+    while i < count:
+        key = order[i]
+        mono = key >> _SYM_BITS
+        j = i + 1
+        while j < count and order[j] >> _SYM_BITS == mono:
+            j += 1
+        vector = mono & vmask ^ vmask
+        low, high = vector >> high_bits, vector & high_mask
+        lo = lows.get(low)
+        if lo is None:
+            lo = lows[low] = decode(low.to_bytes(split - start, "big"), first + start)
+        hi = highs.get(high)
+        if hi is None:
+            hi = highs[high] = decode(high.to_bytes(width - split, "big")[:stop - split],
+                                      first + split)
+        if j == i + 1:
+            yield lo + hi, key & _SYM_MASK ^ _SYM_MASK, ranked[key], None
+        else:
+            yield lo + hi, 0, 0, [(k & _SYM_MASK ^ _SYM_MASK, ranked[k]) for k in order[i:j]]
+        i = j
 
 
 # -- the two public types --------------------------------------------------------
@@ -532,7 +622,8 @@ class ParamPoly(_Packed):
 
         Terms are summed in the canonical order of :meth:`terms`, so equal
         values give equal results."""
-        return _coefficient_value(self._terms.items(), self._den, _numeric_values(values))
+        return _coefficient_value(sorted(self._terms.items(), reverse=True), self._den,
+                                  _numeric_values(values))
 
     def collect(self, name: str) -> dict[int, "ParamPoly"]:
         """Coefficients by degree in ``name`` (the symbol is removed)."""
@@ -542,7 +633,7 @@ class ParamPoly(_Packed):
     # -- text -------------------------------------------------------------
 
     def to_text(self) -> str:
-        return _coefficient_text(self._terms.items(), self._den)
+        return _coefficient_text(sorted(self._terms.items(), reverse=True), self._den)
 
 
 ParamPoly._OPERANDS = (ParamPoly,)
@@ -698,23 +789,12 @@ class EPoly(_Packed):
 
     def _groups(self) -> tuple[tuple[tuple[int, ...], list[tuple[int, int]]], ...]:
         """(monomial, [(symbol key, numerator)]) in graded lexicographic order,
-        decoded once per value: numeric checks evaluate one element many
-        times."""
-        if self._view is not None:
-            return self._view
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for k, v in self._terms.items():
-            g = k >> _SYM_BITS
-            group = groups.get(g)
-            if group is None:
-                groups[g] = group = []
-            group.append((k & _SYM_MASK, v))
-        out = []
-        for g, items in groups.items():
-            mono = _mono(g << _SYM_BITS)
-            out.append((len(mono), mono, items))
-        out.sort()
-        self._view = tuple((mono, items) for _, mono, items in out)
+        symbol keys descending, decoded once per value: numeric checks
+        evaluate one element many times."""
+        if self._view is None:
+            self._view = tuple(
+                (mono, [(sym_key, num)] if items is None else items)
+                for mono, sym_key, num, items in _graded_lex(self._terms, _indices))
         return self._view
 
     def _degrees(self) -> set[int]:
@@ -827,11 +907,20 @@ class EPoly(_Packed):
     def to_text(self) -> str:
         if not self._terms:
             return "0"
+        den = self._den
+        singles: dict[int, str] = {}  # "(coefficient)" of one term, by num and sym_key
         parts = []
-        for mono, items in self._groups():
-            coeff = _coefficient_text(items, self._den)
-            text = "*".join(map(_gen_text, mono)) if mono else "1"
-            parts.append(f"({coeff})*{text}")
+        for mono, sym_key, num, items in _graded_lex(self._terms, _indices_text):
+            if items is None:
+                single = num << _SYM_BITS | sym_key
+                coeff = singles.get(single)
+                if coeff is None:
+                    body = _term_text(sym_key, abs(num), den)
+                    coeff = singles[single] = f"({body})" if num > 0 else f"(-{body})"
+            else:
+                coeff = f"({_coefficient_text(items, den)})"
+            # mono is "*e[a]*e[b]...", or empty for the unit monomial
+            parts.append(coeff + (mono or "*1"))
         return " + ".join(parts)
 
 

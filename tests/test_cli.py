@@ -14,7 +14,7 @@ import pytest
 
 import elliptic_poisson
 from elliptic_poisson import cli
-from elliptic_poisson.casimirs import IntegrityError
+from elliptic_poisson.casimirs import IntegrityError, casimirs
 from elliptic_poisson.cli import main, parse_tau, parse_window
 from elliptic_poisson.cli import UsageError
 from elliptic_poisson.weierstrass import NearSingularError, PoleProximityError
@@ -120,6 +120,22 @@ def test_usage_error_not_masked_by_certification(args, tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_bad_p_not_masked_by_certification(via_config, tmp_path, capsys):
+    # --p was checked only after the lattice: --tau 5i reported a failing
+    # lattice-certification and exited 1
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=0\ntau=5i\nn=5\n", encoding="utf-8")
+        args = ["leaves-verify", "--config", str(cfg)]
+    else:
+        args = ["leaves-verify", "--tau", "5i", "--n", "5", "--p", "0"]
+    code, text = run_cli(args, tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "error: p must be a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tau", ["2.5", "-1i"])
@@ -272,6 +288,22 @@ def test_casimir_build_matches_golden(tmp_path):
     golden = (resources.files("elliptic_poisson")
               .joinpath("golden/v1/casimir_n4.txt").read_text(encoding="utf-8"))
     assert body.startswith(golden)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_casimir_build_builds_once(n, tmp_path, monkeypatch):
+    # the lines and the report used to come from two separate builds
+    built = []
+
+    def counting(degree):
+        built.append(degree)
+        return casimirs(degree)
+    monkeypatch.setattr(cli, "casimirs", counting)
+    code, text = run_cli(["casimir-build", "--n", str(n), "--format", "text"], tmp_path)
+    assert code == 0
+    assert built == [n]
+    assert text.startswith("C0 = " if n % 2 == 0 else "C = ")
+    assert f"casimir-build-n{n}" in text
 
 
 def test_casimir_verify(tmp_path):

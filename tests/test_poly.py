@@ -2,6 +2,7 @@
 grading, substitution, and the text round trip."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from elliptic_poisson.poly import (
     parse_epoly,
     parse_parampoly,
 )
+from elliptic_poisson.poly import _SYM_BITS, _SYM_MASK
 
 N = ParamPoly.symbol("n")
 G2 = ParamPoly.symbol("g2")
@@ -247,6 +249,98 @@ def test_epoly_text_canonical_order():
     assert p.to_text() == "(n - 3)*e[2]*e[4] + (-1/2*n + 2)*e[3]*e[3]"
     assert EPoly.zero().to_text() == "0"
     assert EPoly.one().to_text() == "(1)*1"
+
+
+# Test-local copy of the tuple-sorted decoded view that the integer-keyed
+# graded-lex order replaced: one index tuple per monomial, sorted by
+# (size, tuple).
+def _old_mono(key):
+    g = key >> _SYM_BITS
+    slots = g.to_bytes((g.bit_length() + 7) // 8, "little")
+    out = []
+    neg = slots[1::2]
+    for s in range(len(neg) - 1, -1, -1):
+        out += [~s] * neg[s]
+    for alpha, mult in enumerate(slots[::2]):
+        out += [alpha] * mult
+    return tuple(out)
+
+
+def _old_groups(p):
+    groups = {}
+    for k, v in p._terms.items():
+        groups.setdefault(k >> _SYM_BITS, []).append((k & _SYM_MASK, v))
+    out = sorted((len(mono), mono, items)
+                 for mono, items in ((_old_mono(g << _SYM_BITS), items)
+                                     for g, items in groups.items()))
+    return tuple((mono, items) for _, mono, items in out)
+
+
+def _old_coefficient_text(items, den):
+    chunks = []
+    for sym_key, num in sorted(items, reverse=True):
+        mag = abs(num)
+        g = gcd(mag, den)
+        mag_text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        exps = sym_key.to_bytes(len(SYMBOLS), "big")
+        mono = "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(SYMBOLS, exps) if e)
+        body = mag_text if not mono else mono if mag == den else f"{mag_text}*{mono}"
+        if not chunks:
+            chunks.append(body if num > 0 else f"-{body}")
+        else:
+            chunks.append(f" + {body}" if num > 0 else f" - {body}")
+    return "".join(chunks) or "0"
+
+
+def _old_text(p):
+    if not p._terms:
+        return "0"
+    return " + ".join(
+        f"({_old_coefficient_text(items, p._den)})*"
+        + ("*".join(f"e[{a}]" for a in mono) if mono else "1")
+        for mono, items in _old_groups(p))
+
+
+# indices from -200..300 reach slot 600, far past 64 bytes; the narrow range
+# gives repeated indices
+wide_monomials = st.lists(
+    st.one_of(st.integers(min_value=-3, max_value=4),
+              st.integers(min_value=-200, max_value=300)),
+    min_size=0, max_size=5,
+).map(tuple)
+
+wide_e_polys = st.builds(
+    EPoly,
+    st.dictionaries(wide_monomials, st.one_of(param_polys, rationals), max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_e_polys)
+def test_graded_lex_matches_tuple_sort(p):
+    old = _old_groups(p)
+    # the decoded view lists each coefficient's items in descending
+    # symbol-key order (the tuple view sorted them at every use)
+    assert p._groups() == tuple((mono, sorted(items, reverse=True)) for mono, items in old)
+    assert p.to_text() == _old_text(p)
+    assert parse_epoly(p.to_text()) == p
+    old_terms = [(mono, ParamPoly({tuple(k.to_bytes(len(SYMBOLS), "big")): Fraction(v, p._den)
+                                   for k, v in items}))
+                 for mono, items in old]
+    assert list(p.terms()) == old_terms
+    values = {s: complex(i + 1, -i) / 3 for i, s in enumerate(SYMBOLS)}
+    assert p.coefficient_values(values) == tuple((m, c.evaluate(values)) for m, c in old_terms)
+
+
+def test_graded_lex_examples():
+    # mixed sizes and signs, the empty monomial and multiplicities
+    p = (EPoly.monomial((-3, 5)) + EPoly.monomial((-3, -3)) + EPoly.monomial((2,), N)
+         + EPoly.monomial((-1, 0, 0)) + EPoly.one() * 7 + EPoly.monomial((40, -40))
+         + EPoly.monomial((0, 0, 0), G2 - 1))
+    assert [m for m, _ in p.terms()] == [
+        (), (2,), (-40, 40), (-3, -3), (-3, 5), (-1, 0, 0), (0, 0, 0)]
+    assert p.to_text() == _old_text(p)
+    assert EPoly.zero()._groups() == ()
 
 
 def test_coefficient_values_kept_per_parameters():
