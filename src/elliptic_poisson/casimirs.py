@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .poly import EPoly, IndexSet, ParamPoly
 from .report import Report, Tally
@@ -252,8 +253,12 @@ def casimir_odd(n: int) -> CasimirSet:
     return CasimirSet(n=n, elements=(combo,), kind="odd-single")
 
 
+@lru_cache(maxsize=None)
 def casimirs(n: int) -> CasimirSet:
-    """Central elements for any n >= 3 (pair for even, single for odd)."""
+    """Central elements for any n >= 3 (pair for even, single for odd).
+
+    Built once per n and shared: a ``CasimirSet`` is frozen and its
+    ``EPoly`` values are never changed in place."""
     return casimir_even(n) if n % 2 == 0 else casimir_odd(n)
 
 

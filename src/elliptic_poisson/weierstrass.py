@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 from random import Random
 
 from .poly import EPoly
@@ -351,8 +351,16 @@ def _e_from_values(L: Lattice, alpha: int, p: complex, dp: complex) -> tuple[com
 
 
 def _point_values(L: Lattice, points) -> list:
-    """(p, p', zeta) at each point, in order."""
-    return [weier_eval(L, z) for z in points]
+    """(p, p', zeta) at each point, in order; a point repeated with the same
+    ``repr`` is evaluated once and shares that value object."""
+    seen: dict[str, tuple[complex, complex, complex]] = {}
+    out = []
+    for z in points:
+        key = repr(z)
+        if key not in seen:
+            seen[key] = weier_eval(L, z)
+        out.append(seen[key])
+    return out
 
 
 def _two_point_values(L: Lattice, x: complex, y: complex):
@@ -468,6 +476,7 @@ def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
     shared by every monomial.  Returns (value, scale): the scale is one
     plus the largest product magnitude entering the alternating sums
     (times |coefficient|), the conditioning scale of the cancellation.
+    ``_PointSet`` and ``_sym_eval_core`` say how the sums are formed.
     """
     m = len(points)
     deg = P.homogeneous_degree()
@@ -477,50 +486,149 @@ def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
         raise ValueError("sym_eval needs a homogeneous element")
     if deg != m:
         raise ValueError(f"degree {deg} does not match {m} points")
-    return _sym_eval_core(P, params, _point_values(L, points))
+    return _sym_eval_core(P, params, [_PointSet(_point_values(L, points))])[0]
+
+
+_PEAK_SLACK = 1 + 1e-9  # relative slack of the product magnitude bounds
+_PEAK_FLOOR = 2.0 ** -960  # smallest bound trusted to hold with that slack
+
+
+class _PointSet:
+    """Ryser columns of the e-basis at m points, per generator, built on
+    first use, so that a point set evaluated for several elements builds
+    each column once.
+
+    The column sum of a nonempty point subset (a mask) adds e[alpha] at
+    its points in ascending point order, starting from 0j.  Consecutive
+    points given by one value object form a run; two masks that take as
+    many points from every run add the same operands in the same order,
+    so their sums, and every product made from them, are equal.  Such
+    masks form one class and everything is kept per class: ``index`` maps
+    the masks 1, 2, ..., 2^m - 1 to their classes, and ``column(alpha)``
+    gives per class the sum, the sum with Ryser's sign (-1)^(m - |mask|)
+    folded in, and the bound max |sum| * (1 + 1e-9).
+    """
+
+    __slots__ = ("m", "index", "ones", "_runs", "_reps", "_negative", "_columns")
+
+    def __init__(self, values):
+        self.m = len(values)
+        self._runs: list[tuple[tuple, int]] = []  # (value object, length)
+        for j, v in enumerate(values):
+            if j and v is values[j - 1]:
+                self._runs[-1] = (v, self._runs[-1][1] + 1)
+            else:
+                self._runs.append((v, 1))
+        keys = [0]  # per mask: its counts per run, as one mixed-radix number
+        radix = 1
+        for _, length in self._runs:
+            for _ in range(length):
+                keys += [key + radix for key in keys]
+            radix *= length + 1
+        position: dict[int, int] = {}  # class key -> class number
+        self._reps: list[int] = []  # per class: its first mask
+        self.index: list[int] = []
+        for mask in range(1, len(keys)):
+            if keys[mask] not in position:
+                position[keys[mask]] = len(self._reps)
+                self._reps.append(mask)
+            self.index.append(position[keys[mask]])
+        self._negative = [(self.m - bin(mask).count("1")) % 2 for mask in self._reps]
+        self.ones = [1 + 0j] * len(self._reps)  # the empty product, per class
+        self._columns: dict[int, tuple[list[complex], list[complex], float]] = {}
+
+    def column(self, alpha: int) -> tuple[list[complex], list[complex], float]:
+        """Per class: the column sums of e[alpha], the same with the Ryser
+        sign folded in, and a bound on their magnitudes."""
+        got = self._columns.get(alpha)
+        if got is None:
+            sums = [0j]
+            for (p, dp, _), length in self._runs:
+                e = _e_value(alpha, p, dp)
+                for _ in range(length):
+                    sums += [s + e for s in sums]
+            col = [sums[mask] for mask in self._reps]
+            signed = [-s if neg else s for s, neg in zip(col, self._negative)]
+            got = self._columns[alpha] = (col, signed,
+                                          max(map(abs, col)) * _PEAK_SLACK)
+        return got
+
+
+def _magnitude(prods: list[complex]) -> float:
+    """The largest |product| (0.0 if none); ``max`` passes over NaN."""
+    return max(0.0, *map(abs, prods))
 
 
 def _sym_eval_core(P: EPoly, params: dict[str, complex],
-                   values) -> tuple[complex, float]:
-    """sym_eval of a homogeneous P of degree len(values), from the
-    (p, p', zeta) values at the points."""
-    m = len(values)
-    full = 1 << m
-    # sums[alpha][mask]: e[alpha] summed over the points in mask, in
-    # ascending point order, starting from 0j.
-    sums: dict[int, list[complex]] = {}
-    for alpha in sorted(P.support()):
-        v = [_e_value(alpha, p, dp) for p, dp, _ in values]
-        col = [0j] * full
-        for mask in range(1, full):
-            top = mask.bit_length() - 1
-            col[mask] = col[mask ^ (1 << top)] + v[top]
-        sums[alpha] = col
-    negative = [(m - bin(mask).count("1")) % 2 for mask in range(1, full)]
-    # prefix[k][mask]: product of the column sums of the first k factors of
-    # the current monomial; consecutive monomials share leading factors.
-    prefix = [[1 + 0j] * full]
-    previous: tuple[int, ...] = ()
-    total = 0j
-    peak = 0.0
-    for mono, c in P.coefficient_values(params):
-        if m == 0:
-            perm, perm_peak = 1 + 0j, 1.0
-        else:
-            k = 0
-            while k < len(previous) and mono[k] == previous[k]:
-                k += 1
-            del prefix[k + 1:]
-            for alpha in mono[k:]:
-                prefix.append([prod * s for prod, s in zip(prefix[-1], sums[alpha])])
-            previous = mono
-            prods = prefix[-1][1:]
-            perm = reduce(add, [-prod if neg else prod
-                                for prod, neg in zip(prods, negative)], 0j)
-            perm_peak = max(0.0, *map(abs, prods))
-        total += c * perm
-        peak = max(peak, abs(c) * perm_peak)
-    return total, 1.0 + peak
+                   point_sets: list[_PointSet]) -> list[tuple[complex, float]]:
+    """sym_eval of a homogeneous P of degree m at each of ``point_sets``
+    (``_PointSet`` of m points each): one (value, scale) per set.
+
+    Ryser's sign is folded into the last factor of each monomial: under
+    round-to-nearest s * (-t) equals -(s * t) up to the sign of a zero,
+    and the sum over masks starts from 0j, which no signed zero changes.
+    The products of the leading factors are shared by consecutive
+    monomials, and each class of masks with equal column sums is
+    multiplied once; the sum then adds the class products mask by mask,
+    the additions of the one-permanent-per-monomial formula in its order.
+
+    The scale needs max |c * product| over masks, one ``abs`` per class.
+    A monomial's products are bounded by the product of its factors'
+    bounds and one more (1 + 1e-9): complex products and ``abs`` err by a
+    few units in the last place, far below that slack.  Rounding is
+    monotone, so when |c| * bound <= peak no class can raise the peak and
+    the magnitudes are not taken.  A bound below 2^-960 anywhere along
+    the prefix (there underflow errs by more than a relative amount) or a
+    NaN bound never skips; a NaN magnitude is passed over by ``max`` on
+    both paths.
+
+    The coefficients and the walk over shared prefixes are computed once
+    for all sets; each set then runs the walk alone, so its result does
+    not depend on the other sets.
+    """
+    m = point_sets[0].m
+    terms = P.coefficient_values(params)
+    if m == 0:  # the empty product: one permanent of value 1
+        total = 0j
+        peak = 0.0
+        for _, c in terms:
+            total += c * (1 + 0j)
+            peak = max(peak, abs(c) * 1.0)
+        return [(total, 1.0 + peak)] * len(point_sets)
+    # Per monomial: the prefix length it shares with the previous one, its
+    # leading factors after that prefix, its last factor, c and |c|.
+    walk = []
+    previous = (None,) * m
+    for mono, c in terms:
+        k = 0
+        while k < m - 1 and mono[k] == previous[k]:
+            k += 1
+        walk.append((k, mono[k:m - 1], mono[-1], c, abs(c)))
+        previous = mono
+    support = P.support()
+    out = []
+    for points in point_sets:
+        columns = {alpha: points.column(alpha) for alpha in support}
+        index = points.index
+        prefix = [points.ones]
+        prefix_bound = [_PEAK_SLACK]
+        total = 0j
+        peak = 0.0
+        for k, lead, last, c, size in walk:
+            del prefix[k + 1:], prefix_bound[k + 1:]
+            for alpha in lead:
+                col, _, bound = columns[alpha]
+                prefix.append(list(map(mul, prefix[-1], col)))
+                limit = prefix_bound[-1] * bound
+                prefix_bound.append(limit if limit >= _PEAK_FLOOR else math.inf)
+            _, signed, bound = columns[last]
+            prods = list(map(mul, prefix[-1], signed))
+            total += c * reduce(add, map(prods.__getitem__, index), 0j)
+            limit = prefix_bound[-1] * bound
+            if not (limit >= _PEAK_FLOOR and size * limit <= peak):
+                peak = max(peak, size * _magnitude(prods))
+        out.append((total, 1.0 + peak))
+    return out
 
 
 # -- sampling ----------------------------------------------------------------
@@ -644,20 +752,18 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     spec = BracketSpec.elliptic()
     nv = Fraction(n_value) if not isinstance(n_value, float) else None
     # Per pair: the two-point values, and the values at [x, y] for sym_eval.
-    values = []
-    for x, y in pairs:
-        vals = _bracket_values(L, x, y)
-        values.append((vals, [vals[0], vals[0]] if x == y else list(vals[:2])))
+    values = [_bracket_values(L, x, y) for x, y in pairs]
+    point_sets = [_PointSet((vals[0], vals[0]) if x == y else vals[:2])
+                  for (x, y), vals in zip(pairs, values)]
     for i, alpha in enumerate(members):
         for beta in members[i:]:
             br = generator_bracket(alpha, beta, spec, n_value=nv)
-            for (x, y), (vals, xy_vals) in zip(pairs, values):
+            # one evaluation of the symbolic bracket at every pair
+            rhs_all = (_sym_eval_core(br, params_num, point_sets) if br
+                       else [(0j, 1.0)] * len(pairs))
+            for (x, y), vals, (rhs, rhs_scale) in zip(pairs, values, rhs_all):
                 lhs, lhs_scale = _func_bracket_core(L, complex(n_value), alpha,
                                                     beta, vals)
-                if br:
-                    rhs, rhs_scale = _sym_eval_core(br, params_num, xy_vals)
-                else:
-                    rhs, rhs_scale = 0j, 1.0
                 tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
                                "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
     params = {"n": str(n_value), "window": members, "samples": plan.count,

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 import elliptic_poisson.poly as poly
-from elliptic_poisson.casimirs import casimirs
+from elliptic_poisson.casimirs import casimir_even, casimirs
 from elliptic_poisson.leaves import (
     CONVENTION_PRINTED,
     LeafConfig,
@@ -216,7 +216,7 @@ def test_kernel_check_evaluates_coefficients_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(poly, "_coefficient_value", counting)
-    cs = casimirs(6)  # a fresh value: nothing evaluated yet
+    cs = casimir_even(6)  # a fresh value (casimirs is memoized): nothing evaluated yet
     plan = SamplePlan(seed=12, count=5, tolerance=1e-8)
     assert kernel_check(config(2, 6), cs, plan).passed
     assert len(calls) == sum(elem.num_terms() for elem in cs.elements)

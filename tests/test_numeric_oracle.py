@@ -14,6 +14,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import elliptic_poisson.weierstrass as weierstrass
 from elliptic_poisson.casimirs import _det, casimirs
 from elliptic_poisson.leaves import _collision_patterns
 from elliptic_poisson.poly import EPoly, ParamPoly
@@ -21,10 +22,12 @@ from elliptic_poisson.weierstrass import (
     _SERIES_FRACTION,
     DEFAULT_EXCLUSION,
     PoleProximityError,
+    _PointSet,
     _cell_coordinates,
     _eval_reduced,
     _reduce,
     _series_eval,
+    _sym_eval_core,
     lattice_distance,
     lattice_init,
     numeric_params,
@@ -49,13 +52,17 @@ def assert_same(got, want):
 
 # -- reference implementations ----------------------------------------------
 
-def ref_e_func(L, alpha, z, exclusion=DEFAULT_EXCLUSION):
-    p, dp, _ = weier_eval(L, z, exclusion)
+def ref_e_value(alpha, p, dp):
     a, odd = (alpha // 2, False) if alpha % 2 == 0 else ((alpha - 3) // 2, True)
     value = p ** a
     if odd:
         value *= -dp / 2
     return value
+
+
+def ref_e_func(L, alpha, z, exclusion=DEFAULT_EXCLUSION):
+    p, dp, _ = weier_eval(L, z, exclusion)
+    return ref_e_value(alpha, p, dp)
 
 
 def ref_permanent(rows):
@@ -89,9 +96,14 @@ def ref_permanent(rows):
 def ref_sym_eval(L, P, params, points):
     """sym_eval with one permanent per monomial, evaluated point by point
     for every generator; returns (value, scale)."""
+    return ref_sym_eval_values(P, params, [weier_eval(L, z) for z in points])
+
+
+def ref_sym_eval_values(P, params, point_values):
+    """ref_sym_eval from the (p, p', zeta) values at the points."""
     if not P:
         return 0j, 1.0
-    values = {alpha: [ref_e_func(L, alpha, z) for z in points]
+    values = {alpha: [ref_e_value(alpha, p, dp) for p, dp, _ in point_values]
               for alpha in sorted(P.support())}
     total = 0j
     peak = 0.0
@@ -298,13 +310,17 @@ coefficients = st.one_of(
                      ParamPoly.symbol("g3") * 3 - 1]))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+# A homogeneous element of degree m and, per point, which of m distinct
+# points it takes (repeats are collisions, adjacent or not).
+elements_and_picks = st.integers(0, 3).flatmap(lambda m: st.tuples(
     st.dictionaries(st.lists(st.integers(-2, 9), min_size=m, max_size=m)
                     .map(lambda mono: tuple(sorted(mono))),
                     coefficients, max_size=6),
-    st.lists(st.integers(0, m - 1) if m else st.just(0), min_size=m, max_size=m))),
-    st.integers(0, 2 ** 16), st.sampled_from([SQUARE, SKEW]))
+    st.lists(st.integers(0, m - 1) if m else st.just(0), min_size=m, max_size=m)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements_and_picks, st.integers(0, 2 ** 16), st.sampled_from([SQUARE, SKEW]))
 def test_sym_eval_matches_per_monomial_ryser(element, seed, L):
     terms, picks = element
     P = EPoly({mono: c for mono, c in terms.items()})
@@ -314,3 +330,109 @@ def test_sym_eval_matches_per_monomial_ryser(element, seed, L):
     params = numeric_params(L, Fraction(5))
     assert_same(sym_eval(L, P, params, points),
                 ref_sym_eval(L, P, params, points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements_and_picks, st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4),
+       st.sampled_from([SQUARE, SKEW]))
+def test_sym_eval_batch_matches_per_set_ryser(element, seeds, L):
+    # One kernel call on several point sets; a point taken twice is one
+    # value object, as sym_eval passes it.
+    terms, picks = element
+    P = EPoly({mono: c for mono, c in terms.items()})
+    params = numeric_params(L, Fraction(5))
+    value_sets = []
+    for seed in seeds:
+        distinct = sample_points(L, Random(seed), len(picks), pairwise_distinct=True)
+        values = [weier_eval(L, z) for z in distinct]
+        value_sets.append([values[i] for i in picks])
+    sets = [_PointSet(values) for values in value_sets]
+    got = _sym_eval_core(P, params, sets)
+    assert len(got) == len(sets)
+    for result, values in zip(got, value_sets):
+        assert_same(result, ref_sym_eval_values(P, params, values))
+    # the columns the sets now hold serve the next element unchanged
+    twice = P * 2
+    for result, values in zip(_sym_eval_core(twice, params, sets), value_sets):
+        assert_same(result, ref_sym_eval_values(twice, params, values))
+
+
+def spread_coefficients(monos, ascending):
+    """Coefficients 10^-12 .. 10^12 along the canonical monomial order."""
+    steps = max(len(monos) - 1, 1)
+    exponents = [round(-12 + 24 * i / steps) for i in range(len(monos))]
+    if not ascending:
+        exponents.reverse()
+    return {mono: Fraction(10) ** e for mono, e in zip(sorted(monos), exponents)}
+
+
+def test_sym_eval_peak_bound_takes_both_branches(monkeypatch):
+    # The magnitudes of a monomial's products are taken only when its bound
+    # could raise the peak.  Coefficients falling along the walk let the
+    # bound skip; rising ones make every monomial take them.
+    full = []
+    real = weierstrass._magnitude
+    monkeypatch.setattr(weierstrass, "_magnitude",
+                        lambda prods: full.append(1) or real(prods))
+    walked = []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.sets(
+               st.lists(st.integers(-2, 9), min_size=m, max_size=m)
+               .map(lambda mono: tuple(sorted(mono))), min_size=2, max_size=10)),
+           st.booleans(), st.booleans(), st.integers(0, 2 ** 16),
+           st.sampled_from([SQUARE, SKEW]))
+    def sweep(monos, ascending, collide, seed, L):
+        P = EPoly(spread_coefficients(monos, ascending))
+        m = P.homogeneous_degree()
+        points = sample_points(L, Random(seed), m, pairwise_distinct=True)
+        if collide:
+            points[-1] = points[0]
+        params = numeric_params(L, Fraction(5))
+        assert_same(sym_eval(L, P, params, points), ref_sym_eval(L, P, params, points))
+        walked.append(len(monos))
+
+    sweep()
+    skipped = sum(walked) - len(full)
+    assert len(full) > 0 and skipped > 0, (len(full), skipped)
+
+
+# p' values that are not finite; p' enters the odd generators by a product
+# (a non-finite p would overflow p ** a).
+NON_FINITE = [complex(math.nan, 0.5), complex(0.5, math.nan), complex(math.nan, math.nan),
+              complex(math.inf, 0.0), complex(-math.inf, 0.0), complex(-math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("p, dp", [(0.3 + 0.1j, bad) for bad in NON_FINITE]
+                         + [(1e200 + 0j, -2e200 + 0j)], ids=repr)
+@pytest.mark.parametrize("alpha", [0, 3, 5])
+def test_sym_eval_single_factor_non_finite(p, dp, alpha):
+    # One factor: the product with the leading 1 + 0j is not the plain
+    # column sum when that sum is not finite: e[5] = p * (-p'/2) overflows
+    # to inf + 0j at p = 1e200, p' = -2e200, and (1 + 0j) * (inf + 0j) is
+    # inf + nanj.
+    values = [(p, dp, 0j)]
+    P = EPoly({(alpha,): Fraction(-3, 2)})
+    params = numeric_params(SQUARE, Fraction(5))
+    got = _sym_eval_core(P, params, [_PointSet(values)])[0]
+    assert repr(got) == repr(ref_sym_eval_values(P, params, values))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("collide", [False, True])
+def test_sym_eval_non_finite_point_value(bad, where, collide):
+    # A NaN or infinite p' at one point: NaN magnitudes are passed over on
+    # both paths of the peak, and an infinite bound never skips.
+    values = [weier_eval(SQUARE, z)
+              for z in sample_points(SQUARE, Random(3), 3, pairwise_distinct=True)]
+    p, _, zeta = values[where]
+    values[where] = (p, bad, zeta)
+    if collide:  # the first two points one value object
+        values[1] = values[0]
+    # the products of the odd generators, which the bad p' reaches, set the peak
+    P = EPoly({(0, 2, 4): 1, (2, 2, 3): Fraction(-3, 2), (2, 3, 5): Fraction(10 ** 9, 7),
+               (3, 5, 5): ParamPoly.symbol("g2") * 10 ** 6, (0, 0, 0): 7, (4, 6, 8): 2})
+    params = numeric_params(SQUARE, Fraction(5))
+    got = _sym_eval_core(P, params, [_PointSet(values)])[0]
+    assert repr(got) == repr(ref_sym_eval_values(P, params, values))

@@ -10,7 +10,8 @@ from random import Random
 import pytest
 
 from elliptic_poisson.brackets import BracketSpec, generator_bracket
-from elliptic_poisson.poly import EPoly
+from elliptic_poisson.poly import EPoly, IndexSet
+from elliptic_poisson.report import Tally
 from elliptic_poisson.weierstrass import (
     NearSingularError,
     PoleProximityError,
@@ -311,6 +312,32 @@ def test_identity5_sweep_evaluates_each_point_once(weier_eval_points):
     rep = identity5_sweep(SQUARE, SamplePlan(seed=3, count=25, tolerance=1e-8))
     assert rep.passed
     assert len(weier_eval_points) == 3 * 25  # x, y and x - y per pair
+
+
+def test_verify_functional_matches_one_sym_eval_per_pair():
+    # verify_functional evaluates each bracket once at all its pairs; the
+    # report must be the one a call of the public sym_eval per pair gives.
+    n = Fraction(5)
+    window = IndexSet.fn(5).members()
+    plan = SamplePlan(seed=9, count=20, tolerance=1e-6)
+    pairs = sample_pairs(SQUARE, Random(plan.seed), plan.count, diagonal_every=5)
+    params = numeric_params(SQUARE, n)
+    spec = BracketSpec.elliptic()
+    tally = Tally(plan.tolerance)
+    for i, alpha in enumerate(window):
+        for beta in window[i:]:
+            br = generator_bracket(alpha, beta, spec, n_value=n)
+            for x, y in pairs:
+                lhs, lhs_scale = func_bracket(SQUARE, n, alpha, beta, x, y)
+                rhs, rhs_scale = sym_eval(SQUARE, br, params, [x, y]) if br else (0j, 1.0)
+                tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
+                               "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
+    want = tally.report("functional-n5", {
+        "n": "5", "window": window, "samples": plan.count, "seed": plan.seed,
+        "tol": plan.tolerance, "omega1": repr(SQUARE.omega1),
+        "omega2": repr(SQUARE.omega2)})
+    got = verify_functional(SQUARE, n, window, plan)
+    assert got.to_json() == want.to_json()
 
 
 def test_verify_functional_evaluations_do_not_grow_with_pairs(weier_eval_points):
