@@ -84,10 +84,6 @@ _SYM_MASK = (1 << _SYM_BITS) - 1
 # Bit offset of each symbol's slot; ``n`` is the most significant.
 _SYM_SHIFT = tuple(_SLOT_BITS * (_NSYM - 1 - i) for i in range(_NSYM))
 
-# Grading: weight(e_alpha) = alpha, weight(g2) = 4, weight(g3) = 6, all
-# other symbols weight 0.
-_SYMBOL_WEIGHTS = (0, 4, 6, 0, 0, 0, 0, 0, 0)
-
 Rational = Union[Fraction, int]
 Terms = dict[int, int]
 
@@ -603,19 +599,7 @@ class ParamPoly(_Packed):
         for key in sorted(self._terms, reverse=True):
             yield tuple(key.to_bytes(_NSYM, "big")), Fraction(self._terms[key], self._den)
 
-    # -- substitution and evaluation ---------------------------------------
-
-    def substitute(self, assignment: Mapping[str, Rational]) -> "ParamPoly":
-        """Assign exact rational values to some symbols; keep the rest formal."""
-        if not assignment:
-            return self
-        return self._wrap(*_substitute(self._terms, self._den, assignment))
-
-    def compose(self, assignment: Mapping[str, "ParamPoly"]) -> "ParamPoly":
-        """Substitute polynomials for symbols (e.g. g2 -> g2 + t*s2)."""
-        if not assignment:
-            return self
-        return self._wrap(*_compose(self._terms, self._den, assignment))
+    # -- evaluation -------------------------------------------------------
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every symbol that occurs must be assigned.
@@ -624,11 +608,6 @@ class ParamPoly(_Packed):
         values give equal results."""
         return _coefficient_value(sorted(self._terms.items(), reverse=True), self._den,
                                   _numeric_values(values))
-
-    def collect(self, name: str) -> dict[int, "ParamPoly"]:
-        """Coefficients by degree in ``name`` (the symbol is removed)."""
-        return {d: self._wrap(*part)
-                for d, part in _collect(self._terms, self._den, name).items()}
 
     # -- text -------------------------------------------------------------
 
@@ -828,7 +807,9 @@ class EPoly(_Packed):
 
     def support(self) -> set[int]:
         """Generator indices occurring with nonzero coefficient."""
-        return {alpha for alpha, _, _ in _gen_slots(reduce(or_, self._terms, 0))}
+        slots = _gen_bytes(reduce(or_, self._terms, 0))
+        return {slot >> 1 if not slot & 1 else ~(slot >> 1)
+                for slot, mult in enumerate(slots) if mult}
 
     def degree(self) -> int:
         """Largest monomial size (0 for the zero polynomial)."""
@@ -844,23 +825,6 @@ class EPoly(_Packed):
     def is_linear(self) -> bool:
         """True when every monomial is a single generator."""
         return self._degrees() == {1}
-
-    def weight_profile(self) -> int | str:
-        """Common weight of all terms, or "inhomogeneous" / "zero".
-
-        The weight of a term is the sum of its generator indices plus
-        4 * (g2 exponent) + 6 * (g3 exponent); all other symbols have
-        weight zero.
-        """
-        if not self._terms:
-            return "zero"
-        seen: set[int] = set()
-        for k in self._terms:
-            seen.add(sum(_mono(k)) + sum(_SYMBOL_WEIGHTS[i] * e
-                                         for i, e in _exponents(k & _SYM_MASK)))
-            if len(seen) > 1:
-                return "inhomogeneous"
-        return seen.pop()
 
     # -- substitution -----------------------------------------------------
 

@@ -399,23 +399,23 @@ def _zeta_matrix(L: Lattice, points, values) -> list[list]:
     return out
 
 
-def _func_bracket_core(L: Lattice, n_value, f_index: int, g_index: int,
-                       values) -> tuple[complex, float]:
-    """func_bracket from the point values of ``_bracket_values``."""
+def _e_at(L: Lattice, alpha: int, values) -> list[tuple[complex, complex]]:
+    """(e[alpha], its derivative) at x and at y of ``_bracket_values`` (at x
+    alone on the diagonal)."""
+    return [_e_from_values(L, alpha, p, dp) for p, dp, _ in values[:2]]
+
+
+def _func_bracket_core(n_value, values, f_at, g_at) -> tuple[complex, float]:
+    """func_bracket from the point values of ``_bracket_values`` and the
+    ``_e_at`` values of the two generators."""
     if len(values) == 1:
-        p, dp, _ = values[0]
-        f, df = _e_from_values(L, f_index, p, dp)
-        g, dg = _e_from_values(L, g_index, p, dp)
+        (f, df), = f_at
+        (g, dg), = g_at
         value = (complex(n_value) - 2) * (df * g - f * dg)
         return value, 1.0 + abs(value)
-    vx, vy, vxy = values
-    Z = _zeta_values(vx, vy, vxy)
-    px, dpx, _ = vx
-    py, dpy, _ = vy
-    f_x, df_x = _e_from_values(L, f_index, px, dpx)
-    f_y, df_y = _e_from_values(L, f_index, py, dpy)
-    g_x, dg_x = _e_from_values(L, g_index, px, dpx)
-    g_y, dg_y = _e_from_values(L, g_index, py, dpy)
+    Z = _zeta_values(*values)
+    (f_x, df_x), (f_y, df_y) = f_at
+    (g_x, dg_x), (g_y, dg_y) = g_at
     n = complex(n_value)
     terms = (
         n * Z * f_x * g_y,
@@ -438,8 +438,9 @@ def func_bracket(L: Lattice, n_value: complex, f_index: int, g_index: int,
     at x == y (exact equality) the limit value is used.  The scale is one
     plus the peak magnitude of the accumulated terms.
     """
-    return _func_bracket_core(L, n_value, f_index, g_index,
-                              _bracket_values(L, x, y))
+    values = _bracket_values(L, x, y)
+    return _func_bracket_core(n_value, values, _e_at(L, f_index, values),
+                              _e_at(L, g_index, values))
 
 
 def _identity5_core(L: Lattice, vx, vy, vxy) -> tuple[float, float]:
@@ -753,6 +754,7 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     nv = Fraction(n_value) if not isinstance(n_value, float) else None
     # Per pair: the two-point values, and the values at [x, y] for sym_eval.
     values = [_bracket_values(L, x, y) for x, y in pairs]
+    e_at = {alpha: [_e_at(L, alpha, vals) for vals in values] for alpha in members}
     point_sets = [_PointSet((vals[0], vals[0]) if x == y else vals[:2])
                   for (x, y), vals in zip(pairs, values)]
     for i, alpha in enumerate(members):
@@ -761,9 +763,9 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
             # one evaluation of the symbolic bracket at every pair
             rhs_all = (_sym_eval_core(br, params_num, point_sets) if br
                        else [(0j, 1.0)] * len(pairs))
-            for (x, y), vals, (rhs, rhs_scale) in zip(pairs, values, rhs_all):
-                lhs, lhs_scale = _func_bracket_core(L, complex(n_value), alpha,
-                                                    beta, vals)
+            for (x, y), vals, f_at, g_at, (rhs, rhs_scale) in zip(
+                    pairs, values, e_at[alpha], e_at[beta], rhs_all):
+                lhs, lhs_scale = _func_bracket_core(complex(n_value), vals, f_at, g_at)
                 tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
                                "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
     params = {"n": str(n_value), "window": members, "samples": plan.count,

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elliptic_poisson import brackets
+from elliptic_poisson.cli import CLOSURE_BRACKETS
 from elliptic_poisson.poly import EPoly, IndexSet, ParamPoly
+from elliptic_poisson.report import Tally
 from elliptic_poisson.brackets import (
     BracketSpec,
     SDiffSpec,
@@ -98,12 +101,12 @@ def test_antisymmetry_window():
                 assert bracket_basis(i, a, b) == -bracket_basis(i, b, a)
 
 
-def test_weight_grading_window():
+def test_weight_grading_window(weight_profile):
     offsets = {1: 1, 2: -3, 3: -5}
     for i in (1, 2, 3):
         for a in WINDOW:
             for b in WINDOW:
-                w = bracket_basis(i, a, b).weight_profile()
+                w = weight_profile(bracket_basis(i, a, b))
                 assert w in ("zero", a + b + offsets[i])
 
 
@@ -225,3 +228,131 @@ def test_closure_boundary_coefficient():
 def test_closure_support_example():
     br = generator_bracket(0, 5, BracketSpec.elliptic(), n_value=5)
     assert br.support() <= {0, 2, 3, 4, 5}
+
+
+# -- closure: the formal-support certificate against the all-numeric loop -----
+
+def closure_oracle(n, spec):
+    """verify_closure without the formal certificate: the bracket at this n
+    of every pair decides it."""
+    tally = Tally()
+    allowed = IndexSet.fn(n)
+    members = allowed.members()
+    for idx, alpha in enumerate(members):
+        for beta in members[idx:]:
+            br = generator_bracket(alpha, beta, spec, n_value=Fraction(n))
+            bad = sorted(a for a in br.support() if a not in allowed)
+            if bad:
+                tally.fail([alpha, beta], br.to_text(), escaped_indices=bad)
+            elif n == 2 and br:
+                tally.fail([alpha, beta], br.to_text(),
+                           reason="nonzero bracket in the commutative case")
+    params = {"n": n, "bracket": spec.describe(), "pairs": len(members) * (len(members) + 1) // 2}
+    return tally.report(f"closure-n{n}", params)
+
+
+def undecided_pairs(n, spec):
+    """Pairs whose bracket with n formal leaves F_n (n > 2) or is nonzero (n = 2)."""
+    members = IndexSet.fn(n).members()
+    out = []
+    for idx, alpha in enumerate(members):
+        for beta in members[idx:]:
+            formal = generator_bracket(alpha, beta, spec)
+            if any(a not in IndexSet.fn(n) for a in formal.support()) or (n == 2 and formal):
+                out.append((alpha, beta))
+    return out
+
+
+@pytest.fixture
+def numeric_brackets(monkeypatch):
+    """(alpha, beta) of every bracket verify_closure builds at a numeric n."""
+    seen = []
+    real = brackets.generator_bracket
+
+    def counting(alpha, beta, spec, n_value=None):
+        if n_value is not None:
+            seen.append((alpha, beta))
+        return real(alpha, beta, spec, n_value)
+
+    monkeypatch.setattr(brackets, "generator_bracket", counting)
+    return seen
+
+
+@pytest.fixture
+def fresh_brackets():
+    """Empty generator-bracket memo before and after a test that patches
+    ``bracket_basis``."""
+    brackets._generator_bracket_cached.cache_clear()
+    yield
+    brackets._generator_bracket_cached.cache_clear()
+
+
+def assert_closure_matches_oracle(specs, ns, numeric_brackets):
+    for spec in specs:
+        for n in ns:
+            del numeric_brackets[:]
+            assert verify_closure(n, spec).to_json() == closure_oracle(n, spec).to_json()
+            assert numeric_brackets == undecided_pairs(n, spec)
+
+
+def test_closure_certificate_matches_numeric_oracle(numeric_brackets):
+    specs = [spec for _, spec in CLOSURE_BRACKETS] + [BracketSpec.custom(1, 2, 3)]
+    assert_closure_matches_oracle(specs, range(2, 21), numeric_brackets)
+
+
+def test_closure_certificate_builds_few_numeric_brackets(numeric_brackets):
+    cases = 0
+    for n in range(2, 15):
+        for _, spec in CLOSURE_BRACKETS:
+            cases += verify_closure(n, spec).parameters["pairs"]
+    assert (cases, len(numeric_brackets)) == (2236, 182)
+
+
+def test_closure_certificate_spec_mentions_n(numeric_brackets):
+    # bracket 1 carries the factor n - 4, so every pair's bracket 1 part
+    # vanishes at n = 4 only
+    spec = BracketSpec(N - 4, ParamPoly.symbol("g2"), 2 * N)
+    assert_closure_matches_oracle([spec], range(2, 16), numeric_brackets)
+
+
+def perturbed_basis(monkeypatch, pair, extra):
+    """bracket_basis with ``extra`` added to bracket 1 of ``pair`` (and
+    subtracted from the reversed pair)."""
+    real = brackets.bracket_basis
+
+    def patched(i, alpha, beta):
+        out = real(i, alpha, beta)
+        if i == 1 and (alpha, beta) == pair:
+            return out + extra
+        if i == 1 and (beta, alpha) == pair:
+            return out - extra
+        return out
+
+    monkeypatch.setattr(brackets, "bracket_basis", patched)
+
+
+def test_closure_certificate_falls_back_where_a_coefficient_vanishes(
+        monkeypatch, fresh_brackets, numeric_brackets):
+    # e[0] e[40] escapes F_n for every n <= 20 formally, but its
+    # coefficient n - 5 vanishes at n = 5
+    perturbed_basis(monkeypatch, (2, 3), EPoly.monomial((0, 40), N - 5))
+    spec = BracketSpec.basis(1)
+    assert_closure_matches_oracle([spec], range(2, 21), numeric_brackets)
+    assert verify_closure(5, spec).passed
+    for n in (3, 4, 6, 20):
+        report = verify_closure(n, spec)
+        assert not report.passed
+        assert report.failures[0]["witness"] == [2, 3]
+        assert report.failures[0]["escaped_indices"] == [40]
+
+
+def test_closure_certificate_keeps_n2_commutative_reason(
+        monkeypatch, fresh_brackets, numeric_brackets):
+    perturbed_basis(monkeypatch, (0, 2), EPoly.monomial((0, 2), N - 3))
+    spec = BracketSpec.basis(1)
+    report = verify_closure(2, spec)
+    assert report.to_json() == closure_oracle(2, spec).to_json()
+    assert [f["witness"] for f in report.failures] == [[0, 2]]
+    assert report.failures[0]["reason"] == "nonzero bracket in the commutative case"
+    assert report.failures[0]["residual-text"] == "(-1)*e[0]*e[2]"
+    assert verify_closure(3, spec).to_json() == closure_oracle(3, spec).to_json()

@@ -4,11 +4,13 @@ symmetric-evaluation cross-check."""
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import elliptic_poisson.weierstrass as weierstrass
 from elliptic_poisson.brackets import BracketSpec, generator_bracket
 from elliptic_poisson.poly import EPoly, IndexSet
 from elliptic_poisson.report import Tally
@@ -16,6 +18,7 @@ from elliptic_poisson.weierstrass import (
     NearSingularError,
     PoleProximityError,
     SamplePlan,
+    _e_at,
     _e_value,
     _func_bracket_core,
     e_func,
@@ -223,7 +226,7 @@ def test_func_bracket_diagonal_limit():
         # x - y lies inside the default exclusion radius: evaluate directly
         y = x + eps
         values = [weier_eval(SQUARE, z, exclusion=1e-5) for z in (x, y, x - y)]
-        v, _ = _func_bracket_core(SQUARE, 5, 0, 2, values)
+        v, _ = _func_bracket_core(5, values, _e_at(SQUARE, 0, values), _e_at(SQUARE, 2, values))
         errors.append(abs(v - v0) / (1 + abs(v0)))
     assert errors[1] < errors[0] / 5  # shrinks with the offset
     assert errors[1] < 1e-3
@@ -349,3 +352,19 @@ def test_verify_functional_evaluations_do_not_grow_with_pairs(weier_eval_points)
         counts.append(len(weier_eval_points))
     # every fifth pair is diagonal and needs only x
     assert counts == [3 * 8 + 2] * 2
+
+
+def test_verify_functional_evaluates_each_generator_once_per_point(monkeypatch):
+    calls = []
+    real = weierstrass._e_from_values
+
+    def counting(L, alpha, p, dp):
+        calls.append(alpha)
+        return real(L, alpha, p, dp)
+
+    monkeypatch.setattr(weierstrass, "_e_from_values", counting)
+    window = [0, 2, 3, 4, 5, 6]  # 21 generator pairs
+    plan = SamplePlan(seed=4, count=10, tolerance=1e-6)
+    assert verify_functional(SQUARE, Fraction(6), window, plan).passed
+    # every fifth pair is diagonal and needs only x: 8 * 2 + 2 points
+    assert Counter(calls) == {alpha: 18 for alpha in window}
