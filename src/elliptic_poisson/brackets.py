@@ -167,11 +167,6 @@ class BracketSpec:
             return ParamPoly.const(value)
         return cls(coeff(l1, "l1"), coeff(l2, "l2"), coeff(l3, "l3"))
 
-    @classmethod
-    def pencil_direction(cls) -> "BracketSpec":
-        """The direction s2*{,}_2 + s3*{,}_3 of the parameter pencil."""
-        return cls(ParamPoly.zero(), ParamPoly.symbol("s2"), ParamPoly.symbol("s3"))
-
     def describe(self) -> str:
         return f"({self.c1.to_text()}, {self.c2.to_text()}, {self.c3.to_text()})"
 

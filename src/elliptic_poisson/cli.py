@@ -127,23 +127,20 @@ def _load_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
-                config[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in _CONFIG_PARSERS:
+                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                config[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return config
 
 
 _CONFIG_PARSERS = {
-    "seed": int,
-    "samples": int,
-    "n": str,
-    "p": int,
-    "tol": float,
-    "tau": str,
-    "window": str,
-    "format": str,
-    "out": str,
-    "force": lambda v: v.lower() in ("1", "true", "yes"),
+    "seed": int, "samples": int, "p": int, "tol": float,
+    **dict.fromkeys(("force", "formal_n", "formal_lambda"),
+                    lambda v: v.lower() in ("1", "true", "yes")),
+    **dict.fromkeys(("n", "tau", "window", "format", "out", "bracket"), str),
 }
 
 
@@ -152,9 +149,8 @@ def _effective(args: argparse.Namespace, config: dict[str, str], key: str, defau
     if value is not None and value is not False:
         return value
     if key in config:
-        parser = _CONFIG_PARSERS.get(key, str)
         try:
-            return parser(config[key])
+            return _CONFIG_PARSERS[key](config[key])
         except ValueError:
             raise UsageError(f"bad config value for {key}: {config[key]!r}") from None
     return default
@@ -232,12 +228,13 @@ def _cmd_verify_jacobi(args, config, out):
     if triples > TRIPLE_GUARDRAIL and not force:
         raise UsageError(
             f"window yields {triples} triples (> {TRIPLE_GUARDRAIL}); pass --force to proceed")
-    if args.formal_lambda:
+    if _effective(args, config, "formal_lambda", False):
         spec = BracketSpec.custom()
     else:
         spec = _resolve_bracket(_effective(args, config, "bracket", "elliptic"))
     n_text = _effective(args, config, "n", None)
-    n_value = None if args.formal_n or n_text in (None, "formal") else parse_rational(str(n_text))
+    formal_n = _effective(args, config, "formal_n", False) or n_text in (None, "formal")
+    n_value = None if formal_n else parse_rational(str(n_text))
     return [verify_jacobi_window(window, spec, n_value=n_value)]
 
 

@@ -1,9 +1,14 @@
 """Shared fixtures."""
 
+from fractions import Fraction
+
 import pytest
 
 import elliptic_poisson.weierstrass as weierstrass
-from elliptic_poisson.poly import SYMBOLS
+from elliptic_poisson.brackets import BracketSpec, bracket_poly
+from elliptic_poisson.casimirs import pencil_family
+from elliptic_poisson.poly import SYMBOLS, ParamPoly
+from elliptic_poisson.report import Tally
 
 
 @pytest.fixture
@@ -39,3 +44,28 @@ def _weight_profile(p):
 def weight_profile():
     """The grading of the algebra, as a function of one EPoly."""
     return _weight_profile
+
+
+def _pairwise_involution(n):
+    """The involution report of ``pencil_family(n)`` from every pair of
+    members, bracketed under the elliptic combination and under the pencil
+    direction s2*{,}_2 + s3*{,}_3 at numeric n: the direct expansion that
+    ``involution_family`` replaces by Lenard chains."""
+    tally = Tally()
+    family = pencil_family(n)
+    direction = BracketSpec(ParamPoly.zero(), ParamPoly.symbol("s2"), ParamPoly.symbol("s3"))
+    specs = (("elliptic", BracketSpec.elliptic()), ("direction", direction))
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            for label, spec in specs:
+                tally.exact(bracket_poly(family[i], family[j], spec, n_value=Fraction(n)),
+                            "pair ({},{}) under {}", i, j, label)
+    params = {"n": n, "family_size": len(family),
+              "pairs": len(family) * (len(family) - 1) // 2}
+    return tally.report(f"involution-n{n}", params)
+
+
+@pytest.fixture(scope="session")
+def pairwise_involution():
+    """Pairwise involution oracle, as a function of n."""
+    return _pairwise_involution

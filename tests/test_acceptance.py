@@ -164,11 +164,13 @@ def test_criterion_9_kernel_membership(lattices):
                    f"collision divisors (max {worst:.2e} < 1e-8)")
 
 
-def test_criterion_10_involution():
+def test_criterion_10_involution(pairwise_involution):
     ok = True
     for n in (4, 5, 6):
         rep = involution_family(n)
         ok = ok and rep.passed and rep.max_residual == "exact-zero"
+        # the guarantee is pairwise: check it pair by pair as well
+        ok = ok and pairwise_involution(n).to_json() == rep.to_json()
     outcome(10, ok, "pencil-family coefficients commute exactly under both "
                     "brackets for n = 4, 5, 6")
 

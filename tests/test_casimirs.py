@@ -3,6 +3,7 @@ expected values, the exact centrality oracle, rank-1 identities, and the
 pencil involution families."""
 
 import hashlib
+import importlib
 from fractions import Fraction
 from importlib import resources
 from itertools import permutations
@@ -299,7 +300,7 @@ def _golden_digests():
     return {int(n): digest for n, digest in rows}
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12, 14])
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12, 14, 16])
 def test_casimir_matches_golden_digest(n):
     text = "\n".join(elem.to_text() for elem in casimirs(n).elements)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _golden_digests()[n]
@@ -353,6 +354,39 @@ def test_involution_families(n):
     rep = involution_family(n)
     assert rep.passed
     assert rep.max_residual == "exact-zero"
+
+
+def test_involution_matches_pairwise_oracle(pairwise_involution):
+    for n in range(3, 9):
+        rep = involution_family(n)
+        assert rep.passed
+        assert rep.to_json() == pairwise_involution(n).to_json()
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_involution_reach(n):
+    rep = involution_family(n)
+    assert rep.passed
+    assert rep.max_residual == "exact-zero"
+    assert rep.parameters["family_size"] == len(pencil_family(n))
+
+
+@pytest.mark.parametrize("coeff", [1, G2, G3], ids=["1", "g2", "g3"])
+@pytest.mark.parametrize("n, which", [(5, 0), (6, 0), (6, 1)])
+def test_involution_perturbed_family_fails_both_checks(n, which, coeff, monkeypatch,
+                                                      pairwise_involution):
+    # bump the coefficient of the first monomial of one central element
+    module = importlib.import_module("elliptic_poisson.casimirs")
+    real = casimirs(n)
+    elements = list(real.elements)
+    mono = min(m for m, _ in elements[which].terms())
+    elements[which] = elements[which] + EPoly.monomial(mono, coeff)
+    bumped = CasimirSet(n=n, elements=tuple(elements), kind=real.kind)
+    monkeypatch.setattr(module, "casimirs", lambda k: bumped if k == n else casimirs(k))
+    rep = involution_family(n)
+    assert not rep.passed
+    assert rep.failures[0]["witness"].startswith(f"element {which}, generator e[")
+    assert not pairwise_involution(n).passed
 
 
 def test_involution_singleton_trivial():

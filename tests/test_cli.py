@@ -2,6 +2,7 @@
 layering, and byte-level determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -348,6 +349,24 @@ def test_text_format(tmp_path):
     assert "PASS" in body and "check" in body
 
 
+def test_all_builds_each_even_pair_once(tmp_path, monkeypatch):
+    # casimir_odd(n) takes its pair through the casimirs memo
+    module = importlib.import_module("elliptic_poisson.casimirs")
+    built = []
+    real = module.casimir_even
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    casimirs.cache_clear()
+    monkeypatch.setattr(module, "casimir_even", counting)
+    code, _ = run_cli(["all", "--seed", "20240915"], tmp_path)
+    casimirs.cache_clear()
+    assert code == 0
+    assert sorted(built) == [4, 6, 8]
+
+
 # -- config file --------------------------------------------------------------
 
 def test_config_file_and_flag_override(tmp_path):
@@ -365,6 +384,32 @@ def test_config_file_and_flag_override(tmp_path):
     assert code == 0
     rep2 = parse_reports(out2.read_text(encoding="utf-8"))[0]
     assert rep2["parameters"]["window"] == [0, 1, 2, 3, 4]
+
+
+def test_config_file_formal_flags(tmp_path):
+    # formal-n and formal-lambda used to be read from the flags only
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window=0..4\nformal-lambda=true\nformal_n=yes\n", encoding="utf-8")
+    code, text = run_cli(["verify-jacobi", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    rep = parse_reports(text)[0]
+    assert rep["parameters"]["bracket"] == "(l1, l2, l3)"
+    assert rep["parameters"]["n"] == "formal"
+    cfg.write_text("window=0..4\nformal-lambda=false\nformal-n=0\nn=5\n", encoding="utf-8")
+    code, text = run_cli(["verify-jacobi", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    rep = parse_reports(text)[0]
+    assert rep["parameters"]["bracket"] == "(1, g2, g3)"
+    assert rep["parameters"]["n"] == "5"
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=5\nsampels=0\n", encoding="utf-8")
+    code, text = run_cli(["verify-closure", "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "unknown key 'sampels'" in capsys.readouterr().err
 
 
 def test_config_file_malformed(tmp_path):
