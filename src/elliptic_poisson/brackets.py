@@ -284,11 +284,10 @@ def verify_closure(n: int, spec: BracketSpec,
     tally = Tally()
     allowed = IndexSet.fn(n)
     members = allowed.members()
-    inside = set(members)
     for idx, alpha in enumerate(members):
         for beta in members[idx:]:
             formal = _generator_bracket_cached(alpha, beta, spec, None)
-            certified = formal.support() <= inside if n > 2 else not formal
+            certified = formal.supported_in(allowed) if n > 2 else not formal
             if certified:
                 continue
             br = generator_bracket(alpha, beta, spec, n_value=Fraction(n))

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .poly import EPoly, IndexSet, ParamPoly
+from .poly import EPoly, IndexSet, ParamPoly, signed_products
 from .report import Report, Tally
 from .brackets import BracketSpec, bracket_poly
 
@@ -163,30 +163,44 @@ def build_matrix(kind: str, n: int) -> FMatrix:
     return FMatrix(rows)
 
 
+def _running_sum(zero, cofactors):
+    """``zero`` plus each signed cofactor in turn: the sum of a minor in any
+    ring, and the one that fixes the rounding of floating-point entries."""
+    total = zero
+    for sign, entry, sub in cofactors:
+        cofactor = entry * sub
+        total += -cofactor if sign < 0 else cofactor
+    return total
+
+
 def _det(matrix, zero):
     """Determinant over a commutative ring whose zero is ``zero``: Laplace
     expansion along the first row, skipping zero entries, with the
     determinant of every minor computed once.
 
+    Each minor collects its signed cofactors, (sign, entry, sub-minor
+    determinant) triples, and the ring sums them: over ``EPoly`` one
+    ``signed_products`` accumulation per minor, otherwise ``_running_sum``.
     The minor left after the first r rows is fixed by its remaining
-    columns, so the memo is keyed on that column set (a bit mask).  Each
-    minor is expanded in the same cofactor order as the plain recursion,
-    so floating-point entries give the same result to the last bit, but a
-    dense k x k matrix costs about 2^k * k products instead of k!; with
-    the zero block of the leaf Poisson matrix only about 2^(p+1) minors of
-    the 2p x 2p matrix are reached.
+    columns, so the memo is keyed on that column set (a bit mask); it is
+    freed when the call returns.  Each minor lists its cofactors in the
+    order of the plain recursion, so floating-point entries give the same
+    result to the last bit, but a dense k x k matrix costs about 2^k * k
+    products instead of k!; with the zero block of the leaf Poisson matrix
+    only about 2^(p+1) minors of the 2p x 2p matrix are reached.
     """
     size = len(matrix)
     if size == 0:
         return zero + 1
     if size == 1:
         return matrix[0][0]
+    total = signed_products if isinstance(zero, EPoly) else partial(_running_sum, zero)
     memo = {1 << col: matrix[-1][col] for col in range(size)}
     nonzero = [[(col, entry) for col, entry in enumerate(row) if entry]
                for row in matrix]
 
     def minor_det(cols: int):
-        total = zero
+        cofactors = []
         for col, entry in nonzero[size - cols.bit_count()]:
             bit = 1 << col
             if not cols & bit:
@@ -195,12 +209,13 @@ def _det(matrix, zero):
             sub = memo.get(rest)
             if sub is None:
                 sub = minor_det(rest)
-            cofactor = entry * sub
-            total += -cofactor if (cols & (bit - 1)).bit_count() % 2 else cofactor
-        memo[cols] = total
-        return total
+            cofactors.append((-1 if (cols & (bit - 1)).bit_count() % 2 else 1, entry, sub))
+        memo[cols] = det = total(cofactors)
+        return det
 
-    return minor_det((1 << size) - 1)
+    det = minor_det((1 << size) - 1)
+    minor_det = None  # the closure refers to itself; without this the memo waits for gc
+    return det
 
 
 def sym_det(M: FMatrix) -> EPoly:
@@ -250,7 +265,7 @@ def casimir_odd(n: int) -> CasimirSet:
         except ValueError as exc:
             raise IntegrityError(f"odd n={n}: {exc}") from exc
     (a0, b0), (a1, b1) = split
-    combo = b0 * a1 - b1 * a0
+    combo = signed_products(((1, b0, a1), (-1, b1, a0)))
     _check_support(combo, n, f"odd n={n}")
     if combo.homogeneous_degree() != n:
         raise IntegrityError(f"odd n={n}: degree != {n}")
@@ -289,6 +304,7 @@ def _tally_central(tally: Tally, elements, spec: BracketSpec, n: int) -> list[in
     """Tally {element, e[gamma]} under ``spec`` at numeric n, gamma in FN(n)."""
     gens = IndexSet.fn(n).members()
     for ci, elem in enumerate(elements):
+        elem = elem.with_partials()  # shared by this element's generators only
         for gamma in gens:
             tally.exact(bracket_poly(elem, EPoly.gen(gamma), spec, n_value=Fraction(n)),
                         "element {}, generator e[{}]", ci, gamma)

@@ -36,6 +36,11 @@ first.  So ascending ``(size << 8*w) - v`` is ascending ``(size, tuple)``.
 Each monomial's tuple or text is joined from the decodes of the two halves
 of its index vector, and each distinct half is decoded once per call.
 
+Products.  ``_signed_products`` is the one loop over term pairs: it sums
+sign * a * b over a list of products in one integer dict over their common
+denominator.  ``*``, composition, the Leibniz bracket, generator bracket
+sums, determinant minors and the odd elimination all go through it.
+
 Slot guard.  The top bit of every slot is a guard bit: stored slot values
 stay below 128, so the sum of two stored keys never carries from one slot
 into the next.  Every operation that adds keys checks its result keys and
@@ -60,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "SYMBOLS",
@@ -68,6 +73,7 @@ __all__ = [
     "EPoly",
     "IndexSet",
     "generator_bracket_sum",
+    "signed_products",
     "parse_parampoly",
     "parse_epoly",
 ]
@@ -227,42 +233,42 @@ def _add(a: Terms, da: int, b: Terms, db: int) -> tuple[Terms, int]:
     return _reduce(acc, da * fa)
 
 
+# (key, numerator) pairs: the items of a terms dict, or a partial derivative
+_Pairs = Collection[tuple[int, int]]
+
+
+def _signed_products(products: Sequence[tuple[int, _Pairs, int, _Pairs, int]]
+                     ) -> tuple[Terms, int]:
+    """Sum of sign * a / da * b / db over (sign, a, da, b, db) products,
+    accumulated in one integer dict over their common denominator; the
+    slot guard is checked and the result reduced once."""
+    common = lcm(*(da * db for _, _, da, _, db in products))
+    acc: Terms = {}
+    get = acc.get
+    for sign, a, da, b, db in products:
+        if len(a) > len(b):
+            a, b = b, a
+        scale = sign * (common // (da * db))
+        for k1, v1 in a:
+            v1 *= scale
+            for k2, v2 in b:
+                k = k1 + k2
+                acc[k] = get(k, 0) + v1 * v2
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    _check_slots(acc)
+    return _reduce(acc, common)
+
+
 def _mul(a: Terms, da: int, b: Terms, db: int) -> tuple[Terms, int]:
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
-        ((k1, v1),) = a.items()
-        acc = {k1 + k2: v1 * v2 for k2, v2 in b.items()}
-    else:
-        acc = {}
-        get = acc.get
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + v1 * v2
-        if 0 in acc.values():
-            acc = {k: v for k, v in acc.items() if v}
+    if len(a) != 1:
+        return _signed_products(((1, a.items(), da, b.items(), db),))
+    ((k1, v1),) = a.items()
+    acc = {k1 + k2: v1 * v2 for k2, v2 in b.items()}
     _check_slots(acc)
     return _reduce(acc, da * db)
-
-
-# (rule terms, rule denominator, partial [(key, numerator)]) for _rule_products
-_Piece = tuple[Terms, int, list[tuple[int, int]]]
-
-
-def _rule_products(pieces: Iterable[_Piece], common: int) -> Terms:
-    """Sum of rule * partial over the pieces, each scaled from its own
-    denominator to ``common``; entries that cancel to zero stay."""
-    acc: Terms = {}
-    get = acc.get
-    for terms, den, part in pieces:
-        scale = common // den
-        for kr, vr in terms.items():
-            vr *= scale
-            for kq, vq in part:
-                k = kr + kq
-                acc[k] = get(k, 0) + vr * vq
-    return acc
 
 
 def _partials(terms: Terms) -> dict[int, list[tuple[int, int]]]:
@@ -315,7 +321,7 @@ def _collect(terms: Terms, den: int, name: str) -> dict[int, tuple[Terms, int]]:
 def _compose(terms: Terms, den: int,
              assignment: Mapping[str, "ParamPoly"]) -> tuple[Terms, int]:
     """Substitute polynomials for symbols: group terms by the exponents of
-    the replaced symbols, then multiply each group by its power product."""
+    the replaced symbols, then sum each group times its power product."""
     shifts = [(_symbol_shift(name), poly) for name, poly in assignment.items()]
     groups: dict[tuple, Terms] = {}
     for k, v in terms.items():
@@ -331,13 +337,14 @@ def _compose(terms: Terms, den: int,
                             else _mul(*power(i, e - 1), poly._terms, poly._den))
         return powers[i, e]
 
-    acc: tuple[Terms, int] = ({}, 1)
+    products = []
     for exps, group in groups.items():
-        part = (group, 1)
+        part: tuple[Terms, int] = ({0: 1}, 1)
         for i, e in enumerate(exps):
             part = _mul(*part, *power(i, e))
-        acc = _add(*acc, *part)
-    return _reduce(acc[0], acc[1] * den)
+        products.append((1, group.items(), 1, part[0].items(), part[1]))
+    acc, acc_den = _signed_products(products)
+    return _reduce(acc, acc_den * den)
 
 
 def _term_text(sym_key: int, mag: int, den: int) -> str:
@@ -660,7 +667,7 @@ class EPoly(_Packed):
     ``ParamPoly`` or rational coefficients.  Immutable and canonical.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_dp")
 
     def __init__(self, terms: Mapping[tuple, ParamPoly | Rational] | None = None):
         acc: dict[int, Fraction] = {}
@@ -731,33 +738,24 @@ class EPoly(_Packed):
         ``rule(a, b) * dP/de[a] * dQ/de[b]``; coefficients are central
         scalars.  ``rule`` is called once per pair of occurring generators.
         """
-        dp = _partials(self._terms)
+        dp = getattr(self, "_dp", None) or _partials(self._terms)
         dq = _partials(other._terms)
-        rows: dict[int, list[_Piece]] = {}
-        for a in dp:
-            row = []
-            for b, qb in dq.items():
-                r = rule(a, b)
-                if r:
-                    row.append((r._terms, r._den, qb))
-            if row:
-                rows[a] = row
-        if not rows:
-            return _EP_ZERO
-        common = lcm(*(den for row in rows.values() for _, den, _ in row))
-        acc: Terms = {}
-        get = acc.get
-        for a, row in rows.items():
-            # h = sum over b of rule(a, b) * dQ/de[b], over the common denominator
-            for kh, vh in _rule_products(row, common).items():
-                if not vh:
-                    continue
-                for kp, vp in dp[a]:
-                    k = kp + kh
-                    acc[k] = get(k, 0) + vh * vp
-        acc = {k: v for k, v in acc.items() if v}
-        _check_slots(acc)
-        return self._wrap(*_reduce(acc, self._den * other._den * common))
+        rows = []
+        for a, pa in dp.items():
+            # h = sum over b of rule(a, b) * dQ/de[b]
+            h, den = _signed_products([(1, r._terms.items(), r._den, qb, other._den)
+                                       for b, qb in dq.items() if (r := rule(a, b))])
+            if h:
+                rows.append((1, h.items(), den, pa, self._den))
+        return self._wrap(*_signed_products(rows))
+
+    def with_partials(self) -> "EPoly":
+        """An equal value that keeps its partial derivatives for
+        :meth:`bracket`, to bracket one element with many others; they are
+        freed with it, not kept on this value."""
+        out = self._wrap(self._terms, self._den)
+        out._dp = _partials(self._terms)
+        return out
 
     def partials(self) -> "Partials":
         """Every partial derivative dQ/de[beta] of this element, packed for
@@ -804,6 +802,11 @@ class EPoly(_Packed):
     def num_terms(self) -> int:
         """Number of distinct generator monomials."""
         return len({k >> _SYM_BITS for k in self._terms})
+
+    def supported_in(self, allowed: "IndexSet") -> bool:
+        """True when every generator that occurs is in ``allowed``: one test of
+        the OR of the keys against the mask of the allowed slots."""
+        return not reduce(or_, self._terms, 0) & ~allowed.key_mask
 
     def support(self) -> set[int]:
         """Generator indices occurring with nonzero coefficient."""
@@ -902,18 +905,19 @@ def generator_bracket_sum(items: Iterable[tuple[int, Partials]],
     product goes into one integer dict over one common denominator, which is
     reduced once.  ``rule`` is called once per (alpha, beta) that occurs.
     """
-    pieces: list[_Piece] = []
-    for alpha, (parts, den) in items:
-        for beta, part in parts.items():
-            r = rule(alpha, beta)
-            if r:
-                pieces.append((r._terms, r._den * den, part))
-    if not pieces:
-        return _EP_ZERO
-    common = lcm(*(den for _, den, _ in pieces))
-    acc = {k: v for k, v in _rule_products(pieces, common).items() if v}
-    _check_slots(acc)
-    return EPoly._wrap(*_reduce(acc, common))
+    return EPoly._wrap(*_signed_products([
+        (1, r._terms.items(), r._den, part, den)
+        for alpha, (parts, den) in items for beta, part in parts.items()
+        if (r := rule(alpha, beta))]))
+
+
+def signed_products(products: Iterable[tuple[int, EPoly, EPoly]]) -> EPoly:
+    """Sum of sign * a * b over (sign, a, b) items.
+
+    Equal to adding up the products with ``+`` and ``-``, but every product
+    goes into one integer dict, so no product or partial sum is built."""
+    return EPoly._wrap(*_signed_products(
+        [(sign, a._terms.items(), a._den, b._terms.items(), b._den) for sign, a, b in products]))
 
 
 _EP_TERM_RE = re.compile(r"\(([^()]*)\)\*((?:e\[-?\d+\])(?:\*e\[-?\d+\])*|1)")
@@ -950,12 +954,14 @@ def parse_epoly(text: str) -> EPoly:
 class IndexSet:
     """The generator index window F_n = {0} u {2..n}."""
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "key_mask")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("F_n needs a positive n")
         self.n = n
+        # the symbol slots and the generator slots of the members
+        self.key_mask = _SYM_MASK | _SLOT_MASK * sum(map(_unit, self.members()))
 
     @classmethod
     def fn(cls, n: int) -> "IndexSet":

@@ -2,6 +2,7 @@
 expected values, the exact centrality oracle, rank-1 identities, and the
 pencil involution families."""
 
+import gc
 import hashlib
 import importlib
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from elliptic_poisson.brackets import BracketSpec, bracket_poly
 from elliptic_poisson.casimirs import (
+    _det,
     CasimirSet,
     FMatrix,
     build_matrix,
@@ -179,6 +181,84 @@ def test_sym_det_matches_permutation_expansion_on_construction(kind, n):
     assert sym_det(M) == ref_sym_det(M)
 
 
+def per_cofactor_det(matrix, zero):
+    """``_det`` with every cofactor its own product, added to a running total
+    one at a time: the memoized expansion before minors were summed by
+    their ring."""
+    size = len(matrix)
+    if size == 0:
+        return zero + 1
+    if size == 1:
+        return matrix[0][0]
+    memo = {1 << col: matrix[-1][col] for col in range(size)}
+    nonzero = [[(col, entry) for col, entry in enumerate(row) if entry]
+               for row in matrix]
+
+    def minor_det(cols):
+        total = zero
+        for col, entry in nonzero[size - cols.bit_count()]:
+            bit = 1 << col
+            if not cols & bit:
+                continue
+            rest = cols ^ bit
+            sub = memo.get(rest)
+            if sub is None:
+                sub = minor_det(rest)
+            cofactor = entry * sub
+            total += -cofactor if (cols & (bit - 1)).bit_count() % 2 else cofactor
+        memo[cols] = total
+        return total
+
+    return minor_det((1 << size) - 1)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+@pytest.mark.parametrize("kind", ["g", "g1", "g2m"])
+def test_sym_det_matches_per_cofactor_oracle(kind, n):
+    M = build_matrix(kind, n)
+    assert sym_det(M) == per_cofactor_det(M.entries, EPoly.zero())
+
+
+# entries drawn from a small pool and scaled, so rows and columns repeat up
+# to a fraction and whole groups of cofactors cancel
+scales = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-2, 3), 3])
+cancelling_matrices = st.tuples(st.integers(1, 5), st.lists(entries, min_size=1, max_size=3)) \
+    .flatmap(lambda kp: st.lists(
+        st.lists(st.builds(lambda e, c: e * c, st.sampled_from(kp[1]), scales),
+                 min_size=kp[0], max_size=kp[0]).map(tuple),
+        min_size=kp[0], max_size=kp[0]).map(lambda rows: FMatrix(tuple(rows))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrices, cancelling_matrices))
+def test_sym_det_matches_per_cofactor_oracle_randomized(M):
+    assert sym_det(M) == per_cofactor_det(M.entries, EPoly.zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.3, 0.6]))
+def test_complex_det_keeps_its_rounding(size, seed, zero_share):
+    # full-width mantissas: any change in the order of the operations shows
+    rng = Random(seed)
+    matrix = [[0j if rng.random() < zero_share
+               else complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+               for _ in range(size)] for _ in range(size)]
+    assert repr(_det(matrix, 0j)) == repr(per_cofactor_det(matrix, 0j))
+
+
+def test_sym_det_frees_its_minors_on_return():
+    M = build_matrix("g", 10)
+    gc.collect()
+    gc.disable()
+    try:
+        det = sym_det(M)
+        leftover = gc.collect()
+    finally:
+        gc.enable()
+    assert leftover == 0
+    assert det == casimirs(10).elements[0]
+
+
 # -- central elements ---------------------------------------------------------
 
 def det2(m):
@@ -257,6 +337,12 @@ def test_casimir_odd_3():
     assert cs.kind == "odd-single"
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_casimir_odd_matches_operator_elimination(n):
+    (a0, b0), (a1, b1) = (elem.split_linear(n + 1) for elem in casimirs(n + 1).elements)
+    assert casimir_odd(n).elements == (b0 * a1 - b1 * a0,)
+
+
 def test_casimir_odd_3_elimination_parts():
     pair = casimir_even(4)
     a0, b0 = pair.elements[0].split_linear(4)
@@ -304,6 +390,12 @@ def _golden_digests():
 def test_casimir_matches_golden_digest(n):
     text = "\n".join(elem.to_text() for elem in casimirs(n).elements)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _golden_digests()[n]
+
+
+def test_centrality_keeps_no_partials_on_the_memoized_elements():
+    cs = casimirs(6)
+    assert verify_central(cs).passed
+    assert all(not hasattr(elem, "_dp") for elem in cs.elements)
 
 
 def test_centrality_detects_noncentral():

@@ -21,7 +21,13 @@ from elliptic_poisson.brackets import (
     s_diff,
     verify_jacobi_window,
 )
-from elliptic_poisson.poly import SYMBOLS, EPoly, ParamPoly, generator_bracket_sum
+from elliptic_poisson.poly import (
+    SYMBOLS,
+    EPoly,
+    ParamPoly,
+    generator_bracket_sum,
+    signed_products,
+)
 from elliptic_poisson.report import Tally
 
 SLOT_MAX = 127  # largest multiplicity or exponent a slot holds
@@ -123,6 +129,46 @@ def test_bracket_matches_reference(P, Q, spec, n_value):
     assert to_ref(kernel) == ref_bracket(P, Q, spec_rule(spec, n_value))
 
 
+def ref_signed_products(items):
+    acc = {}
+    for sign, P, Q in items:
+        for mono, coeff in ref_mul(P, Q).items():
+            ref_add_term(acc, mono, {e: sign * c for e, c in coeff.items()})
+    return acc
+
+
+signed_items = st.lists(st.tuples(st.sampled_from([1, -1, 3]), elements, elements), max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_items)
+def test_signed_products_match_reference(items):
+    got = signed_products([(sign, from_ref(P), from_ref(Q)) for sign, P, Q in items])
+    assert to_ref(got) == ref_signed_products(items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, elements)
+def test_signed_products_cancel_to_canonical_zero(P, Q):
+    p, q = from_ref(P), from_ref(Q)
+    assert signed_products([(1, p, q), (-1, q, p)]) == EPoly.zero()
+    assert signed_products([]) == EPoly.zero()
+    assert signed_products([(-1, p, q)]) == -(p * q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, elements, st.sampled_from(SPECS))
+def test_bracket_with_kept_partials(P, Q, spec):
+    p, q = from_ref(P), from_ref(Q)
+    kept = p.with_partials()
+
+    def rule(a, b):
+        return generator_bracket(a, b, spec)
+    assert kept == p
+    assert kept.bracket(q, rule) == p.bracket(q, rule)
+    assert kept.bracket(q, rule) == kept.bracket(q, rule)
+
+
 @settings(max_examples=40, deadline=None)
 @given(elements)
 def test_round_trip_through_reference(P):
@@ -148,6 +194,19 @@ def test_multiplicity_at_slot_width(alpha, j, k):
     else:
         with pytest.raises(OverflowError):
             from_ref(P) * from_ref(Q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-3, 3), st.integers(0, SLOT_MAX), st.integers(0, SLOT_MAX))
+def test_signed_products_guard_the_slot(alpha, j, k):
+    # the wide product is the second of two; the first stays far below the slot
+    items = [(1, power(alpha + 1, 2), power(alpha, 1)), (-1, power(alpha, j), power(alpha, k))]
+    packed = [(sign, from_ref(P), from_ref(Q)) for sign, P, Q in items]
+    if j + k <= SLOT_MAX:
+        assert to_ref(signed_products(packed)) == ref_signed_products(items)
+    else:
+        with pytest.raises(OverflowError):
+            signed_products(packed)
 
 
 @settings(max_examples=40, deadline=None)

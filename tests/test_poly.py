@@ -363,6 +363,23 @@ def test_coefficient_values_kept_per_parameters():
     assert P.coefficient_values({"n": 5}) == (((3,), 25 + 0j), ((2, 4), 2 + 0j))
 
 
+@settings(max_examples=80, deadline=None)
+@given(e_polys, st.integers(1, 9))
+def test_supported_in_matches_support(p, n):
+    allowed = IndexSet.fn(n)
+    assert p.supported_in(allowed) == (p.support() <= set(allowed.members()))
+
+
+def test_supported_in_examples():
+    p = EPoly.monomial((0, 4), N) + EPoly.monomial((2, 2), G2)
+    assert p.supported_in(IndexSet.fn(4))
+    assert not p.supported_in(IndexSet.fn(3))
+    assert not EPoly.gen(1).supported_in(IndexSet.fn(9))
+    assert not EPoly.gen(-1).supported_in(IndexSet.fn(9))
+    assert EPoly.zero().supported_in(IndexSet.fn(1))
+    assert EPoly.monomial((), ParamPoly.symbol("s3")).supported_in(IndexSet.fn(1))
+
+
 # -- IndexSet -----------------------------------------------------------------
 
 def test_index_sets():
