@@ -118,7 +118,9 @@ def _xp_core(L: Lattice, P: EPoly, support: list[int],
         for a in mono:
             term *= linear[a]
         total += term
-        peak = max(peak, abs(term))
+        size = abs(term)
+        if size > peak:  # as max(peak, size): a NaN size keeps the peak
+            peak = size
     return total, 1.0 + peak
 
 
@@ -169,7 +171,9 @@ def _leaf_bracket_core(cfg: LeafConfig, f_index: int, g_index: int,
                 terms = (df_a * g_b * diag * pp, -f_a * dg_b * diag * pp)
             for term in terms:
                 total += term
-                peak = max(peak, abs(term))
+                size = abs(term)
+                if size > peak:
+                    peak = size
     return total, 1.0 + peak
 
 

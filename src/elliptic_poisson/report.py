@@ -77,7 +77,8 @@ class Tally:
     then reports ``max_residual`` as exact-zero.  With one, every relative
     residual enters the worst residual and fails unless ``rel < tol``, so a
     NaN residual fails (and shows as ``nan`` in its failure record).
-    Witness strings are ``str.format`` templates filled in only on failure.
+    Witness and residual-text templates are ``str.format`` strings filled in
+    only on failure.
     """
 
     def __init__(self, tol: float | None = None):
@@ -97,13 +98,17 @@ class Tally:
                       residual.to_text())
 
     def residual(self, rel: float, witness: str, *args,
-                 text: str | None = None) -> None:
+                 text: str | None = None, text_args: tuple = ()) -> None:
         """A relative residual against the tolerance; the record shows
-        ``text`` or else ``rel`` to four digits."""
+        ``text`` (a template filled with ``text_args``, if any) or else
+        ``rel`` to four digits."""
         self.worst = max(self.worst, rel)
         if not rel < self.tol:
-            self.fail(witness.format(*args) if args else witness,
-                      f"{rel:.3e}" if text is None else text)
+            if text is None:
+                text = f"{rel:.3e}"
+            elif text_args:
+                text = text.format(*text_args)
+            self.fail(witness.format(*args) if args else witness, text)
 
     def report(self, check: str, parameters: dict) -> Report:
         return make_report(check, parameters, self.failures,

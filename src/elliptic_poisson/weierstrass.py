@@ -17,9 +17,17 @@ Legendre checks, and a lattice that fails them raises CertificationError.
 
 Points stay DEFAULT_EXCLUSION * r_min clear of the lattice, as does x - y
 in the two-point functions; only ``weier_eval`` takes the radius as an
-argument.  Evaluators return (value, scale): tolerances are relative to a
-scale 1 + max(|operand values|), since values near poles grow and absolute
-tolerances would be meaningless.
+argument.  Every such guard is ``lattice_distance(L, z) < radius``, and
+``_near`` decides it without the nine-point scan wherever the modulus d of
+the reduced point, the scan's first candidate, settles it: d < radius is
+near, and d at most r_min - radius - slack is clear, because each scanned
+neighbour is a lattice vector at least r_min long, so its distance is at
+least r_min - d up to the rounding the slack covers.  Any other d runs the
+scan itself, so each guard gives the verdict the scan gives.  ``weier_eval``
+also skips reducing its reduced point again where that provably changes
+nothing (``_near``).  Evaluators return (value, scale): tolerances are
+relative to a scale 1 + max(|operand values|), since values near poles grow
+and absolute tolerances would be meaningless.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ __all__ = [
 _SERIES_FRACTION = 0.3  # series disc radius as a fraction of r_min
 _SERIES_ORDER = 26  # highest Laurent coefficient index of the series
 DEFAULT_EXCLUSION = 0.05  # pole exclusion radius as a fraction of r_min
+_GUARD_SLACK = 2.0 ** -44  # clear-bound slack per unit of |omega1| + |omega2| + r_min
 
 
 class CertificationError(ValueError):
@@ -92,7 +101,9 @@ class Lattice:
       Laurent order down to 2, the rows of the p, p' and zeta series;
     * ``_series_radius``: 0.3 * r_min, the disc the series is used in;
     * ``_half_g2``: g2 / 2, in p'' = 6 p^2 - g2/2 and the second
-      Z-identity.
+      Z-identity;
+    * ``_guard``: the two bounds of ``_near``, half the smaller cell height
+      times (1 - 1e-9), and r_min - 2^-44 (|omega1| + |omega2| + r_min).
     """
 
     omega1: complex
@@ -111,18 +122,21 @@ class Lattice:
         init=False, compare=False, repr=False)
     _series_radius: float = field(init=False, compare=False, repr=False)
     _half_g2: complex = field(init=False, compare=False, repr=False)
+    _guard: tuple[float, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         o1, o2, c = self.omega1, self.omega2, self.laurent_c
+        den1, den2 = (o1 * o2.conjugate()).imag, (o2 * o1.conjugate()).imag
         tables = {
-            "_cell": (o2.conjugate(), (o1 * o2.conjugate()).imag,
-                      o1.conjugate(), (o2 * o1.conjugate()).imag),
+            "_cell": (o2.conjugate(), den1, o1.conjugate(), den2),
             "_neighbours": tuple((m * o1, k * o2) for m in (-1, 0, 1)
                                  for k in (-1, 0, 1) if m or k),
             "_horner": tuple((c[k], (2 * k - 2) * c[k], c[k] / (2 * k - 1))
                              for k in range(len(c) - 1, 1, -1)),
             "_series_radius": _SERIES_FRACTION * self.r_min,
             "_half_g2": self.g2 / 2,
+            "_guard": (0.5 * min(abs(den1) / abs(o2), abs(den2) / abs(o1)) * (1 - 1e-9),
+                       self.r_min - _GUARD_SLACK * (abs(o1) + abs(o2) + self.r_min)),
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
@@ -201,13 +215,53 @@ def _reduce(L: Lattice, z: complex) -> tuple[complex, int, int]:
 
 def lattice_distance(L: Lattice, z: complex) -> float:
     """Distance from z to the nearest lattice point."""
-    z0, _, _ = _reduce(L, z)
-    best = abs(z0)
+    z1 = _reduce(L, z)[0]
+    return _nearest(L, z1, abs(z1))
+
+
+def _nearest(L: Lattice, z1: complex, best: float) -> float:
+    """The least of ``best`` (abs(z1)) and the distances from the reduced
+    point z1 to its eight neighbours: the nine-point scan."""
     for mo, ko in L._neighbours:
-        d = abs(z0 - mo - ko)
+        d = abs(z1 - mo - ko)
         if d < best:
             best = d
     return best
+
+
+def _near(L: Lattice, z: complex, radius: float, reduced: bool = False) -> bool:
+    """``lattice_distance(L, z) < radius``, decided from d = abs(z1) of the
+    reduced point z1 wherever d settles it, else by the scan itself.
+
+    With u = 2^-53: d < radius is near, as d is the scan's first candidate.
+    A scanned neighbour v = m omega1 + k omega2 (|m|, |k| <= 1) lies in the
+    search that defines r_min, so |v| >= r_min (1 - 3u); z1 - v is formed
+    by two roundings per component and its ``abs`` rounds once more, so the
+    scanned distance is at least r_min - d - 10u (r_min + |omega1| +
+    |omega2|) for d <= r_min, and the two roundings of the clear bound add
+    2u r_min.  The slack 2^-44 (|omega1| + |omega2| + r_min) exceeds that
+    12u bound whatever the radius, so d <= (r_min - slack) - radius is
+    clear.  Any other d, NaN among them, runs the scan.
+
+    ``reduced`` says that z is itself a result of ``_reduce`` (so abs(z)
+    cannot overflow).  Then, if abs(z) is under half the smaller cell
+    height h = min(|Im(omega1 conj omega2)| / |omega2|, |Im(omega2 conj
+    omega1)| / |omega1|) less 1e-9 relative, z is its own reduced point and
+    is not reduced again: each cell coordinate is at most |z| / h up to a
+    few units of u, so both round to 0, and z - 0*omega1 - 0*omega2 differs
+    from z at most in the signs of zeros, which no ``abs`` and no neighbour
+    difference sees.
+    """
+    half_height, clear = L._guard
+    d = abs(z) if reduced else math.inf
+    if not d < half_height:
+        z = _reduce(L, z)[0]
+        d = abs(z)
+    if d < radius:
+        return True
+    if d <= clear - radius:
+        return False
+    return _nearest(L, z, d) < radius
 
 
 def _series_eval(L: Lattice, z: complex) -> tuple[complex, complex, complex]:
@@ -242,7 +296,7 @@ def weier_eval(L: Lattice, z: complex,
                exclusion: float = DEFAULT_EXCLUSION) -> tuple[complex, complex, complex]:
     """Values (p, p', zeta) at z; z must stay clear of the lattice."""
     z0, m, k = _reduce(L, z)
-    if lattice_distance(L, z0) < exclusion * L.r_min:
+    if _near(L, z0, exclusion * L.r_min, reduced=True):
         raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
     p, dp, zt = _eval_reduced(L, z0)
     return p, dp, zt + m * L.eta1 + k * L.eta2
@@ -286,7 +340,7 @@ def _certify(L: Lattice, tol: float = 1e-9) -> None:
         a = rng.uniform(-0.5, 0.5)
         b = rng.uniform(-0.5, 0.5)
         z = a * L.omega1 + b * L.omega2
-        if lattice_distance(L, z) < 0.1 * L.r_min:
+        if _near(L, z, 0.1 * L.r_min):
             continue
         p, dp, zt = weier_eval(L, z)
         ode = dp * dp - (4 * p ** 3 - L.g2 * p - L.g3)
@@ -365,7 +419,7 @@ def _point_values(L: Lattice, points) -> list:
 
 def _two_point_values(L: Lattice, x: complex, y: complex):
     """(p, p', zeta) at x, y and x - y; x - y must stay clear of the lattice."""
-    if lattice_distance(L, x - y) < DEFAULT_EXCLUSION * L.r_min:
+    if _near(L, x - y, DEFAULT_EXCLUSION * L.r_min):
         raise NearSingularError("x - y too close to the lattice")
     return weier_eval(L, x), weier_eval(L, y), weier_eval(L, x - y)
 
@@ -392,7 +446,7 @@ def _zeta_matrix(L: Lattice, points, values) -> list[list]:
             if a == b:
                 row.append(None)
                 continue
-            if lattice_distance(L, x - y) < DEFAULT_EXCLUSION * L.r_min:
+            if _near(L, x - y, DEFAULT_EXCLUSION * L.r_min):
                 raise NearSingularError("x - y too close to the lattice")
             row.append(_zeta_values(vx, vy, weier_eval(L, x - y)))
         out.append(row)
@@ -645,10 +699,10 @@ def sample_points(L: Lattice, rng: Random, count: int,
         if attempts > 10000 * count:
             raise RuntimeError("sampling failed: too few admissible points in the cell")
         z = rng.uniform(-0.5, 0.5) * L.omega1 + rng.uniform(-0.5, 0.5) * L.omega2
-        if lattice_distance(L, z) < DEFAULT_EXCLUSION * L.r_min:
+        if _near(L, z, DEFAULT_EXCLUSION * L.r_min):
             continue
         if pairwise_distinct and any(
-            lattice_distance(L, z - w) < DEFAULT_EXCLUSION * L.r_min for w in out
+            _near(L, z - w, DEFAULT_EXCLUSION * L.r_min) for w in out
         ):
             continue
         out.append(z)
@@ -728,7 +782,7 @@ def identity5_sweep(L: Lattice, plan: SamplePlan, tol: float | None = None,
         py, dpy, _ = vy
         scale = 1 + max(abs(px), abs(py)) ** 2 + max(abs(dpx), abs(dpy))
         tally.residual(max(r1, r2) / scale, "x={!r}, y={!r}", x, y,
-                       text=f"r1={r1:.3e} r2={r2:.3e}")
+                       text="r1={:.3e} r2={:.3e}", text_args=(r1, r2))
     params = {"omega1": repr(L.omega1), "omega2": repr(L.omega2),
               "samples": plan.count, "seed": plan.seed, "tol": tol}
     return tally.report(check_name, params)

@@ -16,21 +16,24 @@ from hypothesis import given, settings, strategies as st
 
 import elliptic_poisson.weierstrass as weierstrass
 from elliptic_poisson.casimirs import _det, casimirs
-from elliptic_poisson.leaves import _collision_patterns
+from elliptic_poisson.leaves import LeafConfig, LeafSample, _collision_patterns, draw_leaf_sample
 from elliptic_poisson.poly import EPoly, ParamPoly
 from elliptic_poisson.weierstrass import (
     _SERIES_FRACTION,
     DEFAULT_EXCLUSION,
+    Lattice,
     PoleProximityError,
     _PointSet,
     _cell_coordinates,
     _eval_reduced,
+    _near,
     _reduce,
     _series_eval,
     _sym_eval_core,
     lattice_distance,
     lattice_init,
     numeric_params,
+    sample_pairs,
     sample_points,
     sym_eval,
     weier_eval,
@@ -245,7 +248,8 @@ def test_series_eval_matches_per_call_constants(L, r, theta):
 
 def test_lattice_tables_ignored_by_eq_hash_repr():
     tables = [f.name for f in fields(SKEW) if not f.init]
-    assert tables == ["_cell", "_neighbours", "_horner", "_series_radius", "_half_g2"]
+    assert tables == ["_cell", "_neighbours", "_horner", "_series_radius", "_half_g2",
+                      "_guard"]
     twin = lattice_init(1, 0.3 + 1.1j)
     for name in tables:
         object.__setattr__(twin, name, None)
@@ -253,6 +257,178 @@ def test_lattice_tables_ignored_by_eq_hash_repr():
     assert hash(twin) == hash(SKEW)
     assert repr(twin) == repr(SKEW)
     assert all(name not in repr(SKEW) for name in tables)
+
+
+# -- the exclusion guard ---------------------------------------------------------
+
+def raw_lattice(omega1, omega2):
+    """An uncertified ``Lattice`` record with lattice_init's r_min rule; the
+    guard reads only the periods and r_min, so the rest are placeholders."""
+    omega1, omega2 = complex(omega1), complex(omega2)
+    r_min = min(abs(m * omega1 + k * omega2)
+                for m in range(-3, 4) for k in range(-3, 4) if m or k)
+    return Lattice(omega1, omega2, 0j, 0j, (0j, 0j, 0j), 0j, 0j, r_min)
+
+
+# Skinny period ratios that fail certification: the reduced points reach
+# far past r_min, so the guard falls back to the scan.
+SKINNY_LATTICES = tuple(raw_lattice(1, tau) for tau in (5j, 8j, 0.5 + 0.05j, 0.49 + 0.02j))
+# The same shapes turned and scaled, so that neighbour differences round.
+TURNED_LATTICES = tuple(raw_lattice(c * L.omega1, c * L.omega2)
+                        for c in (cmath.rect(0.7, 1.0), cmath.exp(0.25j))
+                        for L in TABLE_LATTICES + SKINNY_LATTICES)
+# A short neighbour between two long periods: its differences round at the
+# scale of the periods, far above r_min, which a slack scaled by the radius
+# does not cover.
+NEEDLE_LATTICES = tuple(raw_lattice(c, c * tau) for c, tau in (
+    (cmath.rect(0.7, 1.0), 1 + 0.001j), (cmath.rect(1.9, -2.0), 1 + 0.0001j)))
+GUARD_LATTICES = TABLE_LATTICES + SKINNY_LATTICES + TURNED_LATTICES + NEEDLE_LATTICES
+GUARD_EXCLUSIONS = (1e-12, 0.01, 0.05, 0.2, 0.5)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_guard(L, z, radius):
+    """_near agrees with the scan, result or exception, both on z and, as
+    weier_eval calls it, on the reduced point."""
+    assert outcome(_near, L, z, radius) == outcome(
+        lambda: ref_lattice_distance(L, z) < radius)
+    reduced = outcome(_reduce, L, z)
+    if isinstance(reduced[0], complex):
+        z0 = reduced[0]
+        assert outcome(_near, L, z0, radius, True) == outcome(
+            lambda: ref_lattice_distance(L, z0) < radius)
+
+
+def ulps(x, count):
+    """x and the ``count`` floats on either side of it."""
+    out = [x]
+    down = up = x
+    for _ in range(count):
+        down = math.nextafter(down, -math.inf)
+        up = math.nextafter(up, math.inf)
+        out += [down, up]
+    return out
+
+
+@pytest.mark.parametrize("L", GUARD_LATTICES, ids=lambda L: f"{L.omega1:.3g}:{L.omega2 / L.omega1:.4g}")
+def test_guard_matches_scan_at_its_bounds(L):
+    half_height, clear = L._guard
+    for exclusion in GUARD_EXCLUSIONS:
+        radius = exclusion * L.r_min
+        for mo, ko in L._neighbours:
+            v = mo + ko
+            for x in ulps(v.real / 2, 2):
+                for y in ulps(v.imag / 2, 2):
+                    assert_same_guard(L, complex(x, y), radius)
+            # along each neighbour direction, the moduli where a decision
+            # changes: the radius, the clear bound, r_min - radius (the
+            # clear bound without slack) and half the cell height
+            unit = v / abs(v)
+            for bound in (radius, clear - radius, L.r_min - radius, half_height):
+                for t in ulps(bound, 2):
+                    for shift in (0, v, L.omega1 - 2 * L.omega2):
+                        assert_same_guard(L, t * unit + shift, radius)
+        for bad in (complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0),
+                    complex(-math.inf, math.inf), complex(math.inf, math.nan)):
+            assert_same_guard(L, bad, radius)
+    # The clear bound is tight only where the radius is r_min / 2 or just
+    # under it: at the midpoint of a shortest neighbour, r_min / 2 from both
+    # ends.  Nudged sideways, the midpoint's differences round either way.
+    step = math.ulp(abs(L.omega1) + abs(L.omega2)) / 16
+    for k in (0, 1, 3, 10, 30, 100, 300):
+        radius = L.r_min / 2 - k * math.ulp(L.r_min)
+        for mo, ko in L._neighbours:
+            v = mo + ko
+            if abs(v) < 1.5 * L.r_min:
+                across = 1j * v / abs(v)
+                for j in range(-30, 31):
+                    assert_same_guard(L, v / 2 + j * step * across, radius)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(GUARD_LATTICES), cell_coords, cell_coords, shifts, shifts,
+       st.sampled_from(GUARD_EXCLUSIONS))
+def test_guard_matches_scan(L, a, b, m, k, exclusion):
+    assert_same_guard(L, (a + m) * L.omega1 + (b + k) * L.omega2, exclusion * L.r_min)
+
+
+@pytest.mark.parametrize("L, scans", [(SQUARE, False), (SKINNY_LATTICES[1], True)])
+def test_guard_scans_only_between_its_bounds(monkeypatch, L, scans):
+    # in the square cell every point and difference is decided by its
+    # modulus; the 1 x 8 cell reaches far past r_min, where the scan decides
+    calls = []
+    real = weierstrass._nearest
+    monkeypatch.setattr(weierstrass, "_nearest",
+                        lambda *args: calls.append(args) or real(*args))
+    assert len(sample_points(L, Random(0), 100, pairwise_distinct=True)) == 100
+    assert bool(calls) == scans
+
+
+# -- the sampling stream, as the scan decided it -----------------------------------
+
+def ref_sample_points(L, rng, count, pairwise_distinct=False):
+    out = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > 10000 * count:
+            raise RuntimeError("sampling failed: too few admissible points in the cell")
+        z = rng.uniform(-0.5, 0.5) * L.omega1 + rng.uniform(-0.5, 0.5) * L.omega2
+        if ref_lattice_distance(L, z) < DEFAULT_EXCLUSION * L.r_min:
+            continue
+        if pairwise_distinct and any(
+            ref_lattice_distance(L, z - w) < DEFAULT_EXCLUSION * L.r_min for w in out
+        ):
+            continue
+        out.append(z)
+    return out
+
+
+def ref_sample_pairs(L, rng, count, diagonal_every=0):
+    out = []
+    while len(out) < count:
+        if diagonal_every and (len(out) + 1) % diagonal_every == 0:
+            x = ref_sample_points(L, rng, 1)[0]
+            out.append((x, x))
+            continue
+        x, y = ref_sample_points(L, rng, 2, pairwise_distinct=True)
+        out.append((x, y))
+    return out
+
+
+def ref_draw_leaf_sample(L, p, rng):
+    u = ref_sample_points(L, rng, p, pairwise_distinct=True)
+    psi = []
+    for _ in range(p):
+        radius = rng.uniform(0.5, 1.5)
+        angle = rng.uniform(0.0, 2 * math.pi)
+        psi.append(radius * complex(math.cos(angle), math.sin(angle)))
+    return LeafSample(u=tuple(u), psi=tuple(psi))
+
+
+@pytest.mark.parametrize("L", TABLE_LATTICES, ids=lambda L: repr(L.omega2))
+def test_sampling_stream_unchanged(L):
+    def same(draw, ref):
+        got_rng, want_rng = Random(seed), Random(seed)
+        assert draw(got_rng) == ref(want_rng)
+        assert got_rng.getstate() == want_rng.getstate()
+
+    for seed in range(10):
+        for distinct in (False, True):
+            same(lambda rng: sample_points(L, rng, 12, distinct),
+                 lambda rng: ref_sample_points(L, rng, 12, distinct))
+        for every in (0, 3, 5):
+            same(lambda rng: sample_pairs(L, rng, 10, every),
+                 lambda rng: ref_sample_pairs(L, rng, 10, every))
+        cfg = LeafConfig(p=4, n_value=Fraction(9), lattice=L)
+        same(lambda rng: draw_leaf_sample(cfg, rng),
+             lambda rng: ref_draw_leaf_sample(L, 4, rng))
 
 
 # -- the leaf determinant -------------------------------------------------------

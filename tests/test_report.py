@@ -48,6 +48,14 @@ def test_caller_text_and_extra_keys():
     ]
 
 
+def test_residual_text_template_filled_on_failure():
+    tally = Tally(1e-8)
+    tally.residual(1e-9, "x={!r}", 1j, text="r1={:.3e}", text_args=(float("nan"),))
+    tally.residual(0.5, "x={!r}", 2j, text="r1={:.3e} r2={:.3e}", text_args=(0.25, 0.5))
+    rep = tally.report("templates", {"tol": 1e-8})
+    assert rep.failures == [{"witness": "x=2j", "residual-text": "r1=2.500e-01 r2=5.000e-01"}]
+
+
 def test_passing_tolerance_tally_reports_worst_not_exact_zero():
     tally = Tally(1e-9)
     rep = tally.report("empty", {"tol": 1e-9})

@@ -309,6 +309,26 @@ def test_sweeps_read_the_plan_tolerance(sweep):
         sweep(SQUARE, plan, tol=1e-9)
 
 
+@pytest.mark.parametrize("L", [SQUARE, SKEW, HEX])
+def test_identity5_failure_records_unchanged(L):
+    # every pair fails at the smallest tolerance; the records must be those
+    # of the loop that formatted the residual text for every pair
+    plan = SamplePlan(seed=5, count=40, tolerance=5e-324)
+    tally = Tally(plan.tolerance)
+    for x, y in sample_pairs(L, Random(plan.seed), plan.count):
+        vx, vy, vxy = weierstrass._two_point_values(L, x, y)
+        r1, r2 = weierstrass._identity5_core(L, vx, vy, vxy)
+        scale = 1 + max(abs(vx[0]), abs(vy[0])) ** 2 + max(abs(vx[1]), abs(vy[1]))
+        tally.residual(max(r1, r2) / scale, "x={!r}, y={!r}", x, y,
+                       text=f"r1={r1:.3e} r2={r2:.3e}")
+    want = tally.report("identity5", {"omega1": repr(L.omega1), "omega2": repr(L.omega2),
+                                      "samples": plan.count, "seed": plan.seed,
+                                      "tol": plan.tolerance})
+    got = identity5_sweep(L, plan)
+    assert len(got.failures) == plan.count
+    assert got.to_json() == want.to_json()
+
+
 # -- evaluation counts ----------------------------------------------------------
 
 def test_identity5_sweep_evaluates_each_point_once(weier_eval_points):
