@@ -225,8 +225,8 @@ def sym_det(M: FMatrix) -> EPoly:
 
 def _check_support(P: EPoly, n: int, what: str) -> None:
     allowed = IndexSet.fn(n)
-    bad = sorted(a for a in P.support() if a not in allowed)
-    if bad:
+    if not P.supported_in(allowed):
+        bad = sorted(a for a in P.support() if a not in allowed)
         raise IntegrityError(f"{what}: indices {bad} escaped {{0}} u {{2..{n}}}")
 
 

@@ -27,14 +27,26 @@ are decoded to sorted index tuples only for ``terms``, text and evaluation.
 
 Order.  ``terms``, ``to_text`` and evaluation list monomials in graded
 lexicographic order: by size, then by sorted index tuple.  ``_graded_lex``
-sorts one integer per term instead of tuples.  It pads the generator parts
-to one even width ``w`` bytes and reads each one as the index vector, the
-multiplicities of ``e[-w/2] .. e[w/2 - 1]`` in index order, taken as a
-big-endian integer ``v``.  For two sorted tuples of one size, the first
-index whose multiplicity differs decides, and the larger multiplicity sorts
-first.  So ascending ``(size << 8*w) - v`` is ascending ``(size, tuple)``.
-Each monomial's tuple or text is joined from the decodes of the two halves
-of its index vector, and each distinct half is decoded once per call.
+sorts one integer per term instead of tuples.  It pads every generator part
+``g`` (a key without its symbol bytes) to one even width ``w`` bytes and
+reads it as the index vector ``v = (g & odd) << 8*w | reverse(g & even)``,
+where ``odd`` and ``even`` mask the odd and the even slots and ``reverse``
+reverses ``w`` bytes.  The even bytes of ``v`` hold the multiplicities of
+``e[-w/2] .. e[w/2 - 1]`` in index order, most significant first; its odd
+bytes are zero in every vector, so they change no comparison.  For two
+sorted tuples of one size, the first index whose multiplicity differs
+decides, and the larger multiplicity sorts first.  So descending
+``(top - size) << 16*w | v`` is ascending ``(size, tuple)`` for any bound
+``top`` on the sizes; with no negative index the odd half of every vector
+is zero, and the size is shifted by ``8*w`` only.  A size is the sum of
+the slots of ``g``, and ``g % 255`` is that sum mod 255 (256 = 1 mod 255).
+No term's slot sum exceeds that of the OR of all keys, so when the OR's
+slots sum below 255 every size is its own residue; past that bound the
+slots are summed per term.  ``degree``, ``homogeneous_degree`` and
+``is_linear`` read sizes the same way.  Each monomial's tuple or text is
+joined from the decodes of the two halves of its index vector, and each
+distinct half is decoded once per call; ``to_text`` also formats each
+distinct coefficient once per call.
 
 Products.  ``_signed_products`` is the one loop over term pairs: it sums
 sign * a * b over a list of products in one integer dict over their common
@@ -45,6 +57,13 @@ Slot guard.  The top bit of every slot is a guard bit: stored slot values
 stay below 128, so the sum of two stored keys never carries from one slot
 into the next.  Every operation that adds keys checks its result keys and
 raises ``OverflowError`` when a multiplicity or exponent reaches 128.
+
+Kept OR.  Each ``EPoly`` keeps the OR of its keys, every slot that some
+term uses.  ``signed_products``, ``generator_bracket_sum``, the Leibniz
+bracket and ``from_integers`` take it from their slot-guard pass; other
+values, ``*`` included, compute it on first use, because most products are
+small coefficients that never read it.  ``support``, ``supported_in``, the
+size bound and the index width read it.
 
 Canonical form.  Zero numerators are never stored and the denominator is
 coprime to the numerators (1 for the zero polynomial), so two values are
@@ -87,6 +106,8 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 _MAX_EXP = (1 << (_SLOT_BITS - 1)) - 1
 _SYM_BITS = _SLOT_BITS * _NSYM
 _SYM_MASK = (1 << _SYM_BITS) - 1
+# 256 = 1 mod 255: a generator part's residue mod 255 is its slot sum mod 255
+_SIZE_MODULUS = 255
 # Bit offset of each symbol's slot; ``n`` is the most significant.
 _SYM_SHIFT = tuple(_SLOT_BITS * (_NSYM - 1 - i) for i in range(_NSYM))
 
@@ -130,12 +151,26 @@ def _index_width(g: int) -> int:
     return 2 * ((g.bit_length() + 15) // 16)
 
 
-def _index_vector(g: int, width: int) -> bytes:
-    """Multiplicities of e[-width/2] .. e[width/2 - 1], in index order, of a
-    generator part: the odd slots (negative indices) reversed, then the even
-    ones."""
-    slots = g.to_bytes(width, "little")
-    return slots[::-2] + slots[::2]
+@lru_cache(maxsize=None)
+def _parity_masks(width: int) -> tuple[int, int]:
+    """Masks of the odd slots and of the even slots of ``width`` bytes."""
+    odd = int.from_bytes(b"\x00\xff" * (width // 2), "little")
+    return odd, odd >> _SLOT_BITS
+
+
+def _index_vector(g: int, width: int) -> int:
+    """Index vector of a generator part: the multiplicities of
+    e[-width/2] .. e[width/2 - 1], in index order, in the even bytes of a
+    big-endian integer of 2*width bytes whose odd bytes are zero.  The odd
+    slots (negative indices, the most negative highest) stay in place above
+    the byte-reversed even slots."""
+    odd, even = _parity_masks(width)
+    return (g & odd) << 8 * width | int.from_bytes((g & even).to_bytes(width, "little"), "big")
+
+
+def _multiplicities(vector: int, nbytes: int) -> bytes:
+    """The even bytes of the ``nbytes``-byte big-endian ``vector``."""
+    return vector.to_bytes(nbytes, "big")[::2]
 
 
 def _indices(vector: bytes, first: int) -> tuple[int, ...]:
@@ -156,7 +191,7 @@ def _mono(key: int) -> tuple[int, ...]:
     """Sorted index tuple of the generator part of a key."""
     g = key >> _SYM_BITS
     width = _index_width(g)
-    return _indices(_index_vector(g, width), -width // 2)
+    return _indices(_multiplicities(_index_vector(g, width), 2 * width), -width // 2)
 
 
 def _pack_mono(mono) -> int:
@@ -172,12 +207,14 @@ def _guard(nbytes: int) -> int:
     return int.from_bytes(b"\x80" * nbytes, "little")
 
 
-def _check_slots(keys) -> None:
-    """Raise when any key has a slot at or above 128 (its guard bit set)."""
+def _check_slots(keys) -> int:
+    """The OR of the keys; raise when any key has a slot at or above 128 (its
+    guard bit set)."""
     merged = reduce(or_, keys, 0)
     if merged & _guard((merged.bit_length() + 7) // 8):
         raise OverflowError(
             f"a generator multiplicity or symbol exponent exceeds {_MAX_EXP}")
+    return merged
 
 
 @lru_cache(maxsize=None)
@@ -238,10 +275,11 @@ _Pairs = Collection[tuple[int, int]]
 
 
 def _signed_products(products: Sequence[tuple[int, _Pairs, int, _Pairs, int]]
-                     ) -> tuple[Terms, int]:
+                     ) -> tuple[Terms, int, int]:
     """Sum of sign * a / da * b / db over (sign, a, da, b, db) products,
     accumulated in one integer dict over their common denominator; the
-    slot guard is checked and the result reduced once."""
+    slot guard is checked and the result reduced once.  Returns the terms,
+    the denominator and the OR of the keys."""
     common = lcm(*(da * db for _, _, da, _, db in products))
     acc: Terms = {}
     get = acc.get
@@ -256,15 +294,15 @@ def _signed_products(products: Sequence[tuple[int, _Pairs, int, _Pairs, int]]
                 acc[k] = get(k, 0) + v1 * v2
     if 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
-    _check_slots(acc)
-    return _reduce(acc, common)
+    merged = _check_slots(acc)
+    return (*_reduce(acc, common), merged)
 
 
 def _mul(a: Terms, da: int, b: Terms, db: int) -> tuple[Terms, int]:
     if len(a) > len(b):
         a, b = b, a
     if len(a) != 1:
-        return _signed_products(((1, a.items(), da, b.items(), db),))
+        return _signed_products(((1, a.items(), da, b.items(), db),))[:2]
     ((k1, v1),) = a.items()
     acc = {k1 + k2: v1 * v2 for k2, v2 in b.items()}
     _check_slots(acc)
@@ -343,7 +381,7 @@ def _compose(terms: Terms, den: int,
         for i, e in enumerate(exps):
             part = _mul(*part, *power(i, e))
         products.append((1, group.items(), 1, part[0].items(), part[1]))
-    acc, acc_den = _signed_products(products)
+    acc, acc_den, _ = _signed_products(products)
     return _reduce(acc, acc_den * den)
 
 
@@ -392,40 +430,53 @@ def _coefficient_value(items, den: int, vals: dict[int, complex]) -> complex:
     return total
 
 
-def _graded_lex(terms: Terms, decode: Callable[[bytes, int], Sequence]
-                ) -> Iterator[tuple[Sequence, int, int, list[tuple[int, int]] | None]]:
-    """Terms by generator monomial in graded lexicographic order.
+def _graded_lex(terms: Terms, merged: int, decode: Callable[[bytes, int], Sequence]
+                ) -> Iterator[tuple[Sequence, Sequence, int, int, list[tuple[int, int]] | None]]:
+    """Terms by generator monomial in graded lexicographic order, from the
+    terms and the OR of their keys.
 
-    Yields (monomial, sym_key, num, items) per monomial.  ``items`` is None
+    Yields (low, high, sym_key, num, items) per monomial.  ``items`` is None
     when the monomial has the single term (sym_key, num); otherwise it lists
     its (sym_key, num) terms in descending symbol-key order, and sym_key and
-    num are 0.  The monomial is ``decode(low) + decode(high)`` over the two
-    halves of its index vector, where ``decode(multiplicities, first
-    index)`` runs once per distinct half.
+    num are 0.  The monomial is ``low + high``, the decodes of the two halves
+    of its index vector, where ``decode(multiplicities, first index)`` runs
+    once per distinct half.
 
-    Each term sorts as one integer: its size, the complement of its index
-    vector and the complement of its symbol key, most significant first.
+    Each term sorts as one integer, in descending order: the size's
+    complement to a bound on every size, the index vector and the symbol
+    key, most significant first.
     """
-    merged = reduce(or_, terms, 0) >> _SYM_BITS
-    width = _index_width(merged)
-    vbits = 8 * width
-    vmask = (1 << vbits) - 1
+    gens = merged >> _SYM_BITS
+    width = _index_width(gens)
+    vbytes = 2 * width
+    odd, even = _parity_masks(width)
+    # the size sits above the index vector; with no negative index the odd
+    # half of every vector is zero, so it sits right above the even half
+    vbits = 8 * (vbytes if gens & odd else width)
+    # no size exceeds the slot sum of the OR; below the modulus every size
+    # is its own residue
+    top = sum(gens.to_bytes(width, "little"))
+    residue = top < _SIZE_MODULUS
+    from_bytes = int.from_bytes
     ranked: Terms = {}
     for k, num in terms.items():
+        g = k >> _SYM_BITS
+        size = g % _SIZE_MODULUS if residue else sum(g.to_bytes(width, "little"))
         # _index_vector inlined: this loop runs once per term
-        slots = (k >> _SYM_BITS).to_bytes(width, "little")
-        vector = int.from_bytes(slots[::-2] + slots[::2], "big")
-        ranked[(sum(slots) << vbits | vector ^ vmask) << _SYM_BITS
-               | k & _SYM_MASK ^ _SYM_MASK] = num
-    order = sorted(ranked)
+        ranked[((top - size) << vbits | (g & odd) << 8 * width
+                | from_bytes((g & even).to_bytes(width, "little"), "big")) << _SYM_BITS
+               | k & _SYM_MASK] = num
+    order = sorted(ranked, reverse=True)
     # Split the occurring positions start..stop-1 of the index vector in the
     # middle, so that each half takes few distinct values; the halves are
     # decoded without the zero bytes outside those positions.
-    used = [i for i, mult in enumerate(_index_vector(merged, width)) if mult]
+    used = [i for i, mult in enumerate(_multiplicities(_index_vector(gens, width), vbytes))
+            if mult]
     start, stop = (used[0], used[-1] + 1) if used else (0, 0)
     split = (start + stop) // 2
     # the low-index half is the more significant part of the vector
-    high_bits = 8 * (width - split)
+    high_bits = 16 * (width - split)
+    vmask = (1 << vbits) - 1
     high_mask = (1 << high_bits) - 1
     first = -width // 2
     lows: dict[int, Sequence] = {}
@@ -437,19 +488,19 @@ def _graded_lex(terms: Terms, decode: Callable[[bytes, int], Sequence]
         j = i + 1
         while j < count and order[j] >> _SYM_BITS == mono:
             j += 1
-        vector = mono & vmask ^ vmask
+        vector = mono & vmask
         low, high = vector >> high_bits, vector & high_mask
         lo = lows.get(low)
         if lo is None:
-            lo = lows[low] = decode(low.to_bytes(split - start, "big"), first + start)
+            lo = lows[low] = decode(_multiplicities(low, 2 * (split - start)), first + start)
         hi = highs.get(high)
         if hi is None:
-            hi = highs[high] = decode(high.to_bytes(width - split, "big")[:stop - split],
+            hi = highs[high] = decode(_multiplicities(high, 2 * (width - split))[:stop - split],
                                       first + split)
         if j == i + 1:
-            yield lo + hi, key & _SYM_MASK ^ _SYM_MASK, ranked[key], None
+            yield lo, hi, key & _SYM_MASK, ranked[key], None
         else:
-            yield lo + hi, 0, 0, [(k & _SYM_MASK ^ _SYM_MASK, ranked[k]) for k in order[i:j]]
+            yield lo, hi, 0, 0, [(k & _SYM_MASK, ranked[k]) for k in order[i:j]]
         i = j
 
 
@@ -667,7 +718,7 @@ class EPoly(_Packed):
     ``ParamPoly`` or rational coefficients.  Immutable and canonical.
     """
 
-    __slots__ = ("_values", "_dp")
+    __slots__ = ("_or", "_values", "_dp")
 
     def __init__(self, terms: Mapping[tuple, ParamPoly | Rational] | None = None):
         acc: dict[int, Fraction] = {}
@@ -716,8 +767,15 @@ class EPoly(_Packed):
             key = _pack_mono(mono) + d * n_unit
             acc[key] = acc.get(key, 0) + num
         acc = {k: v for k, v in acc.items() if v}
-        _check_slots(acc)
-        return cls._wrap(*_reduce(acc, den))
+        merged = _check_slots(acc)
+        return cls._keep(*_reduce(acc, den), merged)
+
+    @classmethod
+    def _keep(cls, terms: Terms, den: int, merged: int) -> "EPoly":
+        """A value that keeps ``merged``, the OR of its keys."""
+        out = cls._wrap(terms, den)
+        out._or = merged
+        return out
 
     # -- ring operations ------------------------------------------------
 
@@ -743,11 +801,11 @@ class EPoly(_Packed):
         rows = []
         for a, pa in dp.items():
             # h = sum over b of rule(a, b) * dQ/de[b]
-            h, den = _signed_products([(1, r._terms.items(), r._den, qb, other._den)
-                                       for b, qb in dq.items() if (r := rule(a, b))])
+            h, den, _ = _signed_products([(1, r._terms.items(), r._den, qb, other._den)
+                                          for b, qb in dq.items() if (r := rule(a, b))])
             if h:
                 rows.append((1, h.items(), den, pa, self._den))
-        return self._wrap(*_signed_products(rows))
+        return self._keep(*_signed_products(rows))
 
     def with_partials(self) -> "EPoly":
         """An equal value that keeps its partial derivatives for
@@ -770,12 +828,24 @@ class EPoly(_Packed):
         evaluate one element many times."""
         if self._view is None:
             self._view = tuple(
-                (mono, [(sym_key, num)] if items is None else items)
-                for mono, sym_key, num, items in _graded_lex(self._terms, _indices))
+                (lo + hi, [(sym_key, num)] if items is None else items)
+                for lo, hi, sym_key, num, items
+                in _graded_lex(self._terms, self._merged(), _indices))
         return self._view
 
+    def _merged(self) -> int:
+        """OR of the keys, every slot that some term uses: kept from the
+        kernel's slot guard, or computed on first use."""
+        merged = getattr(self, "_or", None)
+        if merged is None:
+            merged = self._or = reduce(or_, self._terms, 0)
+        return merged
+
     def _degrees(self) -> set[int]:
-        """Sizes of the monomials that occur."""
+        """Sizes of the monomials that occur: the residues of the generator
+        parts when the slots of the OR of the keys sum below the modulus."""
+        if sum(_gen_bytes(self._merged())) < _SIZE_MODULUS:
+            return {(k >> _SYM_BITS) % _SIZE_MODULUS for k in self._terms}
         return {sum(_gen_bytes(k)) for k in self._terms}
 
     def terms(self) -> Iterator[tuple[tuple, ParamPoly]]:
@@ -806,11 +876,11 @@ class EPoly(_Packed):
     def supported_in(self, allowed: "IndexSet") -> bool:
         """True when every generator that occurs is in ``allowed``: one test of
         the OR of the keys against the mask of the allowed slots."""
-        return not reduce(or_, self._terms, 0) & ~allowed.key_mask
+        return not self._merged() & ~allowed.key_mask
 
     def support(self) -> set[int]:
         """Generator indices occurring with nonzero coefficient."""
-        slots = _gen_bytes(reduce(or_, self._terms, 0))
+        slots = _gen_bytes(self._merged())
         return {slot >> 1 if not slot & 1 else ~(slot >> 1)
                 for slot, mult in enumerate(slots) if mult}
 
@@ -875,20 +945,33 @@ class EPoly(_Packed):
         if not self._terms:
             return "0"
         den = self._den
-        singles: dict[int, str] = {}  # "(coefficient)" of one term, by num and sym_key
-        parts = []
-        for mono, sym_key, num, items in _graded_lex(self._terms, _indices_text):
+        # " + (coefficient)", by num and sym_key for one term, by items for more
+        singles: dict[int, str] = {}
+        multis: dict[tuple[tuple[int, int], ...], str] = {}
+        parts: list[str] = []
+        append = parts.append
+        for lo, hi, sym_key, num, items in _graded_lex(self._terms, self._merged(),
+                                                       _indices_text):
             if items is None:
                 single = num << _SYM_BITS | sym_key
                 coeff = singles.get(single)
                 if coeff is None:
                     body = _term_text(sym_key, abs(num), den)
-                    coeff = singles[single] = f"({body})" if num > 0 else f"(-{body})"
+                    coeff = singles[single] = f" + ({body})" if num > 0 else f" + (-{body})"
             else:
-                coeff = f"({_coefficient_text(items, den)})"
-            # mono is "*e[a]*e[b]...", or empty for the unit monomial
-            parts.append(coeff + (mono or "*1"))
-        return " + ".join(parts)
+                items = tuple(items)
+                coeff = multis.get(items)
+                if coeff is None:
+                    coeff = multis[items] = f" + ({_coefficient_text(items, den)})"
+            # the halves are "*e[a]*e[b]..." or empty
+            append(coeff)
+            append(lo)
+            append(hi)
+        parts[0] = parts[0][3:]
+        # only the first monomial can be the unit monomial
+        if not (parts[1] or parts[2]):
+            parts[1] = "*1"
+        return "".join(parts)
 
 
 EPoly._OPERANDS = (EPoly, ParamPoly)
@@ -905,7 +988,7 @@ def generator_bracket_sum(items: Iterable[tuple[int, Partials]],
     product goes into one integer dict over one common denominator, which is
     reduced once.  ``rule`` is called once per (alpha, beta) that occurs.
     """
-    return EPoly._wrap(*_signed_products([
+    return EPoly._keep(*_signed_products([
         (1, r._terms.items(), r._den, part, den)
         for alpha, (parts, den) in items for beta, part in parts.items()
         if (r := rule(alpha, beta))]))
@@ -916,7 +999,7 @@ def signed_products(products: Iterable[tuple[int, EPoly, EPoly]]) -> EPoly:
 
     Equal to adding up the products with ``+`` and ``-``, but every product
     goes into one integer dict, so no product or partial sum is built."""
-    return EPoly._wrap(*_signed_products(
+    return EPoly._keep(*_signed_products(
         [(sign, a._terms.items(), a._den, b._terms.items(), b._den) for sign, a, b in products]))
 
 

@@ -2,20 +2,26 @@
 grading, substitution, and the text round trip."""
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elliptic_poisson.casimirs import casimirs
 from elliptic_poisson.poly import (
     SYMBOLS,
     EPoly,
     IndexSet,
     ParamPoly,
+    generator_bracket_sum,
     parse_epoly,
     parse_parampoly,
+    signed_products,
 )
-from elliptic_poisson.poly import _SYM_BITS, _SYM_MASK, _collect, _compose, _substitute
+from elliptic_poisson.poly import (
+    _SYM_BITS, _SYM_MASK, _collect, _compose, _gen_bytes, _substitute)
 
 N = ParamPoly.symbol("n")
 G2 = ParamPoly.symbol("g2")
@@ -321,10 +327,33 @@ wide_monomials = st.lists(
     min_size=0, max_size=5,
 ).map(tuple)
 
+# up to 127 copies of up to four indices: sizes on both sides of 255, below
+# which a size is its own residue mod 255
+big_monomials = st.dictionaries(
+    st.integers(min_value=-6, max_value=8), st.integers(min_value=1, max_value=127),
+    max_size=4,
+).map(lambda powers: tuple(a for a, mult in powers.items() for _ in range(mult)))
+
+# a few fixed multi-term coefficients, so that equal coefficients repeat
+repeated_coefficients = st.sampled_from(
+    [G2 - 1, N * N + G3 * Fraction(3, 2), 2 * N - Fraction(1, 3)])
+
 wide_e_polys = st.builds(
     EPoly,
-    st.dictionaries(wide_monomials, st.one_of(param_polys, rationals), max_size=8),
+    st.dictionaries(st.one_of(wide_monomials, big_monomials),
+                    st.one_of(param_polys, rationals, repeated_coefficients), max_size=8),
 )
+
+
+def _power(*powers):
+    """e[a]^m * ... over (a, m) pairs."""
+    return EPoly.monomial(tuple(a for a, mult in powers for _ in range(mult)))
+
+
+# slot sums 254, 255 and 260: only the first is its own residue mod 255
+P254 = _power((0, 127), (2, 127))
+P255 = _power((0, 127), (2, 127), (4, 1))
+P260 = _power((0, 100), (2, 100), (4, 60))
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,6 +382,84 @@ def test_graded_lex_examples():
         (), (2,), (-40, 40), (-3, -3), (-3, 5), (-1, 0, 0), (0, 0, 0)]
     assert p.to_text() == _old_text(p)
     assert EPoly.zero()._groups() == ()
+    # sizes at and past the residue bound sort after smaller ones
+    q = P255 + P260 * N + P254 + EPoly.gen(3) + EPoly.one() + _power((-2, 127), (5, 128 - 1))
+    assert [len(m) for m, _ in q.terms()] == [0, 1, 254, 254, 255, 260]
+    assert q.to_text() == _old_text(q)
+    # the slots of the OR sum to 255 and one size is 255, whose residue is 0
+    r = P255 + EPoly.gen(2) + EPoly.one()
+    assert [len(m) for m, _ in r.terms()] == [0, 1, 255]
+    assert r.to_text() == _old_text(r)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_casimir_text_matches_tuple_sort(n):
+    for elem in casimirs(n).elements:
+        # a fresh value, so that the memoized element keeps no decoded view
+        p = EPoly._keep(elem._terms, elem._den, elem._merged())
+        assert p._groups() == tuple((mono, sorted(items, reverse=True))
+                                    for mono, items in _old_groups(p))
+        assert p.to_text() == _old_text(p)
+
+
+def _slot_sums(p):
+    return {sum(_gen_bytes(k)) for k in p._terms}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(EPoly, st.dictionaries(st.one_of(big_monomials, monomials),
+                                        st.one_of(param_polys, rationals), max_size=4)))
+def test_degrees_match_slot_sums(p):
+    sizes = _slot_sums(p)
+    assert p.degree() == max(sizes, default=0)
+    assert p.homogeneous_degree() == (min(sizes) if len(sizes) == 1 else None)
+    assert p.is_linear() == (sizes == {1})
+
+
+def test_degrees_at_the_residue_bound():
+    assert (P254.degree(), P255.degree(), P260.degree()) == (254, 255, 260)
+    assert P255.homogeneous_degree() == 255
+    assert P260.homogeneous_degree() == 260
+    # 255 and 0, 260 and 5 share their residues
+    assert (P255 + EPoly.one()).homogeneous_degree() is None
+    assert (P260 + _power((3, 5))).homogeneous_degree() is None
+    assert (P260 + _power((3, 5))).degree() == 260
+    assert EPoly.zero().degree() == 0
+    assert EPoly.zero().homogeneous_degree() is None
+    assert EPoly.one().homogeneous_degree() == 0
+    assert not EPoly.zero().is_linear() and not EPoly.one().is_linear()
+    assert (EPoly.gen(-3) + EPoly.gen(7) * N).is_linear()
+    assert not (EPoly.gen(-3) + P255).is_linear()
+
+
+def _has_exact_or(p):
+    merged = reduce(or_, p._terms, 0)
+    return getattr(p, "_or", None) in (None, merged) and p._merged() == merged
+
+
+integer_items = st.lists(st.tuples(monomials, st.integers(min_value=0, max_value=4),
+                                   st.integers(min_value=-9, max_value=9)), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e_polys, e_polys, integer_items, st.integers(min_value=1, max_value=12))
+def test_kept_or_matches_the_keys(a, b, items, den):
+    assert _has_exact_or(a)  # from __init__, computed here and kept
+    # the kernel and the integer constructor keep the OR of their guard check
+    kept = [
+        signed_products([(1, a, b), (-1, b, b)]),
+        a.bracket(b, lambda x, y: EPoly.monomial((x, y), N)),
+        generator_bracket_sum([(2, b.partials())], lambda x, y: EPoly.gen(x - y)),
+        EPoly.from_integers(items, den),
+    ]
+    assert all(v._or is not None for v in kept)
+    others = [-a, a * b, a * G2, a.with_partials(),
+              a.substitute_params({"n": Fraction(3, 2), "g2": 0}),
+              *a.collect_symbol("g2").values()]
+    if all(mono.count(2) < 2 for mono, _ in a.terms()):
+        others += a.split_linear(2)
+    for v in kept + others:
+        assert _has_exact_or(v)
 
 
 def test_coefficient_values_kept_per_parameters():
