@@ -10,6 +10,12 @@ Bracket conventions (all exact, with the degree parameter ``n`` formal):
 Infinite tail sums with matching index totals and residues are reduced in
 closed form to their finite difference; the truncation oracle lives in the
 test suite only.
+
+The basis brackets are built in integers from packed monomial keys.  A
+generator bracket c1*{,}_1 + c2*{,}_2 + c3*{,}_3 is one ``signed_products``
+accumulation of the three coefficient-times-basis products, with ``n``
+formal; at a numeric ``n`` it is that memoized bracket with ``n``
+substituted, so each pair is combined once for every n.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .poly import EPoly, IndexSet, ParamPoly, Partials, generator_bracket_sum
+from .poly import (EPoly, IndexSet, ParamPoly, Partials, _unit, generator_bracket_sum,
+                   signed_products)
 from .report import Report, Tally
 
 __all__ = [
@@ -55,8 +62,9 @@ class SDiffSpec:
             raise ValueError(f"{a} and {c} are not congruent mod {self.k}")
 
 
-def _sdiff_terms(spec: SDiffSpec) -> list[tuple[tuple[int, int], int]]:
-    """(monomial, sign) terms of :func:`s_diff`; monomials may coincide."""
+def _sdiff_terms(spec: SDiffSpec) -> list[tuple[int, int]]:
+    """(packed monomial key, sign) terms of :func:`s_diff`; monomials may
+    coincide."""
     k = spec.k
     a, b = spec.first
     c, d = spec.second
@@ -64,7 +72,7 @@ def _sdiff_terms(spec: SDiffSpec) -> list[tuple[tuple[int, int], int]]:
         sign, base_a, base_b, m = 1, a, b, (c - a) // k
     else:
         sign, base_a, base_b, m = -1, c, d, (a - c) // k
-    return [((base_a + k * r, base_b - k * r), sign) for r in range(m)]
+    return [(_unit(base_a + k * r) + _unit(base_b - k * r), sign) for r in range(m)]
 
 
 def s_diff(spec: SDiffSpec) -> EPoly:
@@ -74,16 +82,18 @@ def s_diff(spec: SDiffSpec) -> EPoly:
     sum_{r=0}^{(c-a)/k - 1} e[a+k*r] * e[b-k*r]; the orientation flips the
     sign when a > c.
     """
-    return EPoly.from_integers((mono, 0, sign) for mono, sign in _sdiff_terms(spec))
+    return EPoly.from_integers((key, 0, sign) for key, sign in _sdiff_terms(spec))
 
 
 def _basis_terms(k: int, first: tuple[int, int], second: tuple[int, int],
                  *rest: tuple[tuple[int, int], int, int]):
-    """The terms n * s_diff(k, first, second) followed by ``rest``, as
-    (monomial, degree in n, numerator) items for ``EPoly.from_integers``."""
-    for mono, sign in _sdiff_terms(SDiffSpec(k, first, second)):
-        yield mono, 1, sign
-    yield from rest
+    """The terms n * s_diff(k, first, second) followed by the
+    ((a, b), degree in n, numerator) terms ``rest``, as (packed monomial key,
+    degree in n, numerator) items for ``EPoly.from_integers``."""
+    for key, sign in _sdiff_terms(SDiffSpec(k, first, second)):
+        yield key, 1, sign
+    for (a, b), d, num in rest:
+        yield _unit(a) + _unit(b), d, num
 
 
 @lru_cache(maxsize=None)
@@ -174,13 +184,14 @@ class BracketSpec:
 @lru_cache(maxsize=None)
 def _generator_bracket_cached(alpha: int, beta: int, spec: BracketSpec,
                               n_value: Fraction | None) -> EPoly:
-    res = EPoly.zero()
-    for i, c in ((1, spec.c1), (2, spec.c2), (3, spec.c3)):
-        if c:
-            res = res + c * bracket_basis(i, alpha, beta)
+    """c1*{e_a, e_b}_1 + c2*{e_a, e_b}_2 + c3*{e_a, e_b}_3 in one accumulation
+    (a ``ParamPoly`` key is an ``EPoly`` key); at a numeric n, the bracket
+    with n formal, memoized too, with n substituted."""
     if n_value is not None:
-        res = res.substitute_params({"n": n_value})
-    return res
+        formal = _generator_bracket_cached(alpha, beta, spec, None)
+        return formal.substitute_params({"n": n_value})
+    return signed_products((1, c, bracket_basis(i, alpha, beta))
+                           for i, c in ((1, spec.c1), (2, spec.c2), (3, spec.c3)) if c)
 
 
 def generator_bracket(alpha: int, beta: int, spec: BracketSpec,

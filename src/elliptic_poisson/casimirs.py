@@ -27,14 +27,12 @@ __all__ = [
     "CasimirSet",
     "IntegrityError",
     "fmul",
-    "fmul_poly",
     "wp_shift",
     "build_matrix",
     "sym_det",
     "casimir_even",
     "casimir_odd",
     "casimirs",
-    "substituted_casimirs",
     "verify_central",
     "rank1_identity_check",
     "involution_family",
@@ -99,17 +97,6 @@ def fmul(alpha: int, beta: int) -> EPoly:
         - EPoly.monomial((s - 4,), _G2 * _QUARTER)
         - EPoly.monomial((s - 6,), _G3 * _QUARTER)
     )
-
-
-def fmul_poly(P: EPoly, Q: EPoly) -> EPoly:
-    """Bilinear extension of ``fmul`` to degree-1 elements."""
-    if (P and not P.is_linear()) or (Q and not Q.is_linear()):
-        raise ValueError("function products need degree-1 operands")
-    out = EPoly.zero()
-    for (a,), ca in P.terms():
-        for (b,), cb in Q.terms():
-            out = out + fmul(a, b) * ca * cb
-    return out
 
 
 def wp_shift(P: EPoly, steps: int) -> EPoly:
@@ -281,25 +268,6 @@ def casimirs(n: int) -> CasimirSet:
     return casimir_even(n) if n % 2 == 0 else casimir_odd(n)
 
 
-def substituted_casimirs(n: int, l1: Fraction, l2: Fraction, l3: Fraction) -> CasimirSet:
-    """Central elements for a custom combination with nonzero first entry.
-
-    Scaling a bracket preserves its central elements, so the combination
-    (l1, l2, l3) shares them with (1, l2/l1, l3/l1); the construction is
-    reused with g2 -> l2/l1, g3 -> l3/l1.
-    """
-    l1, l2, l3 = Fraction(l1), Fraction(l2), Fraction(l3)
-    if l1 == 0:
-        raise ValueError("degenerate pencils (first coefficient 0) are unsupported")
-    cs = casimirs(n)
-    assignment = {"g2": l2 / l1, "g3": l3 / l1}
-    return CasimirSet(
-        n=n,
-        elements=tuple(c.substitute_params(assignment) for c in cs.elements),
-        kind=cs.kind,
-    )
-
-
 def _tally_central(tally: Tally, elements, spec: BracketSpec, n: int) -> list[int]:
     """Tally {element, e[gamma]} under ``spec`` at numeric n, gamma in FN(n)."""
     gens = IndexSet.fn(n).members()
@@ -329,8 +297,13 @@ def rank1_identity_check(M: FMatrix, check_name: str = "rank1") -> Report:
         for ap in range(a + 1, size):
             for b in range(size):
                 for bp in range(b + 1, size):
-                    res = fmul_poly(M.entries[a][b], M.entries[ap][bp]) \
-                        - fmul_poly(M.entries[a][bp], M.entries[ap][b])
+                    # sum of sign * fmul(x, y) * cx * cy over the terms of both
+                    # entry products (every entry is linear)
+                    res = signed_products(
+                        (sign, fmul(x, y), cx * cy)
+                        for sign, P, Q in ((1, M.entries[a][b], M.entries[ap][bp]),
+                                           (-1, M.entries[a][bp], M.entries[ap][b]))
+                        for (x,), cx in P.terms() for (y,), cy in Q.terms())
                     tally.exact(res, [a + 1, b + 1, ap + 1, bp + 1])
     return tally.report(check_name, {"size": size})
 

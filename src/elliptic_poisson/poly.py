@@ -50,8 +50,8 @@ distinct coefficient once per call.
 
 Products.  ``_signed_products`` is the one loop over term pairs: it sums
 sign * a * b over a list of products in one integer dict over their common
-denominator.  ``*``, composition, the Leibniz bracket, generator bracket
-sums, determinant minors and the odd elimination all go through it.
+denominator.  ``*``, composition, the Leibniz bracket, generator brackets
+and their sums, determinant minors and the odd elimination all go through it.
 
 Slot guard.  The top bit of every slot is a guard bit: stored slot values
 stay below 128, so the sum of two stored keys never carries from one slot
@@ -750,21 +750,23 @@ class EPoly(_Packed):
         return cls({tuple(indices): coeff})
 
     @classmethod
-    def from_integers(cls, terms: Iterable[tuple[tuple[int, ...], int, int]],
-                      den: int = 1) -> "EPoly":
-        """Sum of num * n^d * e[mono] / den over (mono, d, num) items.
+    def from_integers(cls, terms: Iterable[tuple[int, int, int]], den: int = 1) -> "EPoly":
+        """Sum of num * n^d * e[mono] / den over (key, d, num) items, where
+        ``key`` is the packed generator key of ``mono``, a sum of slot units
+        (``_unit(a) + _unit(b)`` for e[a] e[b]).
 
         The packed constructor for coefficients that are integer polynomials
         in ``n`` over one positive denominator: terms are summed in integers
-        and reduced once, with no ``Fraction``."""
+        and reduced once, with no ``Fraction`` and no index tuple; the slot
+        guard checks the result keys."""
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
         n_unit = 1 << _SYM_SHIFT[0]
         acc: Terms = {}
-        for mono, d, num in terms:
+        for key, d, num in terms:
             if not 0 <= d <= _MAX_EXP:
                 raise OverflowError(f"symbol exponent {d} outside 0..{_MAX_EXP}")
-            key = _pack_mono(mono) + d * n_unit
+            key += d * n_unit
             acc[key] = acc.get(key, 0) + num
         acc = {k: v for k, v in acc.items() if v}
         merged = _check_slots(acc)
@@ -994,8 +996,9 @@ def generator_bracket_sum(items: Iterable[tuple[int, Partials]],
         if (r := rule(alpha, beta))]))
 
 
-def signed_products(products: Iterable[tuple[int, EPoly, EPoly]]) -> EPoly:
-    """Sum of sign * a * b over (sign, a, b) items.
+def signed_products(products: Iterable[tuple[int, _Packed, _Packed]]) -> EPoly:
+    """Sum of sign * a * b over (sign, a, b) items, each of a and b an
+    ``EPoly`` or a ``ParamPoly``.
 
     Equal to adding up the products with ``+`` and ``-``, but every product
     goes into one integer dict, so no product or partial sum is built."""

@@ -4,11 +4,11 @@ antisymmetry / grading / closure invariants, and the Jacobi sweeps."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elliptic_poisson import brackets
 from elliptic_poisson.cli import CLOSURE_BRACKETS
-from elliptic_poisson.poly import EPoly, IndexSet, ParamPoly
+from elliptic_poisson.poly import EPoly, IndexSet, ParamPoly, _pack_mono, _reduce
 from elliptic_poisson.report import Tally
 from elliptic_poisson.brackets import (
     BracketSpec,
@@ -23,6 +23,7 @@ from elliptic_poisson.brackets import (
 )
 
 N = ParamPoly.symbol("n")
+N_KEY = next(iter(N._terms))  # packed key of the symbol n
 HALF = Fraction(1, 2)
 
 
@@ -168,6 +169,109 @@ def test_custom_bracket_combination():
               + lam[1] * bracket_basis(2, 2, 3)
               + lam[2] * bracket_basis(3, 2, 3))
     assert got == expect
+
+
+# -- generator brackets against the product-sum construction ------------------
+
+def product_sum_bracket(alpha, beta, spec, n_value):
+    """The generator bracket built term by term: three ``ParamPoly * EPoly``
+    products added with ``+``, then n substituted."""
+    out = (spec.c1 * bracket_basis(1, alpha, beta) + spec.c2 * bracket_basis(2, alpha, beta)
+           + spec.c3 * bracket_basis(3, alpha, beta))
+    return out if n_value is None else out.substitute_params({"n": n_value})
+
+
+def tuple_from_integers(items, den):
+    """``EPoly.from_integers`` on (index tuple, degree in n, numerator)
+    items, each tuple packed by ``_pack_mono``."""
+    acc = {}
+    for mono, d, num in items:
+        key = _pack_mono(mono) + d * N_KEY
+        acc[key] = acc.get(key, 0) + num
+    return EPoly._wrap(*_reduce({k: v for k, v in acc.items() if v}, den))
+
+
+def tuple_bracket_basis(i, alpha, beta):
+    """``bracket_basis`` from index tuples: the same formulas, every monomial
+    packed by ``_pack_mono``."""
+    def terms(k, first, second, *rest):
+        (a, b), (c, d) = first, second
+        sign, base_a, base_b, m = ((1, a, b, (c - a) // k) if a < c
+                                   else (-1, c, d, (a - c) // k))
+        return [((base_a + k * r, base_b - k * r), 1, sign) for r in range(m)] + list(rest)
+
+    if i == 1:
+        return tuple_from_integers(terms(
+            1, (alpha + 1, beta), (beta + 1, alpha),
+            ((alpha + 1, beta), 0, 2 * alpha), ((alpha + 1, beta), 1, -2),
+            ((alpha, beta + 1), 0, -2 * beta), ((alpha, beta + 1), 1, 2)), 2)
+    if alpha % 2 == 0 and beta % 2 == 0:
+        return EPoly.zero()
+    if alpha % 2 and beta % 2 == 0:
+        return -tuple_bracket_basis(i, beta, alpha)
+    if alpha % 2 == 0:
+        a, b = alpha // 2, (beta - 3) // 2
+        if i == 2:
+            return tuple_from_integers(terms(
+                2, (2 * b + 2, 2 * a - 2), (2 * a, 2 * b),
+                ((2 * a, 2 * b), 0, 2 * (2 * b + 1))), 8)
+        return tuple_from_integers(terms(
+            2, (2 * b, 2 * a - 2), (2 * a, 2 * b - 2), ((2 * a, 2 * b - 2), 0, 4 * b)), 8)
+    a, b = (alpha - 3) // 2, (beta - 3) // 2
+    if i == 2:
+        return tuple_from_integers(terms(
+            2, (2 * b + 2, 2 * a + 1), (2 * a + 2, 2 * b + 1),
+            ((2 * a, 2 * b + 3), 0, -(2 * a + 1)), ((2 * a + 3, 2 * b), 0, 2 * b + 1)), 4)
+    return tuple_from_integers(terms(
+        2, (2 * b, 2 * a + 1), (2 * a, 2 * b + 1),
+        ((2 * a - 2, 2 * b + 3), 0, -2 * a), ((2 * a + 3, 2 * b - 2), 0, 2 * b)), 4)
+
+
+# multi-term coefficients with fractions and formal symbols, n among them
+coefficients = st.one_of(
+    st.just(ParamPoly.zero()),
+    st.builds(lambda terms: sum((ParamPoly.symbol(s) ** e * c for s, e, c in terms),
+                                ParamPoly.zero()),
+              st.lists(st.tuples(st.sampled_from(["n", "g2", "g3", "l1"]),
+                                 st.integers(0, 2),
+                                 st.fractions(-5, 5, max_denominator=6)),
+                       min_size=1, max_size=4)),
+)
+bracket_specs = st.builds(BracketSpec, coefficients, coefficients, coefficients)
+indices = st.integers(-4, 14)
+n_values = st.one_of(st.none(), st.integers(-3, 16), st.fractions(-7, 7, max_denominator=9))
+
+
+ZERO_SPEC = BracketSpec(ParamPoly.zero(), ParamPoly.zero(), ParamPoly.zero())
+HALF_SPEC = BracketSpec(N * HALF - 1, ParamPoly.zero(), ParamPoly.symbol("g3") * Fraction(2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_specs, indices, indices, st.booleans(), n_values)
+@example(ZERO_SPEC, -4, 14, False, None)
+@example(ZERO_SPEC, 5, 5, True, Fraction(3, 2))
+@example(HALF_SPEC, -3, 14, False, None)
+@example(HALF_SPEC, 7, -4, False, 4)
+@example(HALF_SPEC, -2, -2, True, Fraction(-5, 3))
+def test_generator_bracket_matches_product_sum(spec, alpha, beta, equal, n_value):
+    if equal:
+        beta = alpha
+    got = generator_bracket(alpha, beta, spec, n_value)
+    expect = product_sum_bracket(alpha, beta, spec, n_value)
+    assert got == expect
+    assert got.to_text() == expect.to_text()
+    assert got.support() == expect.support()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3]), indices, indices, st.booleans())
+def test_bracket_basis_matches_tuple_keys(i, alpha, beta, equal):
+    if equal:
+        beta = alpha
+    got = bracket_basis(i, alpha, beta)
+    expect = tuple_bracket_basis(i, alpha, beta)
+    assert got == expect
+    assert got.support() == expect.support()
 
 
 # -- Jacobi -------------------------------------------------------------------

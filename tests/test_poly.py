@@ -21,7 +21,7 @@ from elliptic_poisson.poly import (
     signed_products,
 )
 from elliptic_poisson.poly import (
-    _SYM_BITS, _SYM_MASK, _collect, _compose, _gen_bytes, _substitute)
+    _SYM_BITS, _SYM_MASK, _collect, _compose, _gen_bytes, _pack_mono, _substitute)
 
 N = ParamPoly.symbol("n")
 G2 = ParamPoly.symbol("g2")
@@ -437,7 +437,9 @@ def _has_exact_or(p):
     return getattr(p, "_or", None) in (None, merged) and p._merged() == merged
 
 
-integer_items = st.lists(st.tuples(monomials, st.integers(min_value=0, max_value=4),
+# (packed monomial key, degree in n, numerator) items of EPoly.from_integers
+integer_items = st.lists(st.tuples(monomials.map(_pack_mono),
+                                   st.integers(min_value=0, max_value=4),
                                    st.integers(min_value=-9, max_value=9)), max_size=5)
 
 
