@@ -4,12 +4,12 @@ of quadratic Poisson brackets with an elliptic functional realization.
 Subpackage map:
 
 * :mod:`elliptic_poisson.poly`: exact coefficient ring and generator algebra
-* :mod:`elliptic_poisson.brackets`: the three basis brackets, pencils,
-  Jacobi / compatibility / closure verifiers
+* :mod:`elliptic_poisson.brackets`: the three basis brackets, their
+  combinations, Jacobi / compatibility / closure verifiers
 * :mod:`elliptic_poisson.weierstrass`: lattice numerics, the two-point
   bracket, symmetric evaluation
-* :mod:`elliptic_poisson.casimirs`: central-element constructions and the
-  pencil involution families
+* :mod:`elliptic_poisson.casimirs`: central-element constructions, their
+  centrality, and the involution of the pencil family
 * :mod:`elliptic_poisson.leaves`: the point-evaluation homomorphism,
   kernel and nondegeneracy checks
 * :mod:`elliptic_poisson.report`: check reports, the shared pass rule and

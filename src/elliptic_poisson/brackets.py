@@ -1,4 +1,4 @@
-"""The three quadratic generator brackets, pencils, and their verifiers.
+"""The three quadratic generator brackets, their combinations, and their verifiers.
 
 Bracket conventions (all exact, with the degree parameter ``n`` formal):
 

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,11 @@ import pytest
 import elliptic_poisson.weierstrass as weierstrass
 from elliptic_poisson.brackets import BracketSpec, bracket_poly
 from elliptic_poisson.casimirs import pencil_family
-from elliptic_poisson.poly import SYMBOLS, ParamPoly
+from elliptic_poisson.poly import SYMBOLS, EPoly, IndexSet, ParamPoly
 from elliptic_poisson.report import Tally
+
+# the module, not the function of the same name that the package re-exports
+casimirs_module = importlib.import_module("elliptic_poisson.casimirs")
 
 
 @pytest.fixture
@@ -69,3 +73,32 @@ def _pairwise_involution(n):
 def pairwise_involution():
     """Pairwise involution oracle, as a function of n."""
     return _pairwise_involution
+
+
+def _chain_involution(n):
+    """The involution report of ``casimirs(n)`` by Lenard chains computed the
+    long way: each central element with g2 -> g2 + t*s2, g3 -> g3 + t*s3
+    composed, bracketed with each generator of F_n under the shifted bracket
+    (1, g2 + t*s2, g3 + t*s3) = elliptic + t*direction at numeric n.
+    ``involution_family`` instead shifts the centrality brackets.  It reads
+    ``casimirs`` from its module at call time, so a patched one is used."""
+    t, s2, s3 = ParamPoly.symbol("t"), ParamPoly.symbol("s2"), ParamPoly.symbol("s3")
+    shift = {"g2": ParamPoly.symbol("g2") + t * s2, "g3": ParamPoly.symbol("g3") + t * s3}
+    spec = BracketSpec(ParamPoly.one(), shift["g2"], shift["g3"])
+    shifted = [elem.compose_params(shift) for elem in casimirs_module.casimirs(n).elements]
+    tally = Tally()
+    for ci, elem in enumerate(shifted):
+        elem = elem.with_partials()
+        for gamma in IndexSet.fn(n).members():
+            tally.exact(bracket_poly(elem, EPoly.gen(gamma), spec, n_value=Fraction(n)),
+                        "element {}, generator e[{}]", ci, gamma)
+    size = sum(len(elem.collect_symbol("t")) for elem in shifted)
+    params = {"n": n, "family_size": size, "pairs": size * (size - 1) // 2}
+    return tally.report(f"involution-n{n}", params)
+
+
+@pytest.fixture(scope="session")
+def chain_involution():
+    """Lenard-chain involution oracle on the shifted elements, as a function
+    of n."""
+    return _chain_involution

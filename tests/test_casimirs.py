@@ -403,6 +403,8 @@ def test_centrality_keeps_no_partials_on_the_memoized_elements():
     cs = casimirs(6)
     assert verify_central(cs).passed
     assert all(not hasattr(elem, "_dp") for elem in cs.elements)
+    assert involution_family(6).passed
+    assert all(not hasattr(elem, "_dp") for elem in cs.elements)
 
 
 def test_centrality_detects_noncentral():
@@ -477,7 +479,12 @@ def test_involution_matches_pairwise_oracle(pairwise_involution):
         assert rep.to_json() == pairwise_involution(n).to_json()
 
 
-@pytest.mark.parametrize("n", [9, 12])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_involution_matches_chain_oracle(n, chain_involution):
+    assert involution_family(n).to_json() == chain_involution(n).to_json()
+
+
+@pytest.mark.parametrize("n", [9, 12, 14])
 def test_involution_reach(n):
     rep = involution_family(n)
     assert rep.passed
@@ -485,10 +492,10 @@ def test_involution_reach(n):
     assert rep.parameters["family_size"] == len(pencil_family(n))
 
 
-@pytest.mark.parametrize("coeff", [1, G2, G3], ids=["1", "g2", "g3"])
+@pytest.mark.parametrize("coeff", [1, G2, G3, G2 * G3], ids=["1", "g2", "g3", "g2g3"])
 @pytest.mark.parametrize("n, which", [(5, 0), (6, 0), (6, 1)])
 def test_involution_perturbed_family_fails_both_checks(n, which, coeff, monkeypatch,
-                                                      pairwise_involution):
+                                                      pairwise_involution, chain_involution):
     # bump the coefficient of the first monomial of one central element
     module = importlib.import_module("elliptic_poisson.casimirs")
     real = casimirs(n)
@@ -500,6 +507,7 @@ def test_involution_perturbed_family_fails_both_checks(n, which, coeff, monkeypa
     rep = involution_family(n)
     assert not rep.passed
     assert rep.failures[0]["witness"].startswith(f"element {which}, generator e[")
+    assert rep.to_json() == chain_involution(n).to_json()
     assert not pairwise_involution(n).passed
 
 

@@ -129,6 +129,23 @@ def test_bracket_matches_reference(P, Q, spec, n_value):
     assert to_ref(kernel) == ref_bracket(P, Q, spec_rule(spec, n_value))
 
 
+# g2 -> g2 + t*s2, g3 -> g3 + t*s3: an injective ring map of the coefficients
+PENCIL_SHIFT = {"g2": ParamPoly.symbol("g2") + ParamPoly.symbol("t") * ParamPoly.symbol("s2"),
+                "g3": ParamPoly.symbol("g3") + ParamPoly.symbol("t") * ParamPoly.symbol("s3")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, elements, st.sampled_from([None, Fraction(7)]))
+def test_bracket_commutes_with_pencil_shift(P, Q, n_value):
+    # phi({P, Q}_elliptic) == {phi(P), phi(Q)}_phi(elliptic), with t, s2, s3
+    # (and every other symbol) free to occur in P and Q already
+    p, q = from_ref(P), from_ref(Q)
+    shifted = BracketSpec(ParamPoly.one(), PENCIL_SHIFT["g2"], PENCIL_SHIFT["g3"])
+    direct = bracket_poly(p, q, BracketSpec.elliptic(), n_value).compose_params(PENCIL_SHIFT)
+    assert direct == bracket_poly(p.compose_params(PENCIL_SHIFT), q.compose_params(PENCIL_SHIFT),
+                                  shifted, n_value)
+
+
 def ref_signed_products(items):
     acc = {}
     for sign, P, Q in items:
