@@ -53,7 +53,7 @@ TRIPLE_GUARDRAIL = 10_000
 
 CORE_WINDOW = (0, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 ACCEPTANCE_TAUS = ("i", "0.3+1.1i")
-ACCEPTANCE_FUNCTIONAL_N = (2, 3, 5, 8)
+ACCEPTANCE_FUNCTIONAL_N = tuple(map(Fraction, (2, 3, 5, 8)))
 ACCEPTANCE_CENTRAL_N = (3, 4, 5, 6, 7, 8)
 ACCEPTANCE_PROP3 = ((1, 4), (2, 5), (2, 6), (3, 7))
 ACCEPTANCE_KERNEL = ((4, 1), (6, 2), (3, 1), (5, 2), (7, 3))
@@ -169,11 +169,6 @@ def _resolve_bracket(name: str) -> BracketSpec:
     raise UsageError(f"unknown bracket {name!r}")
 
 
-def _golden_text(n: int) -> str:
-    path = resources.files("elliptic_poisson").joinpath(f"golden/v1/casimir_n{n}.txt")
-    return path.read_text(encoding="utf-8")
-
-
 def casimir_lines(cs: CasimirSet) -> list[str]:
     label = {"even-pair": ("C0", "C1"), "odd-single": ("C",)}[cs.kind]
     return [f"{name} = {elem.to_text()}" for name, elem in zip(label, cs.elements)]
@@ -183,7 +178,8 @@ def golden_casimir_check(n: int) -> Report:
     """Compare the built central elements with the shipped golden file."""
     tally = Tally()
     built = "\n".join(casimir_lines(casimirs(n))) + "\n"
-    frozen = _golden_text(n)
+    golden = resources.files("elliptic_poisson").joinpath(f"golden/v1/casimir_n{n}.txt")
+    frozen = golden.read_text(encoding="utf-8")
     if built != frozen:
         tally.fail(f"casimir n={n}", f"built:\n{built}\ngolden:\n{frozen}")
     return tally.report(f"casimir-golden-n{n}", {"n": n})
@@ -208,6 +204,50 @@ def bracket_table(window: list[int], n_value: Fraction | None) -> tuple[Report, 
     return rep, lines
 
 
+# -- acceptance blocks shared by `all` and the subcommands ---------------------
+
+
+def closure_reports(ns, specs) -> list[Report]:
+    """Closure of F_n under each named bracket, for each n."""
+    return [verify_closure(n, spec, check_name=f"closure-n{n}-b{name}")
+            for n in ns for name, spec in specs]
+
+
+def elliptic_reports(L, plan: SamplePlan, ns, suffix: str = "") -> list[Report]:
+    """Weierstrass self-test, Z-identities, and the functional cross-check at
+    each n on the window {0} u {2..min(8, n)}; ``suffix`` ends each check
+    name."""
+    reports = [
+        weierstrass_selftest(L, SamplePlan(plan.seed, plan.count, tolerance=1e-9),
+                             check_name=f"weierstrass-selftest{suffix}"),
+        identity5_sweep(L, SamplePlan(plan.seed, plan.count, tolerance=1e-8),
+                        check_name=f"identity5{suffix}"),
+    ]
+    for n in ns:
+        hi = min(8, int(n)) if n == int(n) else 8
+        reports.append(verify_functional(L, n, [0, *range(2, hi + 1)], plan,
+                                         check_name=f"functional{suffix}-n{n}"))
+    return reports
+
+
+def kernel_reports(cfg: LeafConfig, seed: int, count: int, vanish_count: int) -> list[Report]:
+    """Kernel membership of the central elements of degree n (``count``
+    samples), then the collision check of each (``vanish_count``)."""
+    n = int(cfg.n_value)
+    cs = casimirs(n)
+    reports = [kernel_check(cfg, cs, SamplePlan(seed, count, tolerance=1e-8))]
+    for ci, elem in enumerate(cs.elements):
+        reports.append(diagonal_vanish_check(
+            cfg, elem, SamplePlan(seed, vanish_count, tolerance=1e-8),
+            check_name=f"diagonal-vanish-n{n}-p{cfg.p}-c{ci}"))
+    return reports
+
+
+def nondegeneracy_report(cfg: LeafConfig, seed: int) -> Report:
+    """Nondegeneracy at the leaf sample drawn from ``Random(seed)``."""
+    return nondegeneracy_check(cfg, draw_leaf_sample(cfg, Random(seed)))
+
+
 # -- command implementations --------------------------------------------------
 
 
@@ -216,8 +256,7 @@ def _cmd_bracket_table(args, config, out):
     n_text = _effective(args, config, "n", None)
     n_value = None if n_text in (None, "formal") else parse_rational(str(n_text))
     rep, lines = bracket_table(window, n_value)
-    for line in lines:
-        out.write(line + "\n")
+    out.writelines(line + "\n" for line in lines)
     return [rep]
 
 
@@ -249,11 +288,7 @@ def _cmd_verify_closure(args, config, out):
         ns = [parse_degree(n_text, 2, "closure check")]
     bracket = _effective(args, config, "bracket", "all")
     specs = CLOSURE_BRACKETS if bracket == "all" else [(bracket, _resolve_bracket(bracket))]
-    reports = []
-    for n in ns:
-        for name, spec in specs:
-            reports.append(verify_closure(n, spec, check_name=f"closure-n{n}-b{name}"))
-    return reports
+    return closure_reports(ns, specs)
 
 
 def _make_lattice(args, config):
@@ -292,19 +327,9 @@ def _make_plan(args, config, default_samples=20, default_tol=1e-6):
 def _cmd_verify_elliptic(args, config, out):
     plan = _make_plan(args, config)
     n_text = _effective(args, config, "n", None)
-    ns = [parse_rational(str(n_text))] if n_text is not None else [Fraction(k) for k in ACCEPTANCE_FUNCTIONAL_N]
+    ns = [parse_rational(str(n_text))] if n_text is not None else ACCEPTANCE_FUNCTIONAL_N
     L = _make_lattice(args, config)
-    if isinstance(L, Report):
-        return [L]
-    reports = [
-        weierstrass_selftest(L, SamplePlan(plan.seed, plan.count, tolerance=1e-9)),
-        identity5_sweep(L, SamplePlan(plan.seed, plan.count, tolerance=1e-8)),
-    ]
-    for n in ns:
-        hi = min(8, int(n)) if n == int(n) else 8
-        window = [0] + list(range(2, hi + 1))
-        reports.append(verify_functional(L, n, window, plan))
-    return reports
+    return [L] if isinstance(L, Report) else elliptic_reports(L, plan, ns)
 
 
 def _cmd_casimir_build(args, config, out):
@@ -313,20 +338,22 @@ def _cmd_casimir_build(args, config, out):
         raise UsageError("casimir-build needs --n")
     n = parse_degree(n_text, 3, "casimir construction")
     cs = casimirs(n)
-    for line in casimir_lines(cs):
-        out.write(line + "\n")
+    out.writelines(line + "\n" for line in casimir_lines(cs))
     return [make_report(f"casimir-build-n{n}", {
         "n": n, "kind": cs.kind,
         "degrees": [c.homogeneous_degree() for c in cs.elements],
     }, [])]
 
 
-def _cmd_casimir_verify(args, config, out):
+def _degrees(args, config, what: str, default) -> list[int]:
+    """The degree of --n (at least 3), or the acceptance degrees."""
     n_text = _effective(args, config, "n", None)
-    ns = [parse_degree(n_text, 3, "casimir construction")] if n_text is not None \
-        else list(ACCEPTANCE_CENTRAL_N)
+    return [parse_degree(n_text, 3, what)] if n_text is not None else list(default)
+
+
+def _cmd_casimir_verify(args, config, out):
     reports = []
-    for n in ns:
+    for n in _degrees(args, config, "casimir construction", ACCEPTANCE_CENTRAL_N):
         reports.append(verify_central(casimirs(n)))
         if n % 2 == 0:
             reports.append(rank1_identity_check(build_matrix("g", n), check_name=f"rank1-g-n{n}"))
@@ -335,10 +362,8 @@ def _cmd_casimir_verify(args, config, out):
 
 
 def _cmd_involution(args, config, out):
-    n_text = _effective(args, config, "n", None)
-    ns = [parse_degree(n_text, 3, "involution check")] if n_text is not None \
-        else list(ACCEPTANCE_INVOLUTION_N)
-    return [involution_family(n) for n in ns]
+    return [involution_family(n)
+            for n in _degrees(args, config, "involution check", ACCEPTANCE_INVOLUTION_N)]
 
 
 def _cmd_leaves_verify(args, config, out):
@@ -358,80 +383,42 @@ def _cmd_leaves_verify(args, config, out):
     reports = []
     for p, n in cases:
         cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
-        window = IndexSet.fn(n).members()
-        reports.append(prop3_check(cfg, window, plan))
+        reports.append(prop3_check(cfg, IndexSet.fn(n).members(), plan))
         if 2 * p < n:
-            cs = casimirs(n)
-            kplan = SamplePlan(plan.seed, plan.count, tolerance=1e-8)
-            reports.append(kernel_check(cfg, cs, kplan))
-            for ci, elem in enumerate(cs.elements):
-                reports.append(diagonal_vanish_check(
-                    cfg, elem, SamplePlan(plan.seed, max(2, plan.count // 3), tolerance=1e-8),
-                    check_name=f"diagonal-vanish-n{n}-p{p}-c{ci}"))
-        rng = Random(plan.seed)
-        reports.append(nondegeneracy_check(cfg, draw_leaf_sample(cfg, rng)))
+            reports += kernel_reports(cfg, plan.seed, plan.count, max(2, plan.count // 3))
+        reports.append(nondegeneracy_report(cfg, plan.seed))
     return reports
 
 
 def _cmd_all(args, config, out):
     seed = int(_effective(args, config, "seed", _default_seed()))
-    samples = int(_effective(args, config, "samples", 20))
-    functional_plan = _sample_plan(seed, samples, 1e-6)
-    reports = []
-    reports.append(verify_jacobi_window(list(CORE_WINDOW), BracketSpec.custom(),
-                                        check_name="jacobi-core"))
-    for n in range(2, 11):
-        for name, spec in CLOSURE_BRACKETS:
-            reports.append(verify_closure(n, spec, check_name=f"closure-n{n}-b{name}"))
-    for n in (4, 6):
-        reports.append(golden_casimir_check(n))
-    for n in ACCEPTANCE_CENTRAL_N:
-        reports.append(verify_central(casimirs(n)))
+    functional_plan = _sample_plan(seed, int(_effective(args, config, "samples", 20)), 1e-6)
+    reports = [verify_jacobi_window(list(CORE_WINDOW), BracketSpec.custom(),
+                                    check_name="jacobi-core")]
+    reports += closure_reports(range(2, 11), CLOSURE_BRACKETS)
+    reports += [golden_casimir_check(n) for n in (4, 6)]
+    reports += [verify_central(casimirs(n)) for n in ACCEPTANCE_CENTRAL_N]
     for tau_text in ACCEPTANCE_TAUS:
-        tau = parse_tau(tau_text)
-        L = lattice_init(1, tau)
-        tag = tau_text.replace("+", "p")
-        reports.append(weierstrass_selftest(
-            L, SamplePlan(seed, samples, tolerance=1e-9),
-            check_name=f"weierstrass-selftest-tau{tag}"))
-        reports.append(identity5_sweep(
-            L, SamplePlan(seed, samples, tolerance=1e-8),
-            check_name=f"identity5-tau{tag}"))
-        for n in ACCEPTANCE_FUNCTIONAL_N:
-            window = [0] + list(range(2, min(8, n) + 1))
-            reports.append(verify_functional(
-                L, Fraction(n), window, functional_plan,
-                check_name=f"functional-tau{tag}-n{n}"))
+        reports += elliptic_reports(lattice_init(1, parse_tau(tau_text)), functional_plan,
+                                    ACCEPTANCE_FUNCTIONAL_N, f"-tau{tau_text.replace('+', 'p')}")
     L = lattice_init(1, parse_tau(ACCEPTANCE_TAUS[0]))
     plan = SamplePlan(seed, 10, tolerance=1e-6)
     for p, n in ACCEPTANCE_PROP3:
         cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
         reports.append(prop3_check(cfg, IndexSet.fn(n).members(), plan))
-    cfg = LeafConfig(p=2, n_value=Fraction(5), lattice=L)
-    neg = prop3_check(cfg, IndexSet.fn(5).members(),
-                      SamplePlan(seed, 5, tolerance=1e-2),
-                      convention=CONVENTION_PRINTED,
+    neg = prop3_check(LeafConfig(p=2, n_value=Fraction(5), lattice=L), IndexSet.fn(5).members(),
+                      SamplePlan(seed, 5, tolerance=1e-2), convention=CONVENTION_PRINTED,
                       check_name="homomorphism-printed-control")
     # the control must FAIL; invert its status for aggregation
-    inverted = make_report("homomorphism-printed-control-expectfail",
-                           neg.parameters,
-                           [] if not neg.passed else [{"witness": "printed convention passed"}],
-                           max_residual=neg.max_residual)
-    reports.append(inverted)
+    reports.append(make_report(
+        "homomorphism-printed-control-expectfail", neg.parameters,
+        [] if not neg.passed else [{"witness": "printed convention passed"}],
+        max_residual=neg.max_residual))
     for n, p in ACCEPTANCE_KERNEL:
-        cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
-        cs = casimirs(n)
-        reports.append(kernel_check(cfg, cs, SamplePlan(seed, 5, tolerance=1e-8)))
-        for ci, elem in enumerate(cs.elements):
-            reports.append(diagonal_vanish_check(
-                cfg, elem, SamplePlan(seed, 3, tolerance=1e-8),
-                check_name=f"diagonal-vanish-n{n}-p{p}-c{ci}"))
-    for n in ACCEPTANCE_INVOLUTION_N:
-        reports.append(involution_family(n))
+        reports += kernel_reports(LeafConfig(p=p, n_value=Fraction(n), lattice=L), seed, 5, 3)
+    reports += [involution_family(n) for n in ACCEPTANCE_INVOLUTION_N]
     for p, n in ((1, 4), (2, 6), (2, 4)):
-        cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
-        rng = Random(seed)
-        reports.append(nondegeneracy_check(cfg, draw_leaf_sample(cfg, rng)))
+        reports.append(nondegeneracy_report(LeafConfig(p=p, n_value=Fraction(n), lattice=L), seed))
     return reports
 
 

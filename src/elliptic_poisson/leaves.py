@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
+from .brackets import BracketSpec, generator_bracket
 from .casimirs import CasimirSet, _det
 from .poly import EPoly
 from .report import Report, Tally
@@ -182,8 +183,6 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
                 check_name: str | None = None) -> Report:
     """Residual between the leaf bracket of two generator images and the
     image of their symbolic bracket, over seeded samples."""
-    from .brackets import BracketSpec, generator_bracket
-
     tally = Tally(plan.tolerance)
     members = sorted(window)
     rng = Random(plan.seed)

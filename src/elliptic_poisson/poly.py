@@ -799,14 +799,12 @@ class EPoly(_Packed):
         scalars.  ``rule`` is called once per pair of occurring generators.
         """
         dp = getattr(self, "_dp", None) or _partials(self._terms)
-        dq = _partials(other._terms)
+        dq = other.partials()
         rows = []
         for a, pa in dp.items():
-            # h = sum over b of rule(a, b) * dQ/de[b]
-            h, den, _ = _signed_products([(1, r._terms.items(), r._den, qb, other._den)
-                                          for b, qb in dq.items() if (r := rule(a, b))])
+            h = generator_bracket_sum(((a, dq),), rule)  # {e[a], Q}
             if h:
-                rows.append((1, h.items(), den, pa, self._den))
+                rows.append((1, h._terms.items(), h._den, pa, self._den))
         return self._keep(*_signed_products(rows))
 
     def with_partials(self) -> "EPoly":
@@ -889,6 +887,12 @@ class EPoly(_Packed):
     def degree(self) -> int:
         """Largest monomial size (0 for the zero polynomial)."""
         return max(self._degrees(), default=0)
+
+    def param_degree(self, names: Iterable[str]) -> int:
+        """Largest total degree in the named symbols over the coefficients."""
+        shifts = [_symbol_shift(name) for name in names]
+        return max((sum(k >> s & _SLOT_MASK for s in shifts)
+                    for k in {k & _SYM_MASK for k in self._terms}), default=0)
 
     def homogeneous_degree(self) -> int | None:
         """Common monomial size, or None if zero or mixed."""

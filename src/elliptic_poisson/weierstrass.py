@@ -40,6 +40,7 @@ from functools import reduce
 from operator import add, mul
 from random import Random
 
+from .brackets import BracketSpec, generator_bracket
 from .poly import EPoly
 from .report import Report, Tally
 
@@ -797,8 +798,6 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     symmetric evaluation of the symbolic bracket must stay below the plan
     tolerance.  Diagonal samples are included.
     """
-    from .brackets import BracketSpec, generator_bracket
-
     tally = Tally(plan.tolerance)
     members = sorted(window)
     rng = Random(plan.seed)

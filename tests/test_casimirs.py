@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from elliptic_poisson.brackets import BracketSpec, bracket_poly
 from elliptic_poisson.casimirs import (
     _det,
+    _family_size,
     CasimirSet,
     FMatrix,
     build_matrix,
@@ -463,6 +464,20 @@ def test_pencil_family_n4_structure():
     S3 = ParamPoly.symbol("s3")
     # linear coefficient of the second element
     assert family[2] == -Q * S2 * E0 * E2 - Q * S3 * E0 * E0
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_family_size_counts_pencil_family(n):
+    assert _family_size(casimirs(n).elements) == len(pencil_family(n))
+
+
+def test_family_size_of_coefficient_free_and_zero_elements():
+    shift = {"g2": G2 + ParamPoly.symbol("t") * ParamPoly.symbol("s2"),
+             "g3": G3 + ParamPoly.symbol("t") * ParamPoly.symbol("s3")}
+    free = gen(0, 4) - gen(2, 2)
+    assert _family_size([free]) == len(free.compose_params(shift).collect_symbol("t")) == 1
+    assert _family_size([EPoly.zero(), free, EPoly.zero()]) == 1
+    assert _family_size([]) == 0
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -439,6 +439,37 @@ def test_all_stdout_bytes_pinned(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ALL_STDOUT_SHA256
 
 
+# SHA-256 of the stdout of each subcommand invocation, recorded before `all`
+# and the subcommands shared their acceptance blocks; the default seed is used
+# where no --seed is given.
+SUBCOMMAND_STDOUT_SHA256 = {
+    "verify-jacobi": "f837eddf58053d8e1730daece9647b3d95a22fc2f82e00ba3d482d685990e3d6",
+    "verify-jacobi --window 0..6 --formal-n --formal-lambda":
+        "1ccc95fd406709a268c256dc3345a76047ea9873f6ab6d384b9fc6a83f796a7d",
+    "verify-closure": "7acfc92cbffe4ea00e981f6d91cb35c9a3c616f5b7cae4d9a663467882517195",
+    "verify-elliptic --samples 4":
+        "9e8c34dc94d49e23760433e728f1abccb64866e36b49f69d6b1d2049f547dc39",
+    "verify-elliptic --tau=-0.4+1.2i --n 3 --samples 6":
+        "57991adb5c6e5adee899d7f559c1a2895046c9dabaafd8771c9caaf446e4f2fa",
+    "casimir-build --n 6": "6098178c43099eb25b1de62c5f4b692ac1da80e525f85947faad8ac91780f030",
+    "casimir-verify --n 8": "26e551d5fdaf1a90775a1955412d2df35184957f09db36bd7454f7e195dce3b3",
+    "involution": "85e5e9cfbb75046f47b7b57ce0a51d283b7092473245454ca46e11d152767e73",
+    "leaves-verify --samples 3":
+        "b374fdbf48511d743e596f3beb9ef73e91939e8bd8f4c931bc01d9f8675b427e",
+    "leaves-verify --n 5 --p 2 --samples 10 --tau i --seed 7 --tol 1e-6":
+        "0c5ad34b78009c361436e33943666986719e62d73192ad97fee9e82cf956b47f",
+    "bracket-table": "0a61cb3c30d0666b8ce039ce4c54c9baf55972d83bc2fe87d18ff605cd3260b8",
+}
+
+
+@pytest.mark.parametrize("line", SUBCOMMAND_STDOUT_SHA256)
+def test_subcommand_stdout_pinned(line, capsys, monkeypatch):
+    monkeypatch.delenv("ELLIPTIC_POISSON_SEED", raising=False)
+    assert main(line.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUBCOMMAND_STDOUT_SHA256[line]
+
+
 def test_seed_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("ELLIPTIC_POISSON_SEED", "123")
     out = tmp_path / "env.jsonl"
