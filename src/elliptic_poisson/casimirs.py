@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .poly import EPoly, IndexSet, ParamPoly, signed_products
+from .poly import _SLOT_MASK, _SYM_MASK, EPoly, IndexSet, ParamPoly, _symbol_shift, signed_products
 from .report import Report, Tally
 from .brackets import BracketSpec, bracket_poly
 
@@ -327,7 +327,9 @@ def _family_size(elements) -> int:
     the shift sends g2^a g3^b to terms g2^(a-i) s2^i g3^(b-j) s3^j t^(i+j)
     that give back a and b, so nothing cancels across terms, and a nonzero
     element of largest total degree d in g2, g3 has the members t^0..t^d."""
-    return sum(1 + elem.param_degree(("g2", "g3")) for elem in elements if elem)
+    g2, g3 = _symbol_shift("g2"), _symbol_shift("g3")
+    return sum(1 + max((k >> g2 & _SLOT_MASK) + (k >> g3 & _SLOT_MASK)
+                       for k in {k & _SYM_MASK for k in elem._terms}) for elem in elements if elem)
 
 
 def involution_family(n: int, check_name: str | None = None) -> Report:

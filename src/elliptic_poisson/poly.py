@@ -888,12 +888,6 @@ class EPoly(_Packed):
         """Largest monomial size (0 for the zero polynomial)."""
         return max(self._degrees(), default=0)
 
-    def param_degree(self, names: Iterable[str]) -> int:
-        """Largest total degree in the named symbols over the coefficients."""
-        shifts = [_symbol_shift(name) for name in names]
-        return max((sum(k >> s & _SLOT_MASK for s in shifts)
-                    for k in {k & _SYM_MASK for k in self._terms}), default=0)
-
     def homogeneous_degree(self) -> int | None:
         """Common monomial size, or None if zero or mixed."""
         sizes = self._degrees()
