@@ -269,10 +269,10 @@ def casimirs(n: int) -> CasimirSet:
 
 def _tally_central(tally: Tally, elements, n: int, shift=None) -> list[int]:
     """Tally {element, e[gamma]} under the elliptic bracket at numeric n, gamma
-    in FN(n), with ``shift`` (if any) composed into its coefficients."""
+    in FN(n), with ``shift`` (if any) composed into its coefficients; each
+    bracket builds the element's partial derivatives anew and keeps none."""
     gens = IndexSet.fn(n).members()
     for ci, elem in enumerate(elements):
-        elem = elem.with_partials()  # shared by this element's generators only
         for gamma in gens:
             br = bracket_poly(elem, EPoly.gen(gamma), BracketSpec.elliptic(), n_value=n)
             tally.exact(br.compose_params(shift or {}), "element {}, generator e[{}]", ci, gamma)

@@ -49,9 +49,11 @@ distinct half is decoded once per call; ``to_text`` also formats each
 distinct coefficient once per call.
 
 Products.  ``_signed_products`` is the one loop over term pairs: it sums
-sign * a * b over a list of products in one integer dict over their common
+sign * a * b over products in one integer dict over their common
 denominator.  ``*``, composition, the Leibniz bracket, generator brackets
 and their sums, determinant minors and the odd elimination all go through it.
+``_partial`` takes one partial derivative; the Leibniz bracket builds each
+dP/de[a] only when the kernel sums its product, and no value keeps them.
 
 Slot guard.  The top bit of every slot is a guard bit: stored slot values
 stay below 128, so the sum of two stored keys never carries from one slot
@@ -63,7 +65,7 @@ term uses.  ``signed_products``, ``generator_bracket_sum``, the Leibniz
 bracket and ``from_integers`` take it from their slot-guard pass; other
 values, ``*`` included, compute it on first use, because most products are
 small coefficients that never read it.  ``support``, ``supported_in``, the
-size bound and the index width read it.
+size bound, the index width and the partial derivatives read it.
 
 Canonical form.  Zero numerators are never stored and the denominator is
 coprime to the numerators (1 for the zero polynomial), so two values are
@@ -274,13 +276,15 @@ def _add(a: Terms, da: int, b: Terms, db: int) -> tuple[Terms, int]:
 _Pairs = Collection[tuple[int, int]]
 
 
-def _signed_products(products: Sequence[tuple[int, _Pairs, int, _Pairs, int]]
-                     ) -> tuple[Terms, int, int]:
+def _signed_products(products: Iterable[tuple[int, _Pairs, int, _Pairs, int]],
+                     common: int | None = None) -> tuple[Terms, int, int]:
     """Sum of sign * a / da * b / db over (sign, a, da, b, db) products,
     accumulated in one integer dict over their common denominator; the
     slot guard is checked and the result reduced once.  Returns the terms,
-    the denominator and the OR of the keys."""
-    common = lcm(*(da * db for _, _, da, _, db in products))
+    the denominator and the OR of the keys.  With ``common``, a multiple of
+    every da * db, the products may come lazily, each freed once summed."""
+    if common is None:
+        common = lcm(*(da * db for _, _, da, _, db in products))
     acc: Terms = {}
     get = acc.get
     for sign, a, da, b, db in products:
@@ -292,6 +296,7 @@ def _signed_products(products: Sequence[tuple[int, _Pairs, int, _Pairs, int]]
             for k2, v2 in b:
                 k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
+        del a, b  # free this product before the next one is built
     if 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
     merged = _check_slots(acc)
@@ -309,16 +314,12 @@ def _mul(a: Terms, da: int, b: Terms, db: int) -> tuple[Terms, int]:
     return _reduce(acc, da * db)
 
 
-def _partials(terms: Terms) -> dict[int, list[tuple[int, int]]]:
-    """Partial derivatives by generator: {alpha: [(key / e[alpha], numerator)]}."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for k, v in terms.items():
-        for alpha, mult, unit in _gen_slots(k):
-            part = out.get(alpha)
-            if part is None:
-                out[alpha] = part = []
-            part.append((k - unit, v * mult))
-    return out
+def _partial(terms: Terms, unit: int) -> list[tuple[int, int]]:
+    """Partial derivative by the generator of slot unit ``unit``:
+    [(key / e[alpha], numerator * multiplicity)] over the terms with e[alpha]."""
+    shift = unit.bit_length() - 1
+    mask = _SLOT_MASK << shift
+    return [(k - unit, v * (m >> shift)) for k, v in terms.items() if (m := k & mask)]
 
 
 # ({beta: [(key / e[beta], numerator)]}, denominator), from ``EPoly.partials``
@@ -718,7 +719,7 @@ class EPoly(_Packed):
     ``ParamPoly`` or rational coefficients.  Immutable and canonical.
     """
 
-    __slots__ = ("_or", "_values", "_dp")
+    __slots__ = ("_or", "_values")
 
     def __init__(self, terms: Mapping[tuple, ParamPoly | Rational] | None = None):
         acc: dict[int, Fraction] = {}
@@ -794,31 +795,24 @@ class EPoly(_Packed):
     def bracket(self, other: "EPoly", rule: Callable[[int, int], "EPoly"]) -> "EPoly":
         """Leibniz extension of a generator bracket ``rule(alpha, beta)``.
 
-        Returns the sum over generator pairs of
-        ``rule(a, b) * dP/de[a] * dQ/de[b]``; coefficients are central
-        scalars.  ``rule`` is called once per pair of occurring generators.
+        Returns the sum over generators e[a] of this element of
+        ``{e[a], other} * dP/de[a]``; coefficients are central scalars.
+        ``rule`` is called once per pair of occurring generators.  The small
+        {e[a], other} come first, then each dP/de[a] as its product is summed.
         """
-        dp = getattr(self, "_dp", None) or _partials(self._terms)
         dq = other.partials()
-        rows = []
-        for a, pa in dp.items():
-            h = generator_bracket_sum(((a, dq),), rule)  # {e[a], Q}
-            if h:
-                rows.append((1, h._terms.items(), h._den, pa, self._den))
-        return self._keep(*_signed_products(rows))
-
-    def with_partials(self) -> "EPoly":
-        """An equal value that keeps its partial derivatives for
-        :meth:`bracket`, to bracket one element with many others; they are
-        freed with it, not kept on this value."""
-        out = self._wrap(self._terms, self._den)
-        out._dp = _partials(self._terms)
-        return out
+        rows = [(unit, h) for alpha, _, unit in _gen_slots(self._merged())
+                if (h := generator_bracket_sum(((alpha, dq),), rule))]
+        den = self._den
+        return self._keep(*_signed_products(
+            ((1, h._terms.items(), h._den, _partial(self._terms, unit), den) for unit, h in rows),
+            den * lcm(*(h._den for _, h in rows))))
 
     def partials(self) -> "Partials":
         """Every partial derivative dQ/de[beta] of this element, packed for
         :func:`generator_bracket_sum`."""
-        return _partials(self._terms), self._den
+        return {beta: _partial(self._terms, unit)
+                for beta, _, unit in _gen_slots(self._merged())}, self._den
 
     # -- queries ----------------------------------------------------------
 

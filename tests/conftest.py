@@ -88,7 +88,6 @@ def _chain_involution(n):
     shifted = [elem.compose_params(shift) for elem in casimirs_module.casimirs(n).elements]
     tally = Tally()
     for ci, elem in enumerate(shifted):
-        elem = elem.with_partials()
         for gamma in IndexSet.fn(n).members():
             tally.exact(bracket_poly(elem, EPoly.gen(gamma), spec, n_value=Fraction(n)),
                         "element {}, generator e[{}]", ci, gamma)

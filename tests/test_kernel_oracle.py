@@ -1,8 +1,10 @@
 """The packed polynomial kernel against a reference built on sorted index
 tuples and Fraction dicts: products, Leibniz brackets, and the slot guard
-that must raise instead of carrying into the next slot.  The Jacobi window
-kernel against the general ``jacobiator``, and the packed basis brackets
-against their constructor-based definition."""
+that must raise instead of carrying into the next slot.  The Leibniz
+bracket, which builds one partial derivative at a time, against the route
+that builds them all up front.  The Jacobi window kernel against the
+general ``jacobiator``, and the packed basis brackets against their
+constructor-based definition."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -21,10 +23,13 @@ from elliptic_poisson.brackets import (
     s_diff,
     verify_jacobi_window,
 )
+from elliptic_poisson.casimirs import casimirs
 from elliptic_poisson.poly import (
     SYMBOLS,
     EPoly,
+    IndexSet,
     ParamPoly,
+    _signed_products,
     generator_bracket_sum,
     signed_products,
 )
@@ -173,17 +178,74 @@ def test_signed_products_cancel_to_canonical_zero(P, Q):
     assert signed_products([(-1, p, q)]) == -(p * q)
 
 
-@settings(max_examples=40, deadline=None)
-@given(elements, elements, st.sampled_from(SPECS))
-def test_bracket_with_kept_partials(P, Q, spec):
-    p, q = from_ref(P), from_ref(Q)
-    kept = p.with_partials()
+# -- the Leibniz bracket against the route that takes all partials at once ----
+
+SYM_BITS = 8 * len(SYMBOLS)
+
+
+def all_partials(terms):
+    """{alpha: [(key / e[alpha], numerator * multiplicity)]} for every
+    generator at once, read off each term's generator bytes (slot 2*alpha
+    for alpha >= 0, -2*alpha - 1 below)."""
+    out = {}
+    for k, v in terms.items():
+        g = k >> SYM_BITS
+        for slot, mult in enumerate(g.to_bytes((g.bit_length() + 7) // 8, "little")):
+            if mult:
+                alpha = slot // 2 if slot % 2 == 0 else -(slot + 1) // 2
+                out.setdefault(alpha, []).append((k - (1 << SYM_BITS + 8 * slot), v * mult))
+    return out
+
+
+def bracket_all_partials(p, q, rule):
+    """{P, Q} from every dP/de[a] and dQ/de[b] built up front, one
+    {e[a], Q} * dP/de[a] product per generator of P, summed in one kernel
+    call."""
+    dq = (all_partials(q._terms), q._den)
+    rows = []
+    for a, pa in all_partials(p._terms).items():
+        h = generator_bracket_sum(((a, dq),), rule)
+        if h:
+            rows.append((1, h._terms.items(), h._den, pa, p._den))
+    return EPoly._keep(*_signed_products(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, elements, st.integers(-4, 8), st.sampled_from(SPECS),
+       st.sampled_from([None, Fraction(7), Fraction(-3, 2)]))
+def test_bracket_matches_all_partials_route(P, Q, r, spec, n_value):
+    # a squared generator with a fractional coefficient rides along on both
+    p = from_ref(P) + EPoly.monomial((r, r), Fraction(-5, 6))
+    q = from_ref(Q) + EPoly.monomial((r - 1, r + 2, r + 2),
+                                     ParamPoly.symbol("g2") * Fraction(1, 3))
 
     def rule(a, b):
-        return generator_bracket(a, b, spec)
-    assert kept == p
-    assert kept.bracket(q, rule) == p.bracket(q, rule)
-    assert kept.bracket(q, rule) == kept.bracket(q, rule)
+        return generator_bracket(a, b, spec, n_value)
+    assert p.partials() == (all_partials(p._terms), p._den)
+    assert q.partials() == (all_partials(q._terms), q._den)
+    got = p.bracket(q, rule)
+    assert got == bracket_all_partials(p, q, rule)
+    assert p.bracket(q, rule) == got
+    assert q.bracket(p, rule) == bracket_all_partials(q, p, rule)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_casimir_brackets_match_all_partials_route(n):
+    def rule(a, b):
+        return generator_bracket(a, b, BracketSpec.elliptic(), Fraction(n))
+    # a perturbation with a fractional g2 coefficient and a squared generator
+    bump = EPoly.monomial((0, 2, n), ParamPoly.symbol("g2") * Fraction(2, 7)) \
+        + EPoly.monomial((3, 3), Fraction(1, 5))
+    for elem in casimirs(n).elements:
+        perturbed = elem + bump
+        assert perturbed.partials() == (all_partials(perturbed._terms), perturbed._den)
+        results = {}
+        for p in (elem, perturbed):
+            for gamma in IndexSet.fn(n).members():
+                got = results[p is elem, gamma] = p.bracket(EPoly.gen(gamma), rule)
+                assert got == bracket_all_partials(p, EPoly.gen(gamma), rule)
+        assert not any(v for (central, _), v in results.items() if central)
+        assert any(v for (central, _), v in results.items() if not central)
 
 
 @settings(max_examples=40, deadline=None)
