@@ -400,12 +400,32 @@ def test_casimir_matches_golden_digest(n):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _golden_digests()[n]
 
 
+UNSET = object()
+
+
+def slot_state(elem):
+    """Every ``__slots__`` entry along the element's classes, ``UNSET`` where
+    unset, so that a slot added later is covered too."""
+    return [(name, getattr(elem, name, UNSET))
+            for cls in type(elem).__mro__ for name in getattr(cls, "__slots__", ())]
+
+
+def assert_slots_unchanged(elements, before):
+    for elem, state in zip(elements, before, strict=True):
+        for (name, old), (_, new) in zip(state, slot_state(elem), strict=True):
+            assert new is old, name
+
+
 def test_centrality_keeps_no_partials_on_the_memoized_elements():
     cs = casimirs(6)
+    # the walk must see the slots, or the comparison below is empty
+    assert {"_terms", "_den", "_hash", "_view", "_or", "_values"} <= {
+        name for name, _ in slot_state(cs.elements[0])}
+    before = [slot_state(elem) for elem in cs.elements]
     assert verify_central(cs).passed
-    assert all(not hasattr(elem, "_dp") for elem in cs.elements)
+    assert_slots_unchanged(cs.elements, before)
     assert involution_family(6).passed
-    assert all(not hasattr(elem, "_dp") for elem in cs.elements)
+    assert_slots_unchanged(cs.elements, before)
 
 
 def test_centrality_detects_noncentral():

@@ -9,18 +9,23 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import elliptic_poisson.weierstrass as weierstrass
 from elliptic_poisson.brackets import BracketSpec, generator_bracket
 from elliptic_poisson.poly import EPoly, IndexSet
 from elliptic_poisson.report import Tally
 from elliptic_poisson.weierstrass import (
+    _SERIES_FRACTION,
+    _SERIES_ORDER,
+    CertificationError,
     NearSingularError,
     PoleProximityError,
     SamplePlan,
     _e_at,
     _e_value,
     _func_bracket_core,
+    _laurent_coeffs,
     e_func,
     e_func_and_deriv,
     func_bracket,
@@ -54,6 +59,35 @@ def test_laurent_seeds_match_invariants():
     for L in LATTICES + (HEX,):
         assert abs(L.laurent_c[2] - L.g2 / 20) <= 1e-9 * (1 + abs(L.g2))
         assert abs(L.laurent_c[3] - L.g3 / 28) <= 1e-9 * (1 + abs(L.g3))
+
+
+# Period ratios of the CLI (i) and of the acceptance and benchmark sweeps,
+# and the hexagonal lattice, where the dropped tail is largest.
+NAMED_TAUS = (1j, 0.3 + 1.1j, 2j, 0.5 + 0.9j, -0.4 + 1.2j, cmath.exp(1j * math.pi / 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(NAMED_TAUS),
+                 st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.5, 3))),
+       st.floats(0.25, 4), st.floats(0, 2 * math.pi))
+def test_series_tail_below_last_bit(tau, scale, angle):
+    """The Laurent rows past ``_SERIES_ORDER`` (up to 26) move no result
+    of the series disc by 2^-60 relative.  At |z| = rho, the disc edge,
+    row k is c_k z^(2k-2) against 1/z^2 in p, (2k-2) c_k z^(2k-3) against
+    -2/z^3 in p', and c_k z^(2k-1) / (2k-1) against 1/z in zeta: relative
+    weights 1, k-1 and 1/(2k-1) times |c_k| rho^(2k).  The sum is taken
+    with the largest, k-1.  It does not change with the scale or the
+    rotation of omega1; the series runs only on lattices that lattice_init
+    certifies."""
+    omega1 = cmath.rect(scale, angle)
+    try:
+        L = lattice_init(omega1, tau * omega1)
+    except CertificationError:
+        reject()
+    c = _laurent_coeffs(L.g2, L.g3, 26)
+    rho = _SERIES_FRACTION * L.r_min
+    tail = sum((k - 1) * abs(c[k]) * rho ** (2 * k) for k in range(_SERIES_ORDER + 1, 27))
+    assert tail <= 2.0 ** -60
 
 
 def test_degenerate_periods_rejected():
