@@ -5,7 +5,7 @@ The leaf generators are p position values u_alpha and p weights psi_alpha.
 Their bracket follows the convention under which the point-evaluation map
 intertwines the two-point bracket (see ``leaf_bracket_xp``); the printed
 alternative, which flips the sign of every derivative term, is kept behind
-a toggle as a negative control.
+a toggle on ``prop3_check`` only, as a negative control.
 
 Positions stay ``DEFAULT_EXCLUSION`` * r_min clear of the lattice and of
 each other.  ``xp_eval`` and ``leaf_bracket_xp`` return (value, scale).
@@ -131,17 +131,17 @@ def _leaf_values(cfg: LeafConfig, s: LeafSample):
     return values, _zeta_matrix(cfg.lattice, s.u, values)
 
 
-def leaf_bracket_xp(cfg: LeafConfig, f_index: int, g_index: int, s: LeafSample,
-                    convention: str = CONVENTION_FLIPPED) -> tuple[complex, float]:
+def leaf_bracket_xp(cfg: LeafConfig, f_index: int, g_index: int,
+                    s: LeafSample) -> tuple[complex, float]:
     """Bracket of the images of two generators, expanded by Leibniz over the
     leaf generator brackets, and its scale.
 
     The weight-weight bracket is n * Z(u_a, u_b) psi_a psi_b off the
-    diagonal; the position-weight brackets carry the convention sign.  The
-    scale is one plus the peak magnitude of the accumulated terms (the
-    conditioning scale of the cancellation).
+    diagonal; the position-weight brackets carry the signs of the flipped
+    convention.  The scale is one plus the peak magnitude of the accumulated
+    terms (the conditioning scale of the cancellation).
     """
-    signs = _convention_signs(complex(cfg.n_value), convention)
+    signs = _convention_signs(complex(cfg.n_value), CONVENTION_FLIPPED)
     values, Z = _leaf_values(cfg, s)
     return _leaf_bracket_core(cfg, f_index, g_index, s.psi, values, Z, signs)
 
@@ -279,8 +279,7 @@ def diagonal_vanish_check(cfg: LeafConfig, C: EPoly, plan: SamplePlan,
     return tally.report(check_name, params_out)
 
 
-def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
-                        convention: str = CONVENTION_FLIPPED) -> Report:
+def nondegeneracy_check(cfg: LeafConfig, s: LeafSample) -> Report:
     """Assembled 2p x 2p leaf Poisson matrix versus the closed form.
 
     The determinant of the full matrix equals det(M)^2 where M is the
@@ -291,7 +290,7 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
     tol = 1e-8
     tally = Tally(tol)
     n = complex(cfg.n_value)
-    diag, off = _convention_signs(n, convention)
+    diag, off = _convention_signs(n, CONVENTION_FLIPPED)
     p = cfg.p
 
     M = [[(diag if a == b else off) * s.psi[b] for b in range(p)] for a in range(p)]
@@ -323,5 +322,5 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample,
         tally.fail("unexpected degeneracy", f"|det M| = {abs(det_m):.3e}")
     params = {"p": p, "n": str(cfg.n_value), "degenerate": degenerate,
               "closed_form": str(closed_factor), "tol": tol,
-              "convention": convention}
+              "convention": CONVENTION_FLIPPED}
     return tally.report(f"nondegeneracy-n{cfg.n_value}-p{p}", params)

@@ -78,6 +78,10 @@ _SERIES_FRACTION = 0.3  # series disc radius as a fraction of r_min
 _SERIES_ORDER = 20  # highest Laurent coefficient index: tail below 2^-60 (module docstring)
 DEFAULT_EXCLUSION = 0.05  # pole exclusion radius as a fraction of r_min
 _GUARD_SLACK = 2.0 ** -44  # clear-bound slack per unit of |omega1| + |omega2| + r_min
+# Consecutive rejected candidates after which sampling gives up.  Random
+# sequential placement jams far below the area of the cell (about 55% of
+# it), so no bound by area decides in advance whether a draw can finish.
+_MAX_REJECTED = 1000
 
 
 class CertificationError(ValueError):
@@ -342,7 +346,8 @@ def lattice_init(omega1: complex, omega2: complex) -> Lattice:
     return L
 
 
-def _certify(L: Lattice, tol: float = 1e-9) -> None:
+def _certify(L: Lattice) -> None:
+    tol = 1e-9
     legendre = L.eta1 * L.omega2 - L.eta2 * L.omega1 - 2j * math.pi
     if abs(legendre) > tol * (1 + abs(L.eta1 * L.omega2)):
         raise CertificationError(f"Legendre relation residual {abs(legendre):.2e}")
@@ -702,20 +707,20 @@ def _sym_eval_core(P: EPoly, params: dict[str, complex],
 
 def sample_points(L: Lattice, rng: Random, count: int,
                   pairwise_distinct: bool = False) -> list[complex]:
-    """Seeded points in the fundamental cell, clear of the lattice."""
+    """Seeded points in the fundamental cell, clear of the lattice; gives up
+    after ``_MAX_REJECTED`` rejected candidates in a row."""
     out: list[complex] = []
-    attempts = 0
+    rejected = 0
     while len(out) < count:
-        attempts += 1
-        if attempts > 10000 * count:
-            raise RuntimeError("sampling failed: too few admissible points in the cell")
         z = rng.uniform(-0.5, 0.5) * L.omega1 + rng.uniform(-0.5, 0.5) * L.omega2
-        if _near(L, z, DEFAULT_EXCLUSION * L.r_min):
-            continue
-        if pairwise_distinct and any(
+        if _near(L, z, DEFAULT_EXCLUSION * L.r_min) or pairwise_distinct and any(
             _near(L, z - w, DEFAULT_EXCLUSION * L.r_min) for w in out
         ):
+            rejected += 1
+            if rejected == _MAX_REJECTED:
+                raise RuntimeError("sampling failed: too few admissible points in the cell")
             continue
+        rejected = 0
         out.append(z)
     return out
 

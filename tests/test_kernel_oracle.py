@@ -1,5 +1,5 @@
 """The packed polynomial kernel against a reference built on sorted index
-tuples and Fraction dicts: products, Leibniz brackets, and the slot guard
+tuples and Fraction dicts: sums, products, Leibniz brackets, and the slot guard
 that must raise instead of carrying into the next slot.  The Leibniz
 bracket, which builds one partial derivative at a time, against the route
 that builds them all up front.  The Jacobi window kernel against the
@@ -176,6 +176,45 @@ def test_signed_products_cancel_to_canonical_zero(P, Q):
     assert signed_products([(1, p, q), (-1, q, p)]) == EPoly.zero()
     assert signed_products([]) == EPoly.zero()
     assert signed_products([(-1, p, q)]) == -(p * q)
+
+
+def ref_sum(P, Q, sign):
+    acc = {}
+    for mono, coeff in P.items():
+        ref_add_term(acc, mono, coeff)
+    for mono, coeff in Q.items():
+        ref_add_term(acc, mono, {e: sign * c for e, c in coeff.items()})
+    return acc
+
+
+def ref_scalar(c):
+    """A scalar as an element: a coefficient of the empty monomial."""
+    if isinstance(c, ParamPoly):
+        coeff = dict(c.terms())
+    else:
+        coeff = {(0,) * len(SYMBOLS): Fraction(c)}
+    return {(): coeff} if c else {}
+
+
+scalars = st.one_of(st.integers(-5, 5), rationals, coefficients.map(ParamPoly))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, elements)
+def test_sum_and_difference_match_reference(P, Q):
+    p, q = from_ref(P), from_ref(Q)
+    assert to_ref(p + q) == ref_sum(P, Q, 1)
+    assert to_ref(p - q) == ref_sum(P, Q, -1)
+    assert p - p == EPoly.zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, scalars)
+def test_sum_with_scalar_matches_reference(P, c):
+    p, C = from_ref(P), ref_scalar(c)
+    assert to_ref(p + c) == to_ref(c + p) == ref_sum(P, C, 1)
+    assert to_ref(p - c) == ref_sum(P, C, -1)
+    assert to_ref(c - p) == ref_sum(C, P, -1)
 
 
 # -- the Leibniz bracket against the route that takes all partials at once ----

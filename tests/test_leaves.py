@@ -113,6 +113,13 @@ def test_prop3_printed_convention_fails():
     assert rep.max_residual > 1e-2
 
 
+def test_prop3_rejects_unknown_convention():
+    cfg = config(2, 6)
+    with pytest.raises(ValueError, match="unknown convention 'flip'"):
+        prop3_check(cfg, IndexSet.fn(6).members(),
+                    SamplePlan(seed=21, count=1, tolerance=1e-6), convention="flip")
+
+
 def test_prop3_n2_trivial():
     cfg = config(1, 2)
     rep = prop3_check(cfg, IndexSet.fn(2).members(),
@@ -236,13 +243,6 @@ def test_nondegeneracy_overflow_fails():
     rep = nondegeneracy_check(cfg, LeafSample(u=s.u, psi=(1e120,) * 3))
     assert rep.status == "fail"
     assert {f["residual-text"] for f in rep.failures} == {"nan"}
-
-
-def test_nondegeneracy_rejects_unknown_convention():
-    cfg = config(2, 6)
-    s = draw_leaf_sample(cfg, Random(21))
-    with pytest.raises(ValueError, match="unknown convention"):
-        nondegeneracy_check(cfg, s, convention="flip")
 
 
 @pytest.mark.parametrize("p", [8, 10])

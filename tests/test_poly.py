@@ -21,7 +21,7 @@ from elliptic_poisson.poly import (
     signed_products,
 )
 from elliptic_poisson.poly import (
-    _SYM_BITS, _SYM_MASK, _collect, _compose, _gen_bytes, _pack_mono, _substitute)
+    _SYM_BITS, _SYM_MASK, _compose, _gen_bytes, _group, _pack_mono, _reduce, _substitute)
 
 N = ParamPoly.symbol("n")
 G2 = ParamPoly.symbol("g2")
@@ -37,7 +37,8 @@ def compose(p, assignment):
 
 
 def collect(p, name):
-    return {d: ParamPoly._wrap(*part) for d, part in _collect(p._terms, p._den, name).items()}
+    return {d: ParamPoly._wrap(*_reduce(group, p._den))
+            for (d,), group in _group(p._terms, (name,)).items()}
 
 
 # -- strategies ---------------------------------------------------------------
@@ -455,7 +456,7 @@ def test_kept_or_matches_the_keys(a, b, items, den):
         EPoly.from_integers(items, den),
     ]
     assert all(v._or is not None for v in kept)
-    others = [-a, a * b, a * G2,
+    others = [-a, a * b, a * G2, a + b, a - b,
               a.substitute_params({"n": Fraction(3, 2), "g2": 0}),
               *a.collect_symbol("g2").values()]
     if all(mono.count(2) < 2 for mono, _ in a.terms()):

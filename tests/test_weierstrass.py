@@ -110,6 +110,31 @@ def test_pole_proximity_raises():
         weier_eval(SQUARE, 1.0 + 1.0j + 0.002)
 
 
+class DrawCapReached(Exception):
+    pass
+
+
+class CappedRandom(Random):
+    """A Random that raises ``DrawCapReached`` after ``cap`` draws."""
+
+    def __init__(self, seed, cap):
+        super().__init__(seed)
+        self.left = cap
+
+    def random(self):
+        if self.left == 0:
+            raise DrawCapReached
+        self.left -= 1
+        return super().random()
+
+
+def test_sampling_more_points_than_fit_fails_fast():
+    # 300 points kept 0.05 r_min apart do not fit by random sequential
+    # sampling in this cell: sampling must give up well within 100,000 draws
+    with pytest.raises(RuntimeError, match="sampling failed"):
+        sample_points(SKEW, CappedRandom(2, 100_000), 300, pairwise_distinct=True)
+
+
 def test_differential_equation_and_periodicity():
     rng = Random(101)
     for L in LATTICES:
