@@ -3,8 +3,9 @@
 Reports stream as JSON lines (one object per check plus a summary object);
 ``--format text`` renders the same data as a table.  Exit codes: 0 all
 checks passed, 1 at least one failure (a lattice that fails its own
-certification included), 2 usage or configuration error (an unwritable
-``--out`` included), 3 internal error (a crash, not a failed check).
+certification and a residual past the float range included), 2 usage or
+configuration error (an unwritable ``--out`` and an ``--n`` no float holds
+included), 3 internal error (a crash, not a failed check).
 """
 
 from __future__ import annotations
@@ -327,7 +328,13 @@ def _make_plan(args, config, default_samples=20, default_tol=1e-6):
 def _cmd_verify_elliptic(args, config, out):
     plan = _make_plan(args, config)
     n_text = _effective(args, config, "n", None)
-    ns = [parse_rational(str(n_text))] if n_text is not None else ACCEPTANCE_FUNCTIONAL_N
+    ns = ACCEPTANCE_FUNCTIONAL_N
+    if n_text is not None:
+        ns = [parse_rational(str(n_text))]
+        try:
+            float(ns[0])  # the numerics take n as a float
+        except OverflowError:
+            raise UsageError(f"n {n_text!r} is beyond the float range") from None
     L = _make_lattice(args, config)
     return [L] if isinstance(L, Report) else elliptic_reports(L, plan, ns)
 

@@ -12,23 +12,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 EXACT_ZERO = "exact-zero"
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, complex):
-        return repr(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    return value
 
 
 @dataclass
@@ -49,10 +34,10 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "check": self.check,
-            "parameters": _jsonable(self.parameters),
+            "parameters": self.parameters,
             "status": self.status,
-            "max_residual": _jsonable(self.max_residual),
-            "failures": _jsonable(self.failures),
+            "max_residual": self.max_residual,
+            "failures": self.failures,
         }
 
     def to_json(self) -> str:

@@ -32,9 +32,9 @@ the reduced point, the scan's first candidate, settles it: d < radius is
 near, and d at most r_min - radius - slack is clear, because each scanned
 neighbour is a lattice vector at least r_min long, so its distance is at
 least r_min - d up to the rounding the slack covers.  Any other d runs the
-scan itself, so each guard gives the verdict the scan gives.  ``weier_eval``
-also skips reducing its reduced point again where that provably changes
-nothing (``_near``).  Evaluators return (value, scale): tolerances are
+scan itself, so each guard gives the verdict the scan gives.  A point under
+half the smaller cell height is its own reduced point and is not reduced
+(``_near``).  Evaluators return (value, scale): tolerances are
 relative to a scale 1 + max(|operand values|), since values near poles grow
 and absolute tolerances would be meaningless.
 """
@@ -188,6 +188,8 @@ def _invariants(omega1: complex, omega2: complex) -> tuple[complex, complex]:
     aq = abs(q)
     if aq >= 0.995:
         raise ValueError("period ratio too close to the real axis")
+    if aq == 0:
+        raise CertificationError("nome q = exp(2 pi i tau) underflows to 0")
     kmax = max(8, min(4000, int(-41.5 / math.log(aq)) + 1))  # |q|^kmax < 1e-18
     s3 = _sigma_power_sums(kmax, 3)
     s5 = _sigma_power_sums(kmax, 5)
@@ -244,9 +246,11 @@ def _nearest(L: Lattice, z1: complex, best: float) -> float:
     return best
 
 
-def _near(L: Lattice, z: complex, radius: float, reduced: bool = False) -> bool:
+def _near(L: Lattice, z: complex, radius: float) -> bool:
     """``lattice_distance(L, z) < radius``, decided from d = abs(z1) of the
-    reduced point z1 wherever d settles it, else by the scan itself.
+    reduced point z1 wherever d settles it, else by the scan itself.  z is
+    a reduced point, a cell point or the difference of two, so abs(z)
+    cannot overflow.
 
     With u = 2^-53: d < radius is near, as d is the scan's first candidate.
     A scanned neighbour v = m omega1 + k omega2 (|m|, |k| <= 1) lies in the
@@ -258,17 +262,15 @@ def _near(L: Lattice, z: complex, radius: float, reduced: bool = False) -> bool:
     12u bound whatever the radius, so d <= (r_min - slack) - radius is
     clear.  Any other d, NaN among them, runs the scan.
 
-    ``reduced`` says that z is itself a result of ``_reduce`` (so abs(z)
-    cannot overflow).  Then, if abs(z) is under half the smaller cell
-    height h = min(|Im(omega1 conj omega2)| / |omega2|, |Im(omega2 conj
-    omega1)| / |omega1|) less 1e-9 relative, z is its own reduced point and
-    is not reduced again: each cell coordinate is at most |z| / h up to a
-    few units of u, so both round to 0, and z - 0*omega1 - 0*omega2 differs
-    from z at most in the signs of zeros, which no ``abs`` and no neighbour
-    difference sees.
+    If abs(z) is under half the smaller cell height h = min(|Im(omega1
+    conj omega2)| / |omega2|, |Im(omega2 conj omega1)| / |omega1|) less
+    1e-9 relative, z is its own reduced point and is not reduced: each cell
+    coordinate is at most |z| / h up to a few units of u, so both round to
+    0, and z - 0*omega1 - 0*omega2 differs from z at most in the signs of
+    zeros, which no ``abs`` and no neighbour difference sees.
     """
     half_height, clear = L._guard
-    d = abs(z) if reduced else math.inf
+    d = abs(z)
     if not d < half_height:
         z = _reduce(L, z)[0]
         d = abs(z)
@@ -311,7 +313,7 @@ def weier_eval(L: Lattice, z: complex,
                exclusion: float = DEFAULT_EXCLUSION) -> tuple[complex, complex, complex]:
     """Values (p, p', zeta) at z; z must stay clear of the lattice."""
     z0, m, k = _reduce(L, z)
-    if _near(L, z0, exclusion * L.r_min, reduced=True):
+    if _near(L, z0, exclusion * L.r_min):
         raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
     p, dp, zt = _eval_reduced(L, z0)
     return p, dp, zt + m * L.eta1 + k * L.eta2
@@ -360,7 +362,8 @@ def _certify(L: Lattice) -> None:
             continue
         p, dp, zt = weier_eval(L, z)
         ode = dp * dp - (4 * p ** 3 - L.g2 * p - L.g3)
-        if abs(ode) > tol * (1 + abs(p) ** 3):
+        # against the terms that cancel: |p'|^2 is the larger where |p| is small
+        if abs(ode) > tol * (1 + abs(p) ** 3 + abs(dp) ** 2):
             raise CertificationError(f"differential equation residual {abs(ode):.2e} at {z}")
         for omega, eta in ((L.omega1, L.eta1), (L.omega2, L.eta2)):
             p2, dp2, zt2 = weier_eval(L, z + omega)
@@ -753,7 +756,11 @@ def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float | None = None,
                          check_name: str = "weierstrass-selftest") -> Report:
     """Differential equation, periodicity, quasi-periodicity, parity, and
     the leading Laurent coefficients against g2/20 and g3/28, at the plan's
-    tolerance (``tol``, if given, must equal it)."""
+    tolerance (``tol``, if given, must equal it).
+
+    The parity row guards the evaluator's symmetry, not its accuracy: the
+    round-half-even reduction and the series commute with negation, so on
+    cell points it reads exactly 0."""
     tol = _plan_tolerance(plan, tol)
     tally = Tally(tol)
     rng = Random(plan.seed)
@@ -811,7 +818,7 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     For every generator pair in the window and every sampled (x, y) the
     relative residual between the direct two-point value and the
     symmetric evaluation of the symbolic bracket must stay below the plan
-    tolerance.  Diagonal samples are included.
+    tolerance.  Diagonal samples are included; n_value is taken exactly.
     """
     tally = Tally(plan.tolerance)
     members = sorted(window)
@@ -819,7 +826,8 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     pairs = sample_pairs(L, rng, plan.count, diagonal_every=5)
     params_num = numeric_params(L, n_value)
     spec = BracketSpec.elliptic()
-    nv = Fraction(n_value) if not isinstance(n_value, float) else None
+    nv = Fraction(n_value)
+    n = params_num["n"]
     # Per pair: the two-point values, and the values at [x, y] for sym_eval.
     values = [_bracket_values(L, x, y) for x, y in pairs]
     e_at = {alpha: [_e_at(L, alpha, vals) for vals in values] for alpha in members}
@@ -833,9 +841,12 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
                        else [(0j, 1.0)] * len(pairs))
             for (x, y), vals, f_at, g_at, (rhs, rhs_scale) in zip(
                     pairs, values, e_at[alpha], e_at[beta], rhs_all):
-                lhs, lhs_scale = _func_bracket_core(complex(n_value), vals, f_at, g_at)
-                tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
-                               "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
+                try:
+                    lhs, lhs_scale = _func_bracket_core(n, vals, f_at, g_at)
+                    rel = abs(lhs - rhs) / max(lhs_scale, rhs_scale)
+                except OverflowError:  # a magnitude past the float range fails
+                    rel = math.inf
+                tally.residual(rel, "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
     params = {"n": str(n_value), "window": members, "samples": plan.count,
               "seed": plan.seed, "tol": plan.tolerance,
               "omega1": repr(L.omega1), "omega2": repr(L.omega2)}

@@ -3,7 +3,9 @@ layering, and byte-level determinism."""
 
 import hashlib
 import importlib
+import io
 import json
+import math
 import os
 import re
 import shlex
@@ -112,6 +114,32 @@ def test_certification_failure_is_a_failed_check(command, tmp_path):
     assert summ["failures"] == [{"witness": "lattice-certification"}]
 
 
+@pytest.mark.parametrize("tau", ["120i", "250i", "1e300i"])
+def test_underflowing_nome_is_a_failed_check(tau, tmp_path):
+    # q = exp(2 pi i tau) underflowed to 0 and log(0) was reported as a
+    # usage error (exit 2); it is a lattice the numerics cannot certify
+    code, text = run_cli(["verify-elliptic", "--tau", tau], tmp_path)
+    assert code == 1
+    rep, summ = parse_reports(text)
+    assert rep["check"] == "lattice-certification"
+    assert rep["failures"] == [{"witness": f"tau={tau}",
+                                "residual-text": "nome q = exp(2 pi i tau) underflows to 0"}]
+    assert summ["failures"] == [{"witness": "lattice-certification"}]
+
+
+def test_overflowing_functional_residual_is_a_failed_check(tmp_path):
+    # a term of the two-point bracket past the float range made abs() raise
+    # OverflowError, a crash (exit 3); the sample now fails with residual inf
+    code, text = run_cli(["verify-elliptic", "--n", "1e300", "--samples", "3"], tmp_path)
+    assert code == 1
+    selftest, identity5, functional, summ = parse_reports(text)
+    assert selftest["status"] == identity5["status"] == "pass"
+    assert functional["status"] == "fail"
+    assert functional["max_residual"] == math.inf
+    assert "inf" in [f["residual-text"] for f in functional["failures"]]
+    assert summ["failures"] == [{"witness": functional["check"]}]
+
+
 @pytest.mark.parametrize("args", [["verify-elliptic", "--n", "abc"],
                                   ["leaves-verify", "--n", "abc", "--p", "2"],
                                   ["leaves-verify", "--n", "5/2", "--p", "2"]])
@@ -216,6 +244,7 @@ def test_fractional_degree_exits_2(command, n, tmp_path, capsys):
     (["verify-elliptic", "--n", "3", "--samples", "0"], "count must be positive"),
     (["all", "--samples", "0"], "count must be positive"),
     (["bracket-table", "--window", "F0"], "empty window 'F0'"),
+    (["verify-elliptic", "--n", "1e400"], "n '1e400' is beyond the float range"),
 ])
 def test_out_of_range_input_exits_2(args, message, tmp_path, capsys):
     code, text = run_cli(args, tmp_path)
@@ -420,6 +449,24 @@ def test_config_file_malformed(tmp_path):
 
 
 # -- determinism --------------------------------------------------------------
+
+def command_reports(argv):
+    """The reports of one command, summary included, as the CLI builds them."""
+    args = cli.build_parser().parse_args(argv)
+    reports = cli._COMMANDS[args.command](args, {}, io.StringIO())
+    return reports + [cli.summary(reports)]
+
+
+@pytest.mark.parametrize("argv", [["all"], *([name, "--samples", "3"] + (
+    ["--n", "4"] if name == "casimir-build" else []) for name in cli._COMMANDS if name != "all")],
+    ids=lambda argv: argv[0])
+def test_reports_hold_json_values(argv):
+    # to_dict returns the fields as the checks build them, so every check
+    # must build lists, string keys and JSON scalars: a tuple, a Fraction or
+    # an int key would serialize but not read back equal
+    for rep in command_reports(argv):
+        assert json.loads(rep.to_json()) == rep.to_dict(), rep.check
+
 
 def test_reports_deterministic(tmp_path):
     args = ["leaves-verify", "--n", "5", "--p", "2", "--samples", "4", "--seed", "31"]

@@ -301,7 +301,7 @@ def assert_same_guard(L, z, radius):
     reduced = outcome(_reduce, L, z)
     if isinstance(reduced[0], complex):
         z0 = reduced[0]
-        assert outcome(_near, L, z0, radius, True) == outcome(
+        assert outcome(_near, L, z0, radius) == outcome(
             lambda: ref_lattice_distance(L, z0) < radius)
 
 
@@ -368,6 +368,19 @@ def test_guard_scans_only_between_its_bounds(monkeypatch, L, scans):
                         lambda *args: calls.append(args) or real(*args))
     assert len(sample_points(L, Random(0), 100, pairwise_distinct=True)) == 100
     assert bool(calls) == scans
+
+
+def test_sampling_reduces_only_past_half_the_cell_height(monkeypatch):
+    # a candidate under half the smaller cell height is its own reduced
+    # point, so the guard decides it without reducing it
+    L = lattice_init(1, 1j)
+    reduced = []
+    real = weierstrass._reduce
+    monkeypatch.setattr(weierstrass, "_reduce",
+                        lambda L, z: reduced.append(z) or real(L, z))
+    half_height = L._guard[0]
+    assert len(sample_points(L, Random(0), 100)) == 100
+    assert reduced and all(abs(z) >= half_height for z in reduced)
 
 
 # -- the sampling stream, as the scan decided it -----------------------------------

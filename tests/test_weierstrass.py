@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import elliptic_poisson.weierstrass as weierstrass
 from elliptic_poisson.brackets import BracketSpec, generator_bracket
@@ -78,16 +78,55 @@ def test_series_tail_below_last_bit(tau, scale, angle):
     weights 1, k-1 and 1/(2k-1) times |c_k| rho^(2k).  The sum is taken
     with the largest, k-1.  It does not change with the scale or the
     rotation of omega1; the series runs only on lattices that lattice_init
-    certifies."""
+    certifies, and it certifies every lattice of this domain."""
     omega1 = cmath.rect(scale, angle)
-    try:
-        L = lattice_init(omega1, tau * omega1)
-    except CertificationError:
-        reject()
+    L = lattice_init(omega1, tau * omega1)
     c = _laurent_coeffs(L.g2, L.g3, 26)
     rho = _SERIES_FRACTION * L.r_min
     tail = sum((k - 1) * abs(c[k]) * rho ** (2 * k) for k in range(_SERIES_ORDER + 1, 27))
     assert tail <= 2.0 ** -60
+
+
+@pytest.mark.parametrize("scale", [0.25, 0.5, 1, 2, 4])
+def test_small_lattice_certifies(scale):
+    # the differential-equation residual is measured against the terms that
+    # cancel in p'^2 = 4 p^3 - g2 p - g3; against 1 + |p|^3 alone, where
+    # |p'|^2 is the larger, this lattice was refused at scale 0.25 and 0.5
+    lattice_init(scale, (-0.45 + 0.5j) * scale)
+
+
+CONTROL_TAUS = (1j, 0.3 + 1.1j, -0.45 + 0.5j, 2j)
+CONTROL_SCALES = (0.25, 0.5, 1, 2, 4)
+
+
+@pytest.mark.parametrize("tau", CONTROL_TAUS)
+@pytest.mark.parametrize("scale", CONTROL_SCALES)
+def test_certification_refuses_a_wrong_series(monkeypatch, tau, scale):
+    # c_4 off by 1e-6 relative: the lattice must not certify
+    real = weierstrass._laurent_coeffs
+
+    def bent(g2, g3, order):
+        c = list(real(g2, g3, order))
+        c[4] *= 1 + 1e-6
+        return tuple(c)
+
+    monkeypatch.setattr(weierstrass, "_laurent_coeffs", bent)
+    with pytest.raises(CertificationError):
+        lattice_init(scale, tau * scale)
+
+
+@pytest.mark.parametrize("tau", CONTROL_TAUS)
+@pytest.mark.parametrize("scale", CONTROL_SCALES)
+def test_differential_equation_refuses_a_wrong_series(tau, scale):
+    # the same bent c_4 beside the true eta1 and eta2, which pass the
+    # Legendre check: the differential equation alone must refuse it
+    L = lattice_init(scale, tau * scale)
+    c = list(L.laurent_c)
+    c[4] *= 1 + 1e-6
+    bent = weierstrass.Lattice(L.omega1, L.omega2, L.g2, L.g3, tuple(c),
+                               L.eta1, L.eta2, L.r_min)
+    with pytest.raises(CertificationError, match="differential equation"):
+        weierstrass._certify(bent)
 
 
 def test_degenerate_periods_rejected():
@@ -157,6 +196,21 @@ def test_parity():
         assert abs(pm - p) < 1e-9 * scale
         assert abs(dpm + dp) < 1e-9 * scale
         assert abs(ztm + zt) < 1e-9 * scale
+
+
+# the five period ratios of the benchmark's numeric sweep
+SWEEP_LATTICES = tuple(lattice_init(1, tau)
+                       for tau in (1j, 0.3 + 1.1j, 2j, 0.5 + 0.9j, -0.4 + 1.2j))
+
+
+@pytest.mark.parametrize("L", SWEEP_LATTICES, ids=lambda L: repr(L.omega2))
+def test_weier_eval_is_odd_to_the_bit(L):
+    # the round-half-even reduction and the three series commute with
+    # negation, so the parity row of weierstrass_selftest reads exactly 0
+    # on cell points: it guards this symmetry, not the accuracy of p
+    for z in sample_points(L, Random(20240915), 1000):
+        p, dp, zt = weier_eval(L, z)
+        assert weier_eval(L, -z) == (p, -dp, -zt)
 
 
 def test_small_z_expansion():
@@ -420,6 +474,17 @@ def test_verify_functional_matches_one_sym_eval_per_pair():
         "omega2": repr(SQUARE.omega2)})
     got = verify_functional(SQUARE, n, window, plan)
     assert got.to_json() == want.to_json()
+
+
+def test_verify_functional_takes_n_exactly():
+    # a float n is the rational it holds: the symbolic bracket is built at
+    # Fraction(5.0) == 5, not kept formal and evaluated at the float
+    plan = SamplePlan(seed=9, count=10, tolerance=1e-6)
+    window = IndexSet.fn(6).members()
+    at_float = verify_functional(SKEW, 5.0, window, plan)
+    exact = verify_functional(SKEW, Fraction(5), window, plan)
+    assert at_float.max_residual == exact.max_residual
+    assert at_float.failures == exact.failures and exact.passed
 
 
 def test_verify_functional_evaluations_do_not_grow_with_pairs(weier_eval_points):
