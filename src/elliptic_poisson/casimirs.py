@@ -332,7 +332,7 @@ def _family_size(elements) -> int:
                        for k in {k & _SYM_MASK for k in elem._terms}) for elem in elements if elem)
 
 
-def involution_family(n: int, check_name: str | None = None) -> Report:
+def involution_family(n: int) -> Report:
     """Exact involution of the pencil family at numeric n, by Lenard chains.
 
     The shift phi (``_PENCIL_SHIFT``) is an injective ring map of the
@@ -352,4 +352,4 @@ def involution_family(n: int, check_name: str | None = None) -> Report:
     size = _family_size(elements)
     _tally_central(tally, elements, n, _PENCIL_SHIFT)
     params = {"n": n, "family_size": size, "pairs": size * (size - 1) // 2}
-    return tally.report(check_name or f"involution-n{n}", params)
+    return tally.report(f"involution-n{n}", params)

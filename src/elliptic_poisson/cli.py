@@ -1,5 +1,10 @@
 """Command-line driver: configuration, sweeps, golden files, and reports.
 
+argparse is the one parser.  Each ``key=value`` line of a ``--config`` file
+is read as the flag it names (``--key=value``, or the bare switch), placed
+before the flags of the command line, so a config value is checked exactly
+like the flag and a flag on the command line wins.
+
 Reports stream as JSON lines (one object per check plus a summary object);
 ``--format text`` renders the same data as a table.  Exit codes: 0 all
 checks passed, 1 at least one failure (a lattice that fails its own
@@ -49,7 +54,6 @@ from .weierstrass import (
 
 SEED_ENV = "ELLIPTIC_POISSON_SEED"
 DEFAULT_SEED = 20240915
-DEFAULT_TAU = "i"
 TRIPLE_GUARDRAIL = 10_000
 
 CORE_WINDOW = (0, 2, 3, 4, 5, 6, 7, 8, 9, 10)
@@ -109,7 +113,7 @@ def parse_rational(text: str) -> Fraction:
 def parse_degree(text: str, minimum: int, what: str) -> int:
     """An integer degree parameter of at least ``minimum``; a fractional or
     smaller value is a usage error, never truncated."""
-    value = parse_rational(str(text))
+    value = parse_rational(text)
     if value.denominator != 1:
         raise UsageError(f"{what} needs an integer n, got {text!r}")
     if value < minimum:
@@ -117,8 +121,11 @@ def parse_degree(text: str, minimum: int, what: str) -> int:
     return int(value)
 
 
-def _load_config(path: str) -> dict[str, str]:
-    config: dict[str, str] = {}
+def _load_config(path: str, defaults: dict) -> list[str]:
+    """The flags that the ``key=value`` lines of a config file name: a key
+    whose parsed default is False is a switch, given bare when its value is
+    true; every other key becomes ``--key=value``, so argparse checks it."""
+    flags = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -127,34 +134,21 @@ def _load_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                key = key.strip().replace("-", "_")
-                if key not in _CONFIG_PARSERS:
+                key, value = (part.strip() for part in line.split("=", 1))
+                key = key.replace("-", "_")
+                if key not in defaults:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                config[key] = value.strip()
+                flag = "--" + key.replace("_", "-")
+                if defaults[key] is not False:
+                    flags.append(f"{flag}={value}")
+                elif value.lower() in ("1", "true", "yes"):
+                    flags.append(flag)
+                elif value.lower() not in ("0", "false", "no"):
+                    raise UsageError(f"{path}:{lineno}: {key} is a switch, "
+                                     f"expected true or false, got {value!r}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    return config
-
-
-_CONFIG_PARSERS = {
-    "seed": int, "samples": int, "p": int, "tol": float,
-    **dict.fromkeys(("force", "formal_n", "formal_lambda"),
-                    lambda v: v.lower() in ("1", "true", "yes")),
-    **dict.fromkeys(("n", "tau", "window", "format", "out", "bracket"), str),
-}
-
-
-def _effective(args: argparse.Namespace, config: dict[str, str], key: str, default):
-    value = getattr(args, key, None)
-    if value is not None and value is not False:
-        return value
-    if key in config:
-        try:
-            return _CONFIG_PARSERS[key](config[key])
-        except ValueError:
-            raise UsageError(f"bad config value for {key}: {config[key]!r}") from None
-    return default
+    return flags
 
 
 def _resolve_bracket(name: str) -> BracketSpec:
@@ -252,98 +246,79 @@ def nondegeneracy_report(cfg: LeafConfig, seed: int) -> Report:
 # -- command implementations --------------------------------------------------
 
 
-def _cmd_bracket_table(args, config, out):
-    window = parse_window(_effective(args, config, "window", "0..6"))
-    n_text = _effective(args, config, "n", None)
-    n_value = None if n_text in (None, "formal") else parse_rational(str(n_text))
+def _cmd_bracket_table(args, out):
+    window = parse_window(args.window)
+    n_value = None if args.n in (None, "formal") else parse_rational(args.n)
     rep, lines = bracket_table(window, n_value)
     out.writelines(line + "\n" for line in lines)
     return [rep]
 
 
-def _cmd_verify_jacobi(args, config, out):
-    window = parse_window(_effective(args, config, "window", "F10"))
+def _cmd_verify_jacobi(args, out):
+    window = parse_window(args.window)
     triples = len(window) * (len(window) - 1) * (len(window) - 2) // 6
-    force = _effective(args, config, "force", False)
-    if triples > TRIPLE_GUARDRAIL and not force:
+    if triples > TRIPLE_GUARDRAIL and not args.force:
         raise UsageError(
             f"window yields {triples} triples (> {TRIPLE_GUARDRAIL}); pass --force to proceed")
-    if _effective(args, config, "formal_lambda", False):
-        spec = BracketSpec.custom()
-    else:
-        spec = _resolve_bracket(_effective(args, config, "bracket", "elliptic"))
-    n_text = _effective(args, config, "n", None)
-    formal_n = _effective(args, config, "formal_n", False) or n_text in (None, "formal")
-    n_value = None if formal_n else parse_rational(str(n_text))
+    spec = BracketSpec.custom() if args.formal_lambda else _resolve_bracket(args.bracket)
+    formal_n = args.formal_n or args.n in (None, "formal")
+    n_value = None if formal_n else parse_rational(args.n)
     return [verify_jacobi_window(window, spec, n_value=n_value)]
 
 
-def _cmd_verify_closure(args, config, out):
-    n_text = _effective(args, config, "n", "2..10")
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", str(n_text))
+def _cmd_verify_closure(args, out):
+    m = re.fullmatch(r"(\d+)\.\.(\d+)", args.n)
     if m:
         ns = list(range(parse_degree(m.group(1), 2, "closure check"), int(m.group(2)) + 1))
         if not ns:
-            raise UsageError(f"empty range {n_text!r}")
+            raise UsageError(f"empty range {args.n!r}")
     else:
-        ns = [parse_degree(n_text, 2, "closure check")]
-    bracket = _effective(args, config, "bracket", "all")
-    specs = CLOSURE_BRACKETS if bracket == "all" else [(bracket, _resolve_bracket(bracket))]
+        ns = [parse_degree(args.n, 2, "closure check")]
+    specs = (CLOSURE_BRACKETS if args.bracket == "all"
+             else [(args.bracket, _resolve_bracket(args.bracket))])
     return closure_reports(ns, specs)
 
 
-def _make_lattice(args, config):
+def _make_lattice(args):
     """The lattice of --tau, or a failing lattice-certification report when
     the lattice fails its own self-checks; degenerate periods are a usage
     error."""
-    tau_text = _effective(args, config, "tau", DEFAULT_TAU)
-    tau = parse_tau(tau_text)
+    tau = parse_tau(args.tau)
     try:
         return lattice_init(1, tau)
     except CertificationError as exc:
         tally = Tally()
-        tally.fail(f"tau={tau_text}", str(exc))
-        return tally.report("lattice-certification", {"tau": tau_text})
+        tally.fail(f"tau={args.tau}", str(exc))
+        return tally.report("lattice-certification", {"tau": args.tau})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _sample_plan(seed: int, count: int, tolerance: float) -> SamplePlan:
-    """A sample plan from flags or configuration; a value it rejects is a
-    usage error."""
+    """A sample plan from the flags; a value it rejects is a usage error."""
     try:
         return SamplePlan(seed, count, tolerance)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _make_plan(args, config, default_samples=20, default_tol=1e-6):
-    return _sample_plan(
-        seed=int(_effective(args, config, "seed", _default_seed())),
-        count=int(_effective(args, config, "samples", default_samples)),
-        tolerance=float(_effective(args, config, "tol", default_tol)),
-    )
-
-
-def _cmd_verify_elliptic(args, config, out):
-    plan = _make_plan(args, config)
-    n_text = _effective(args, config, "n", None)
+def _cmd_verify_elliptic(args, out):
+    plan = _sample_plan(args.seed, args.samples, args.tol)
     ns = ACCEPTANCE_FUNCTIONAL_N
-    if n_text is not None:
-        ns = [parse_rational(str(n_text))]
+    if args.n is not None:
+        ns = [parse_rational(args.n)]
         try:
             float(ns[0])  # the numerics take n as a float
         except OverflowError:
-            raise UsageError(f"n {n_text!r} is beyond the float range") from None
-    L = _make_lattice(args, config)
+            raise UsageError(f"n {args.n!r} is beyond the float range") from None
+    L = _make_lattice(args)
     return [L] if isinstance(L, Report) else elliptic_reports(L, plan, ns)
 
 
-def _cmd_casimir_build(args, config, out):
-    n_text = _effective(args, config, "n", None)
-    if n_text is None:
+def _cmd_casimir_build(args, out):
+    if args.n is None:
         raise UsageError("casimir-build needs --n")
-    n = parse_degree(n_text, 3, "casimir construction")
+    n = parse_degree(args.n, 3, "casimir construction")
     cs = casimirs(n)
     out.writelines(line + "\n" for line in casimir_lines(cs))
     return [make_report(f"casimir-build-n{n}", {
@@ -352,15 +327,14 @@ def _cmd_casimir_build(args, config, out):
     }, [])]
 
 
-def _degrees(args, config, what: str, default) -> list[int]:
+def _degrees(args, what: str, default) -> list[int]:
     """The degree of --n (at least 3), or the acceptance degrees."""
-    n_text = _effective(args, config, "n", None)
-    return [parse_degree(n_text, 3, what)] if n_text is not None else list(default)
+    return [parse_degree(args.n, 3, what)] if args.n is not None else list(default)
 
 
-def _cmd_casimir_verify(args, config, out):
+def _cmd_casimir_verify(args, out):
     reports = []
-    for n in _degrees(args, config, "casimir construction", ACCEPTANCE_CENTRAL_N):
+    for n in _degrees(args, "casimir construction", ACCEPTANCE_CENTRAL_N):
         reports.append(verify_central(casimirs(n)))
         if n % 2 == 0:
             reports.append(rank1_identity_check(build_matrix("g", n), check_name=f"rank1-g-n{n}"))
@@ -368,23 +342,21 @@ def _cmd_casimir_verify(args, config, out):
     return reports
 
 
-def _cmd_involution(args, config, out):
+def _cmd_involution(args, out):
     return [involution_family(n)
-            for n in _degrees(args, config, "involution check", ACCEPTANCE_INVOLUTION_N)]
+            for n in _degrees(args, "involution check", ACCEPTANCE_INVOLUTION_N)]
 
 
-def _cmd_leaves_verify(args, config, out):
-    plan = _make_plan(args, config, default_samples=10)
-    n_text = _effective(args, config, "n", None)
-    p_value = _effective(args, config, "p", None)
-    if (n_text is None) != (p_value is None):
+def _cmd_leaves_verify(args, out):
+    plan = _sample_plan(args.seed, args.samples, args.tol)
+    if (args.n is None) != (args.p is None):
         raise UsageError("leaves-verify needs both --n and --p, or neither")
     cases = list(ACCEPTANCE_PROP3)
-    if n_text is not None:
-        cases = [(p_value, parse_degree(n_text, 1, "leaves-verify"))]
-        if p_value < 1:
+    if args.n is not None:
+        cases = [(args.p, parse_degree(args.n, 1, "leaves-verify"))]
+        if args.p < 1:
             raise UsageError("p must be a positive integer")
-    L = _make_lattice(args, config)
+    L = _make_lattice(args)
     if isinstance(L, Report):
         return [L]
     reports = []
@@ -397,9 +369,9 @@ def _cmd_leaves_verify(args, config, out):
     return reports
 
 
-def _cmd_all(args, config, out):
-    seed = int(_effective(args, config, "seed", _default_seed()))
-    functional_plan = _sample_plan(seed, int(_effective(args, config, "samples", 20)), 1e-6)
+def _cmd_all(args, out):
+    seed = args.seed
+    functional_plan = _sample_plan(seed, args.samples, 1e-6)
     reports = [verify_jacobi_window(list(CORE_WINDOW), BracketSpec.custom(),
                                     check_name="jacobi-core")]
     reports += closure_reports(range(2, 11), CLOSURE_BRACKETS)
@@ -442,6 +414,16 @@ _COMMANDS = {
 }
 
 
+# The defaults that differ by command, as the flags that set them.  They go
+# first on the line, so a config file or the command line overrides them.
+_COMMAND_DEFAULTS = {
+    "bracket-table": ["--window=0..6"],
+    "verify-jacobi": ["--window=F10", "--bracket=elliptic"],
+    "verify-closure": ["--n=2..10", "--bracket=all"],
+    "leaves-verify": ["--samples=10"],
+}
+
+
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV)
     if env is not None:
@@ -457,17 +439,17 @@ def build_parser() -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", help="flat key=value configuration file; flags win")
     flags.add_argument("--out", help="write reports to this path (default stdout)")
-    flags.add_argument("--format", choices=("json", "text"), default=None,
+    flags.add_argument("--format", choices=("json", "text"), default="json",
                        help="report rendering (default json lines)")
     flags.add_argument("--n", default=None, help="degree parameter (rational, range, or 'formal')")
     flags.add_argument("--p", type=int, default=None, help="number of leaf points")
     flags.add_argument("--window", default=None,
                        help="index window: 'a..b', 'FN', or comma list")
-    flags.add_argument("--tau", default=None,
+    flags.add_argument("--tau", default="i",
                        help="period ratio a+bi; negative real part as --tau=-0.4+1.2i")
     flags.add_argument("--seed", type=int, default=None)
-    flags.add_argument("--samples", type=int, default=None)
-    flags.add_argument("--tol", type=float, default=None)
+    flags.add_argument("--samples", type=int, default=20)
+    flags.add_argument("--tol", type=float, default=1e-6)
     flags.add_argument("--bracket", default=None,
                        help="elliptic | 1 | 2 | 3 | lambda | custom:a,b,c")
     flags.add_argument("--formal-n", action="store_true",
@@ -487,34 +469,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line.  The command's own defaults, then the flags
+    that the --config lines name, go between the subcommand and the flags
+    of the line, so that a later flag wins.  Raises SystemExit on a flag
+    argparse rejects and UsageError on a bad config file or seed."""
     parser = build_parser()
+    args = parser.parse_args(argv)
+    flags = list(_COMMAND_DEFAULTS.get(args.command, ()))
+    if args.config:
+        defaults = vars(parser.parse_args([args.command]))
+        del defaults["command"], defaults["config"]
+        flags += _load_config(args.config, defaults)
+    if flags:
+        args = parser.parse_args(
+            [args.command, *flags, *argv[argv.index(args.command) + 1:]])
+    if args.seed is None:
+        args.seed = _default_seed()
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        config = _load_config(args.config) if args.config else {}
-        out_path = _effective(args, config, "out", None)
-        fmt = _effective(args, config, "format", None) or "json"
-        if fmt not in ("json", "text"):
-            raise UsageError(f"unknown format {fmt!r}")
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         try:
-            sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
+            sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
         except OSError as exc:
             raise UsageError(f"cannot write report file: {exc}") from None
         try:
-            reports = _COMMANDS[args.command](args, config, sink)
+            reports = _COMMANDS[args.command](args, sink)
             reports.append(summary(reports))
-            if fmt == "json":
+            if args.format == "json":
                 for rep in reports:
                     sink.write(rep.to_json() + "\n")
             else:
                 sink.write(render_table(reports) + "\n")
         finally:
-            if out_path:
+            if args.out:
                 sink.close()
         return 0 if all(r.passed for r in reports) else 1
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return 2 if exc.code not in (0, None) else 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

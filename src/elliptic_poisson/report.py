@@ -10,6 +10,7 @@ failure record format and the clock.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -61,7 +62,8 @@ class Tally:
     Without a tolerance the check is exact: it passes with no failures and
     then reports ``max_residual`` as exact-zero.  With one, every relative
     residual enters the worst residual and fails unless ``rel < tol``, so a
-    NaN residual fails (and shows as ``nan`` in its failure record).
+    NaN residual fails (and shows as ``nan`` in its failure record), and
+    once one is seen the worst residual stays NaN.
     Witness and residual-text templates are ``str.format`` strings filled in
     only on failure.
     """
@@ -87,7 +89,8 @@ class Tally:
         """A relative residual against the tolerance; the record shows
         ``text`` (a template filled with ``text_args``, if any) or else
         ``rel`` to four digits."""
-        self.worst = max(self.worst, rel)
+        if rel > self.worst or math.isnan(rel):  # max() would pass over NaN
+            self.worst = rel
         if not rel < self.tol:
             if text is None:
                 text = f"{rel:.3e}"

@@ -129,15 +129,28 @@ def test_underflowing_nome_is_a_failed_check(tau, tmp_path):
 
 def test_overflowing_functional_residual_is_a_failed_check(tmp_path):
     # a term of the two-point bracket past the float range made abs() raise
-    # OverflowError, a crash (exit 3); the sample now fails with residual inf
+    # OverflowError, a crash (exit 3); the sample now fails with residual inf.
+    # The other failing samples of this check have NaN residuals, and a NaN
+    # residual makes the worst residual NaN
     code, text = run_cli(["verify-elliptic", "--n", "1e300", "--samples", "3"], tmp_path)
     assert code == 1
     selftest, identity5, functional, summ = parse_reports(text)
     assert selftest["status"] == identity5["status"] == "pass"
     assert functional["status"] == "fail"
-    assert functional["max_residual"] == math.inf
-    assert "inf" in [f["residual-text"] for f in functional["failures"]]
+    assert math.isnan(functional["max_residual"])
+    assert sorted({f["residual-text"] for f in functional["failures"]}) == ["inf", "nan"]
     assert summ["failures"] == [{"witness": functional["check"]}]
+
+
+def test_nan_functional_residual_is_a_failed_check(tmp_path):
+    # every failing residual of this check is NaN, which max() passed over:
+    # the failing check reported max_residual 0.0, below its tolerance
+    code, text = run_cli(["verify-elliptic", "--n", "1.7e308", "--samples", "3"], tmp_path)
+    assert code == 1
+    functional = parse_reports(text)[2]
+    assert functional["status"] == "fail"
+    assert math.isnan(functional["max_residual"])
+    assert "nan" in [f["residual-text"] for f in functional["failures"]]
 
 
 @pytest.mark.parametrize("args", [["verify-elliptic", "--n", "abc"],
@@ -448,12 +461,42 @@ def test_config_file_malformed(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify-closure", "verify-elliptic"])
+def test_config_value_checked_like_its_flag(command, tmp_path, capsys):
+    # a config value was parsed only by a command that read it, so
+    # verify-closure, which draws no samples, ran with seed=abc and exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=2\nseed=abc\n", encoding="utf-8")
+    code, text = run_cli([command, "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, on", [("1", True), ("TRUE", True), ("yes", True),
+                                       ("0", False), ("false", False), ("No", False)])
+def test_config_switch_values(value, on, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"force = {value}\n", encoding="utf-8")
+    assert cli.parse_args(["verify-jacobi", "--config", str(cfg)]).force is on
+
+
+def test_config_switch_needs_a_boolean(tmp_path, capsys):
+    # force=ture silently meant false
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window=0..3\nforce=ture\n", encoding="utf-8")
+    code, text = run_cli(["verify-jacobi", "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert f"{cfg}:2: force is a switch" in capsys.readouterr().err
+
+
 # -- determinism --------------------------------------------------------------
 
 def command_reports(argv):
     """The reports of one command, summary included, as the CLI builds them."""
-    args = cli.build_parser().parse_args(argv)
-    reports = cli._COMMANDS[args.command](args, {}, io.StringIO())
+    args = cli.parse_args(argv)
+    reports = cli._COMMANDS[args.command](args, io.StringIO())
     return reports + [cli.summary(reports)]
 
 
@@ -551,3 +594,32 @@ def readme_cli_lines():
 def test_readme_cli_examples_exit_0(line, capsys):
     assert main(shlex.split(line, comments=True)[1:]) == 0
     assert capsys.readouterr().out
+
+
+def config_text(flags):
+    """The config file that names ``flags``: ``--key value`` and
+    ``--key=value`` become ``key=value``, and a bare switch ``key=true``."""
+    lines = []
+    for k, token in enumerate(flags):
+        if token.startswith("--"):
+            key, eq, value = token[2:].partition("=")
+            if not eq:
+                following = flags[k + 1] if k + 1 < len(flags) else "--"
+                value = "true" if following.startswith("--") else following
+            lines.append(f"{key}={value}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_examples_read_from_config(line, tmp_path, capsys, monkeypatch):
+    # a config line is read as the flag it names, so the same run from a
+    # config file prints the same bytes; a frozen clock fixes the seconds
+    # column of --format text
+    monkeypatch.setattr(elliptic_poisson.report.time, "monotonic", lambda: 0.0)
+    command, *flags = shlex.split(line, comments=True)[1:]
+    assert main([command, *flags]) == 0
+    expected = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(flags), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == expected

@@ -1,6 +1,8 @@
 """The shared check recorder: pass rule, failure records, exact-zero."""
 
+import itertools
 import json
+import math
 
 from elliptic_poisson.poly import EPoly
 from elliptic_poisson.report import EXACT_ZERO, Tally
@@ -67,5 +69,16 @@ def test_nan_residual_fails():
     tally.residual(1e-9, "sample {}", 0)
     tally.residual(float("nan"), "sample {}", 1)
     rep = tally.report("sweep", {"tol": 1e-6})
-    assert rep.status == "fail" and rep.max_residual == 1e-9
+    assert rep.status == "fail" and math.isnan(rep.max_residual)
     assert rep.failures == [{"witness": "sample 1", "residual-text": "nan"}]
+
+
+def test_nan_worst_residual_in_every_order():
+    # max() passes over NaN, so a NaN seen first, or between two numbers,
+    # left a max_residual below the tolerance of a failing check
+    for order in itertools.permutations([1e-9, float("nan"), 2e-9]):
+        tally = Tally(1e-6)
+        for k, rel in enumerate(order):
+            tally.residual(rel, "sample {}", k)
+        rep = tally.report("sweep", {"tol": 1e-6})
+        assert not rep.passed and math.isnan(rep.max_residual), order
