@@ -1,16 +1,18 @@
 """Command-line driver: configuration, sweeps, golden files, and reports.
 
-argparse is the one parser.  Each ``key=value`` line of a ``--config`` file
-is read as the flag it names (``--key=value``, or the bare switch), placed
-before the flags of the command line, so a config value is checked exactly
-like the flag and a flag on the command line wins.
+A subcommand takes the flags it reads, as ``_COMMANDS`` lists them, and
+``--config``, ``--out`` and ``--format``.  Each ``key=value`` line of a
+``--config`` file is read as the flag it names (``--key=value``, or the
+bare switch), placed before the flags of the command line, so argparse
+checks a config value exactly like the flag and a flag on the line wins.
 
 Reports stream as JSON lines (one object per check plus a summary object);
-``--format text`` renders the same data as a table.  Exit codes: 0 all
-checks passed, 1 at least one failure (a lattice that fails its own
-certification and a residual past the float range included), 2 usage or
-configuration error (an unwritable ``--out`` and an ``--n`` no float holds
-included), 3 internal error (a crash, not a failed check).
+``--format text`` renders the same data as a table; ``--out`` is emptied
+only once the command has returned.  Exit codes: 0 all checks passed, 1 at
+least one failure (a lattice that fails its own certification and a
+residual past the float range included), 2 usage or configuration error
+(an unwritable ``--out`` and an ``--n`` no float holds included), 3
+internal error (a crash, not a failed check).
 """
 
 from __future__ import annotations
@@ -121,10 +123,11 @@ def parse_degree(text: str, minimum: int, what: str) -> int:
     return int(value)
 
 
-def _load_config(path: str, defaults: dict) -> list[str]:
-    """The flags that the ``key=value`` lines of a config file name: a key
-    whose parsed default is False is a switch, given bare when its value is
-    true; every other key becomes ``--key=value``, so argparse checks it."""
+def _load_config(path: str, command: str) -> list[str]:
+    """The flags that the ``key=value`` lines of a config file name: a
+    switch of ``command`` is given bare when its value is true, and every
+    other flag it takes but --config becomes ``--key=value``."""
+    keys = {flag.partition("=")[0] for flag in ("out", "format", *_COMMANDS[command][1].split())}
     flags = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -135,11 +138,11 @@ def _load_config(path: str, defaults: dict) -> list[str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                key = key.replace("-", "_")
-                if key not in defaults:
+                key = key.replace("_", "-")
+                if key not in keys:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                flag = "--" + key.replace("_", "-")
-                if defaults[key] is not False:
+                flag = "--" + key
+                if "action" not in _FLAGS[key]:
                     flags.append(f"{flag}={value}")
                 elif value.lower() in ("1", "true", "yes"):
                     flags.append(flag)
@@ -246,27 +249,23 @@ def nondegeneracy_report(cfg: LeafConfig, seed: int) -> Report:
 # -- command implementations --------------------------------------------------
 
 
-def _cmd_bracket_table(args, out):
+def _cmd_bracket_table(args):
     window = parse_window(args.window)
-    n_value = None if args.n in (None, "formal") else parse_rational(args.n)
-    rep, lines = bracket_table(window, n_value)
-    out.writelines(line + "\n" for line in lines)
-    return [rep]
+    rep, lines = bracket_table(window, None if args.n == "formal" else parse_rational(args.n))
+    return [rep], lines
 
 
-def _cmd_verify_jacobi(args, out):
+def _cmd_verify_jacobi(args):
     window = parse_window(args.window)
     triples = len(window) * (len(window) - 1) * (len(window) - 2) // 6
     if triples > TRIPLE_GUARDRAIL and not args.force:
         raise UsageError(
             f"window yields {triples} triples (> {TRIPLE_GUARDRAIL}); pass --force to proceed")
-    spec = BracketSpec.custom() if args.formal_lambda else _resolve_bracket(args.bracket)
-    formal_n = args.formal_n or args.n in (None, "formal")
-    n_value = None if formal_n else parse_rational(args.n)
-    return [verify_jacobi_window(window, spec, n_value=n_value)]
+    n_value = None if args.n == "formal" else parse_rational(args.n)
+    return [verify_jacobi_window(window, _resolve_bracket(args.bracket), n_value=n_value)], []
 
 
-def _cmd_verify_closure(args, out):
+def _cmd_verify_closure(args):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", args.n)
     if m:
         ns = list(range(parse_degree(m.group(1), 2, "closure check"), int(m.group(2)) + 1))
@@ -276,7 +275,7 @@ def _cmd_verify_closure(args, out):
         ns = [parse_degree(args.n, 2, "closure check")]
     specs = (CLOSURE_BRACKETS if args.bracket == "all"
              else [(args.bracket, _resolve_bracket(args.bracket))])
-    return closure_reports(ns, specs)
+    return closure_reports(ns, specs), []
 
 
 def _make_lattice(args):
@@ -302,7 +301,7 @@ def _sample_plan(seed: int, count: int, tolerance: float) -> SamplePlan:
         raise UsageError(str(exc)) from None
 
 
-def _cmd_verify_elliptic(args, out):
+def _cmd_verify_elliptic(args):
     plan = _sample_plan(args.seed, args.samples, args.tol)
     ns = ACCEPTANCE_FUNCTIONAL_N
     if args.n is not None:
@@ -312,19 +311,18 @@ def _cmd_verify_elliptic(args, out):
         except OverflowError:
             raise UsageError(f"n {args.n!r} is beyond the float range") from None
     L = _make_lattice(args)
-    return [L] if isinstance(L, Report) else elliptic_reports(L, plan, ns)
+    return ([L] if isinstance(L, Report) else elliptic_reports(L, plan, ns)), []
 
 
-def _cmd_casimir_build(args, out):
+def _cmd_casimir_build(args):
     if args.n is None:
         raise UsageError("casimir-build needs --n")
     n = parse_degree(args.n, 3, "casimir construction")
     cs = casimirs(n)
-    out.writelines(line + "\n" for line in casimir_lines(cs))
     return [make_report(f"casimir-build-n{n}", {
         "n": n, "kind": cs.kind,
         "degrees": [c.homogeneous_degree() for c in cs.elements],
-    }, [])]
+    }, [])], casimir_lines(cs)
 
 
 def _degrees(args, what: str, default) -> list[int]:
@@ -332,22 +330,22 @@ def _degrees(args, what: str, default) -> list[int]:
     return [parse_degree(args.n, 3, what)] if args.n is not None else list(default)
 
 
-def _cmd_casimir_verify(args, out):
+def _cmd_casimir_verify(args):
     reports = []
     for n in _degrees(args, "casimir construction", ACCEPTANCE_CENTRAL_N):
         reports.append(verify_central(casimirs(n)))
         if n % 2 == 0:
             reports.append(rank1_identity_check(build_matrix("g", n), check_name=f"rank1-g-n{n}"))
             reports.append(rank1_identity_check(build_matrix("g2m", n), check_name=f"rank1-g2m-n{n}"))
-    return reports
+    return reports, []
 
 
-def _cmd_involution(args, out):
+def _cmd_involution(args):
     return [involution_family(n)
-            for n in _degrees(args, "involution check", ACCEPTANCE_INVOLUTION_N)]
+            for n in _degrees(args, "involution check", ACCEPTANCE_INVOLUTION_N)], []
 
 
-def _cmd_leaves_verify(args, out):
+def _cmd_leaves_verify(args):
     plan = _sample_plan(args.seed, args.samples, args.tol)
     if (args.n is None) != (args.p is None):
         raise UsageError("leaves-verify needs both --n and --p, or neither")
@@ -358,7 +356,7 @@ def _cmd_leaves_verify(args, out):
             raise UsageError("p must be a positive integer")
     L = _make_lattice(args)
     if isinstance(L, Report):
-        return [L]
+        return [L], []
     reports = []
     for p, n in cases:
         cfg = LeafConfig(p=p, n_value=Fraction(n), lattice=L)
@@ -366,10 +364,10 @@ def _cmd_leaves_verify(args, out):
         if 2 * p < n:
             reports += kernel_reports(cfg, plan.seed, plan.count, max(2, plan.count // 3))
         reports.append(nondegeneracy_report(cfg, plan.seed))
-    return reports
+    return reports, []
 
 
-def _cmd_all(args, out):
+def _cmd_all(args):
     seed = args.seed
     functional_plan = _sample_plan(seed, args.samples, 1e-6)
     reports = [verify_jacobi_window(list(CORE_WINDOW), BracketSpec.custom(),
@@ -398,29 +396,46 @@ def _cmd_all(args, out):
     reports += [involution_family(n) for n in ACCEPTANCE_INVOLUTION_N]
     for p, n in ((1, 4), (2, 6), (2, 4)):
         reports.append(nondegeneracy_report(LeafConfig(p=p, n_value=Fraction(n), lattice=L), seed))
-    return reports
+    return reports, []
 
 
-_COMMANDS = {
-    "bracket-table": _cmd_bracket_table,
-    "verify-jacobi": _cmd_verify_jacobi,
-    "verify-closure": _cmd_verify_closure,
-    "verify-elliptic": _cmd_verify_elliptic,
-    "casimir-build": _cmd_casimir_build,
-    "casimir-verify": _cmd_casimir_verify,
-    "involution": _cmd_involution,
-    "leaves-verify": _cmd_leaves_verify,
-    "all": _cmd_all,
+# Every flag, as the keywords of its add_argument.  --formal-n and
+# --formal-lambda spell --n=formal and --bracket=lambda on the same dest, so
+# the last of the two flags given wins.
+_FLAGS = {
+    "config": {"help": "flat key=value configuration file; flags win"},
+    "out": {"help": "write reports to this path (default stdout)"},
+    "format": {"choices": ("json", "text"), "default": "json",
+               "help": "report rendering (default json lines)"},
+    "n": {"help": "degree parameter (rational, range, or 'formal')"},
+    "formal-n": {"dest": "n", "action": "store_const", "const": "formal",
+                 "default": argparse.SUPPRESS, "help": "same as --n=formal"},
+    "p": {"type": int, "help": "number of leaf points"},
+    "window": {"help": "index window: 'a..b', 'FN', or comma list"},
+    "tau": {"default": "i", "help": "period ratio a+bi; negative real part as --tau=-0.4+1.2i"},
+    "seed": {"type": int},
+    "samples": {"type": int, "default": 20},
+    "tol": {"type": float, "default": 1e-6},
+    "bracket": {"help": "elliptic | 1 | 2 | 3 | lambda | custom:a,b,c"},
+    "formal-lambda": {"dest": "bracket", "action": "store_const", "const": "lambda",
+                      "default": argparse.SUPPRESS, "help": "same as --bracket=lambda"},
+    "force": {"action": "store_true", "help": "override the sweep-size guardrail"},
 }
 
-
-# The defaults that differ by command, as the flags that set them.  They go
-# first on the line, so a config file or the command line overrides them.
-_COMMAND_DEFAULTS = {
-    "bracket-table": ["--window=0..6"],
-    "verify-jacobi": ["--window=F10", "--bracket=elliptic"],
-    "verify-closure": ["--n=2..10", "--bracket=all"],
-    "leaves-verify": ["--samples=10"],
+# Each command: its function, and the flags it reads, with ``=value`` where
+# the command's default differs from the flag's.  Every command also takes
+# --config, --out and --format.
+_COMMANDS = {
+    "bracket-table": (_cmd_bracket_table, "window=0..6 n=formal"),
+    "verify-jacobi": (_cmd_verify_jacobi,
+                      "window=F10 n=formal formal-n bracket=elliptic formal-lambda force"),
+    "verify-closure": (_cmd_verify_closure, "n=2..10 bracket=all"),
+    "verify-elliptic": (_cmd_verify_elliptic, "n tau seed samples tol"),
+    "casimir-build": (_cmd_casimir_build, "n"),
+    "casimir-verify": (_cmd_casimir_verify, "n"),
+    "involution": (_cmd_involution, "n"),
+    "leaves-verify": (_cmd_leaves_verify, "n p tau seed samples=10 tol"),
+    "all": (_cmd_all, "seed samples"),
 }
 
 
@@ -436,55 +451,34 @@ def _default_seed() -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # Every flag follows the subcommand: `elliptic-poisson all --format text`.
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--config", help="flat key=value configuration file; flags win")
-    flags.add_argument("--out", help="write reports to this path (default stdout)")
-    flags.add_argument("--format", choices=("json", "text"), default="json",
-                       help="report rendering (default json lines)")
-    flags.add_argument("--n", default=None, help="degree parameter (rational, range, or 'formal')")
-    flags.add_argument("--p", type=int, default=None, help="number of leaf points")
-    flags.add_argument("--window", default=None,
-                       help="index window: 'a..b', 'FN', or comma list")
-    flags.add_argument("--tau", default="i",
-                       help="period ratio a+bi; negative real part as --tau=-0.4+1.2i")
-    flags.add_argument("--seed", type=int, default=None)
-    flags.add_argument("--samples", type=int, default=20)
-    flags.add_argument("--tol", type=float, default=1e-6)
-    flags.add_argument("--bracket", default=None,
-                       help="elliptic | 1 | 2 | 3 | lambda | custom:a,b,c")
-    flags.add_argument("--formal-n", action="store_true",
-                       help="keep the degree parameter formal")
-    flags.add_argument("--formal-lambda", action="store_true",
-                       help="use the fully formal three-parameter combination")
-    flags.add_argument("--force", action="store_true",
-                       help="override the sweep-size guardrail")
     parser = argparse.ArgumentParser(
         prog="elliptic-poisson",
         description="Exact verification suite for the compatible quadratic "
                     "bracket family and its elliptic realization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[flags])
+    for command, (_, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command)
+        for flag in ("config", "out", "format", *flags.split()):
+            name, has_default, default = flag.partition("=")
+            keywords = dict(_FLAGS[name])
+            if has_default:  # argparse converts a string default by the flag's type
+                keywords["default"] = default
+            command_parser.add_argument("--" + name, **keywords)
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse a command line.  The command's own defaults, then the flags
-    that the --config lines name, go between the subcommand and the flags
-    of the line, so that a later flag wins.  Raises SystemExit on a flag
-    argparse rejects and UsageError on a bad config file or seed."""
+    """Parse a command line.  The flags that the --config lines name go
+    between the subcommand and the flags of the line, so that a flag of the
+    line wins.  Raises SystemExit on a flag argparse rejects and UsageError
+    on a bad config file or seed."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    flags = list(_COMMAND_DEFAULTS.get(args.command, ()))
     if args.config:
-        defaults = vars(parser.parse_args([args.command]))
-        del defaults["command"], defaults["config"]
-        flags += _load_config(args.config, defaults)
-    if flags:
-        args = parser.parse_args(
-            [args.command, *flags, *argv[argv.index(args.command) + 1:]])
-    if args.seed is None:
+        args = parser.parse_args([args.command, *_load_config(args.config, args.command),
+                                  *argv[argv.index(args.command) + 1:]])
+    if "seed" in args and args.seed is None:
         args.seed = _default_seed()
     return args
 
@@ -492,13 +486,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        try:
-            sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        try:  # opened before the checks run, emptied only after they return
+            sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
         except OSError as exc:
             raise UsageError(f"cannot write report file: {exc}") from None
         try:
-            reports = _COMMANDS[args.command](args, sink)
+            reports, lines = _COMMANDS[args.command][0](args)
             reports.append(summary(reports))
+            if args.out and os.path.isfile(args.out):
+                sink.truncate(0)  # a pipe or a device such as /dev/null has no length
+            sink.writelines(line + "\n" for line in lines)
             if args.format == "json":
                 for rep in reports:
                     sink.write(rep.to_json() + "\n")

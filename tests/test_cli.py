@@ -3,7 +3,6 @@ layering, and byte-level determinism."""
 
 import hashlib
 import importlib
-import io
 import json
 import math
 import os
@@ -55,6 +54,65 @@ def test_parse_window_forms():
         parse_window("5..2")
 
 
+# Each command's settings, as parse_args returns them with no flag given:
+# the flags it reads, with its own defaults, and --config/--out/--format.
+COMMAND_SETTINGS = {
+    "bracket-table": {"window": "0..6", "n": "formal"},
+    "verify-jacobi": {"window": "F10", "n": "formal", "bracket": "elliptic", "force": False},
+    "verify-closure": {"n": "2..10", "bracket": "all"},
+    "verify-elliptic": {"n": None, "tau": "i", "seed": 20240915, "samples": 20, "tol": 1e-6},
+    "casimir-build": {"n": None},
+    "casimir-verify": {"n": None},
+    "involution": {"n": None},
+    "leaves-verify": {"n": None, "p": None, "tau": "i", "seed": 20240915, "samples": 10,
+                      "tol": 1e-6},
+    "all": {"seed": 20240915, "samples": 20},
+}
+ALL_FLAGS = ("n", "formal-n", "p", "window", "tau", "seed", "samples", "tol", "bracket",
+             "formal-lambda", "force")
+
+
+@pytest.mark.parametrize("command", COMMAND_SETTINGS)
+def test_each_command_takes_only_the_flags_it_reads(command, monkeypatch, capsys):
+    # every command took all 14 flags and ignored the ones it does not read
+    monkeypatch.delenv("ELLIPTIC_POISSON_SEED", raising=False)
+    assert vars(cli.parse_args([command])) == {
+        "command": command, "config": None, "out": None, "format": "json",
+        **COMMAND_SETTINGS[command]}
+    aliases = {"formal-n": "n", "formal-lambda": "bracket"}
+    for flag in ALL_FLAGS:
+        if aliases.get(flag, flag) in COMMAND_SETTINGS[command]:
+            continue
+        assert main([command, f"--{flag}=1"]) == 2, flag
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --{flag}=1" in captured.err
+
+
+@pytest.mark.parametrize("line", ["all --tol 1e-30 --tau 5i",
+                                  "casimir-build --n 3 --tau 5i --window 0..2 --tol 5"])
+def test_flag_the_command_does_not_read_exits_2(line, capsys):
+    # both ran with the flags ignored and exited 0 with a passing summary
+    assert main(line.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --t" in captured.err
+
+
+@pytest.mark.parametrize("flags, n, bracket", [
+    (["--n", "5", "--formal-n"], "formal", "(1, g2, g3)"),
+    (["--formal-n", "--n", "5"], "5", "(1, g2, g3)"),
+    (["--bracket", "2", "--formal-lambda"], "formal", "(l1, l2, l3)"),
+    (["--formal-lambda", "--bracket", "2"], "formal", "(0, 1, 0)"),
+])
+def test_formal_switch_and_its_flag_last_wins(flags, n, bracket, tmp_path):
+    # --formal-n and --formal-lambda used to win wherever they stood
+    code, text = run_cli(["verify-jacobi", "--window", "0..3", *flags], tmp_path)
+    assert code == 0
+    params = parse_reports(text)[0]["parameters"]
+    assert (params["n"], params["bracket"]) == (n, bracket)
+
+
 # -- exit codes ---------------------------------------------------------------
 
 def test_unknown_command_exits_2(capsys):
@@ -96,6 +154,33 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write report file")
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("args, code", [(["casimir-build"], 2),
+                                        (["verify-closure", "--n", "1"], 2),
+                                        (["casimir-verify", "--n", "4"], 3)])
+def test_stopped_run_leaves_out_file_unchanged(args, code, tmp_path, monkeypatch):
+    # --out was opened with "w" before the command ran, so a usage error or
+    # a crash inside the command left an existing file empty
+    def broken(n):  # the crash of casimir-verify
+        raise IntegrityError(f"even n={n}: cancellation failed")
+    monkeypatch.setattr(cli, "casimirs", broken)
+    out = tmp_path / "keep.jsonl"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(args + ["--out", str(out)]) == code
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("command", [["verify-closure", "--n", "3"], ["casimir-build", "--n", "4"]])
+def test_out_file_is_replaced_and_dev_null_taken(command, tmp_path, capsys):
+    assert main(command) == 0
+    expected = capsys.readouterr().out
+    out = tmp_path / "out.jsonl"
+    out.write_text("stale\n" * 1000, encoding="utf-8")
+    assert main(command + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    assert main(command + ["--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("command", ["verify-elliptic", "leaves-verify"])
@@ -413,7 +498,7 @@ def test_all_builds_each_even_pair_once(tmp_path, monkeypatch):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("window=0..3\nseed=99\n", encoding="utf-8")
+    cfg.write_text("window=0..3\n", encoding="utf-8")
     out = tmp_path / "a.jsonl"
     code = main(["verify-jacobi", "--config", str(cfg), "--out", str(out)])
     assert code == 0
@@ -446,12 +531,14 @@ def test_config_file_formal_flags(tmp_path):
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
+    # seed is a flag, but not one that verify-closure reads
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=5\nsampels=0\n", encoding="utf-8")
-    code, text = run_cli(["verify-closure", "--config", str(cfg)], tmp_path)
-    assert code == 2
-    assert text == ""
-    assert "unknown key 'sampels'" in capsys.readouterr().err
+    for key in ("sampels", "seed"):
+        cfg.write_text(f"n=5\n{key}=1\n", encoding="utf-8")
+        code, text = run_cli(["verify-closure", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert text == ""
+        assert f"error: {cfg}:2: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_config_file_malformed(tmp_path):
@@ -464,13 +551,15 @@ def test_config_file_malformed(tmp_path):
 @pytest.mark.parametrize("command", ["verify-closure", "verify-elliptic"])
 def test_config_value_checked_like_its_flag(command, tmp_path, capsys):
     # a config value was parsed only by a command that read it, so
-    # verify-closure, which draws no samples, ran with seed=abc and exited 0
+    # verify-closure, which draws no samples, ran with seed=abc and exited 0;
+    # verify-closure takes no --seed, so the key itself is the error
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=2\nseed=abc\n", encoding="utf-8")
     code, text = run_cli([command, "--config", str(cfg)], tmp_path)
     assert code == 2
     assert text == ""
-    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+    assert (f"{cfg}:2: unknown key 'seed'" if command == "verify-closure"
+            else "argument --seed: invalid int value: 'abc'") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, on", [("1", True), ("TRUE", True), ("yes", True),
@@ -496,11 +585,12 @@ def test_config_switch_needs_a_boolean(tmp_path, capsys):
 def command_reports(argv):
     """The reports of one command, summary included, as the CLI builds them."""
     args = cli.parse_args(argv)
-    reports = cli._COMMANDS[args.command](args, io.StringIO())
+    reports, _ = cli._COMMANDS[args.command][0](args)
     return reports + [cli.summary(reports)]
 
 
-@pytest.mark.parametrize("argv", [["all"], *([name, "--samples", "3"] + (
+@pytest.mark.parametrize("argv", [["all"], *([name] + (
+    ["--samples", "3"] if name in ("verify-elliptic", "leaves-verify") else []) + (
     ["--n", "4"] if name == "casimir-build" else []) for name in cli._COMMANDS if name != "all")],
     ids=lambda argv: argv[0])
 def test_reports_hold_json_values(argv):
@@ -568,6 +658,19 @@ def test_seed_env_default(tmp_path, monkeypatch):
     assert code == 0
     rep = parse_reports(out.read_text(encoding="utf-8"))[0]
     assert rep["parameters"]["seed"] == 123
+
+
+@pytest.mark.parametrize("command", ["all", "leaves-verify", "casimir-build"])
+def test_malformed_seed_env(command, monkeypatch, capsys):
+    # read only by the commands that take --seed
+    monkeypatch.setenv("ELLIPTIC_POISSON_SEED", "12x")
+    if command == "casimir-build":
+        assert main([command, "--n", "3"]) == 0
+        return
+    assert main([command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: bad ELLIPTIC_POISSON_SEED value '12x'" in captured.err
 
 
 def test_console_entry_point(tmp_path):
