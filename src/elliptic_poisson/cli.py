@@ -1,14 +1,17 @@
 """Command-line driver: configuration, sweeps, golden files, and reports.
 
 A subcommand takes the flags it reads, as ``_COMMANDS`` lists them, and
-``--config``, ``--out`` and ``--format``.  Each ``key=value`` line of a
-``--config`` file is read as the flag it names (``--key=value``, or the
-bare switch), placed before the flags of the command line, so argparse
-checks a config value exactly like the flag and a flag on the line wins.
+``--config``, ``--out`` and ``--format``; only the subcommand being parsed
+gets its flags.  Its help is the docstring of its function, and each flag
+shows its default.  Each ``key=value`` line of a ``--config`` file is read
+as the flag it names (``--key=value``, or the bare switch), placed before
+the flags of the command line, so argparse checks a config value exactly
+like the flag and a flag on the line wins.
 
 Reports stream as JSON lines (one object per check plus a summary object);
 ``--format text`` renders the same data as a table; ``--out`` is emptied
-only once the command has returned.  Exit codes: 0 all checks passed, 1 at
+only once the command has returned, and a file that the run created is
+removed if the command does not return.  Exit codes: 0 all checks passed, 1 at
 least one failure (a lattice that fails its own certification and a
 residual past the float range included), 2 usage or configuration error
 (an unwritable ``--out`` and an ``--n`` no float holds included), 3
@@ -250,12 +253,15 @@ def nondegeneracy_report(cfg: LeafConfig, seed: int) -> Report:
 
 
 def _cmd_bracket_table(args):
+    """Print every generator bracket over --window, under the three basis
+    brackets and the elliptic one."""
     window = parse_window(args.window)
     rep, lines = bracket_table(window, None if args.n == "formal" else parse_rational(args.n))
     return [rep], lines
 
 
 def _cmd_verify_jacobi(args):
+    """Check the Jacobi identity on every increasing triple of --window."""
     window = parse_window(args.window)
     triples = len(window) * (len(window) - 1) * (len(window) - 2) // 6
     if triples > TRIPLE_GUARDRAIL and not args.force:
@@ -266,6 +272,7 @@ def _cmd_verify_jacobi(args):
 
 
 def _cmd_verify_closure(args):
+    """Check that F_n is closed under --bracket, for each n of --n."""
     m = re.fullmatch(r"(\d+)\.\.(\d+)", args.n)
     if m:
         ns = list(range(parse_degree(m.group(1), 2, "closure check"), int(m.group(2)) + 1))
@@ -302,6 +309,8 @@ def _sample_plan(seed: int, count: int, tolerance: float) -> SamplePlan:
 
 
 def _cmd_verify_elliptic(args):
+    """Check the Weierstrass functions and the functional realization of
+    the bracket at the period ratio --tau."""
     plan = _sample_plan(args.seed, args.samples, args.tol)
     ns = ACCEPTANCE_FUNCTIONAL_N
     if args.n is not None:
@@ -315,6 +324,7 @@ def _cmd_verify_elliptic(args):
 
 
 def _cmd_casimir_build(args):
+    """Print the central elements of degree --n."""
     if args.n is None:
         raise UsageError("casimir-build needs --n")
     n = parse_degree(args.n, 3, "casimir construction")
@@ -331,6 +341,8 @@ def _degrees(args, what: str, default) -> list[int]:
 
 
 def _cmd_casimir_verify(args):
+    """Check that the central elements of degree --n are central, with the
+    rank-one identities at even n."""
     reports = []
     for n in _degrees(args, "casimir construction", ACCEPTANCE_CENTRAL_N):
         reports.append(verify_central(casimirs(n)))
@@ -341,11 +353,14 @@ def _cmd_casimir_verify(args):
 
 
 def _cmd_involution(args):
+    """Check the Lenard chains of the pencil family of degree --n."""
     return [involution_family(n)
             for n in _degrees(args, "involution check", ACCEPTANCE_INVOLUTION_N)], []
 
 
 def _cmd_leaves_verify(args):
+    """Check the leaves of --p points at degree --n: the homomorphism onto
+    the leaf bracket, the kernel when 2p < n, and nondegeneracy."""
     plan = _sample_plan(args.seed, args.samples, args.tol)
     if (args.n is None) != (args.p is None):
         raise UsageError("leaves-verify needs both --n and --p, or neither")
@@ -368,6 +383,7 @@ def _cmd_leaves_verify(args):
 
 
 def _cmd_all(args):
+    """Run the acceptance suite: every check at its acceptance sizes."""
     seed = args.seed
     functional_plan = _sample_plan(seed, args.samples, 1e-6)
     reports = [verify_jacobi_window(list(CORE_WINDOW), BracketSpec.custom(),
@@ -404,22 +420,36 @@ def _cmd_all(args):
 # the last of the two flags given wins.
 _FLAGS = {
     "config": {"help": "flat key=value configuration file; flags win"},
-    "out": {"help": "write reports to this path (default stdout)"},
+    "out": {"help": "write reports to this path (default: stdout)"},
     "format": {"choices": ("json", "text"), "default": "json",
-               "help": "report rendering (default json lines)"},
-    "n": {"help": "degree parameter (rational, range, or 'formal')"},
+               "help": "json lines or a text table (default: %(default)s)"},
+    "n": {},  # its help is the command's, in _N_HELP
     "formal-n": {"dest": "n", "action": "store_const", "const": "formal",
                  "default": argparse.SUPPRESS, "help": "same as --n=formal"},
-    "p": {"type": int, "help": "number of leaf points"},
-    "window": {"help": "index window: 'a..b', 'FN', or comma list"},
-    "tau": {"default": "i", "help": "period ratio a+bi; negative real part as --tau=-0.4+1.2i"},
-    "seed": {"type": int},
-    "samples": {"type": int, "default": 20},
-    "tol": {"type": float, "default": 1e-6},
-    "bracket": {"help": "elliptic | 1 | 2 | 3 | lambda | custom:a,b,c"},
+    "p": {"type": int, "help": "number of leaf points, given with --n "
+                               "(default: the acceptance cases)"},
+    "window": {"help": "index window: 'a..b', 'FN', or comma list (default: %(default)s)"},
+    "tau": {"default": "i", "help": "period ratio a+bi; negative real part as "
+                                    "--tau=-0.4+1.2i (default: %(default)s)"},
+    "seed": {"type": int, "help": f"sample seed (default: ${SEED_ENV}, else {DEFAULT_SEED})"},
+    "samples": {"type": int, "default": 20, "help": "samples per check (default: %(default)s)"},
+    "tol": {"type": float, "default": 1e-6, "help": "residual tolerance (default: %(default)s)"},
+    "bracket": {"help": "elliptic | 1 | 2 | 3 | lambda | custom:a,b,c (default: %(default)s)"},
     "formal-lambda": {"dest": "bracket", "action": "store_const", "const": "lambda",
                       "default": argparse.SUPPRESS, "help": "same as --bracket=lambda"},
     "force": {"action": "store_true", "help": "override the sweep-size guardrail"},
+}
+
+# What --n takes, per command.
+_N_HELP = {
+    "bracket-table": "rational n, or 'formal' (default: %(default)s)",
+    "verify-jacobi": "rational n, or 'formal' (default: %(default)s)",
+    "verify-closure": "integer n >= 2, or a range a..b (default: %(default)s)",
+    "verify-elliptic": f"rational n (default: {', '.join(map(str, ACCEPTANCE_FUNCTIONAL_N))})",
+    "casimir-build": "integer n >= 3 (required)",
+    "casimir-verify": f"integer n >= 3 (default: {', '.join(map(str, ACCEPTANCE_CENTRAL_N))})",
+    "involution": f"integer n >= 3 (default: {', '.join(map(str, ACCEPTANCE_INVOLUTION_N))})",
+    "leaves-verify": "integer n >= 1, given with --p (default: the acceptance cases)",
 }
 
 # Each command: its function, and the flags it reads, with ``=value`` where
@@ -449,7 +479,9 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; only the subparser of ``command``
+    gets its flags, since one command line parses one subcommand."""
     # Every flag follows the subcommand: `elliptic-poisson all --format text`.
     parser = argparse.ArgumentParser(
         prog="elliptic-poisson",
@@ -457,14 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "bracket family and its elliptic realization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, flags) in _COMMANDS.items():
-        command_parser = sub.add_parser(command)
+    for name, (function, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=function.__doc__, description=function.__doc__)
+        if name != command:
+            continue
         for flag in ("config", "out", "format", *flags.split()):
-            name, has_default, default = flag.partition("=")
-            keywords = dict(_FLAGS[name])
+            key, has_default, default = flag.partition("=")
+            keywords = dict(_FLAGS[key])
             if has_default:  # argparse converts a string default by the flag's type
                 keywords["default"] = default
-            command_parser.add_argument("--" + name, **keywords)
+            if key == "n":
+                keywords["help"] = _N_HELP[name]
+            command_parser.add_argument("--" + key, **keywords)
     return parser
 
 
@@ -473,7 +509,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     between the subcommand and the flags of the line, so that a flag of the
     line wins.  Raises SystemExit on a flag argparse rejects and UsageError
     on a bad config file or seed."""
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.config:
         args = parser.parse_args([args.command, *_load_config(args.config, args.command),
@@ -486,10 +522,14 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        try:  # opened before the checks run, emptied only after they return
+        # opened before the checks run, emptied only after they return, and
+        # removed if this run created it and the command did not return
+        created = args.out and not os.path.lexists(args.out)
+        try:
             sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
         except OSError as exc:
             raise UsageError(f"cannot write report file: {exc}") from None
+        reports = None
         try:
             reports, lines = _COMMANDS[args.command][0](args)
             reports.append(summary(reports))
@@ -504,6 +544,8 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if args.out:
                 sink.close()
+                if created and reports is None:
+                    os.remove(args.out)
         return 0 if all(r.passed for r in reports) else 1
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return 2 if exc.code not in (0, None) else 0

@@ -27,25 +27,18 @@ are decoded to sorted index tuples only for ``terms``, text and evaluation.
 
 Order.  ``terms``, ``to_text`` and evaluation list monomials in graded
 lexicographic order: by size, then by sorted index tuple.  ``_graded_lex``
-sorts one integer per term instead of tuples.  It pads every generator part
-``g`` (a key without its symbol bytes) to one even width ``w`` bytes and
-reads it as the index vector ``v = (g & odd) << 8*w | reverse(g & even)``,
-where ``odd`` and ``even`` mask the odd and the even slots and ``reverse``
-reverses ``w`` bytes.  The even bytes of ``v`` hold the multiplicities of
-``e[-w/2] .. e[w/2 - 1]`` in index order, most significant first; its odd
-bytes are zero in every vector, so they change no comparison.  For two
-sorted tuples of one size, the first index whose multiplicity differs
-decides, and the larger multiplicity sorts first.  So descending
-``(top - size) << 16*w | v`` is ascending ``(size, tuple)`` for any bound
-``top`` on the sizes; with no negative index the odd half of every vector
-is zero, and the size is shifted by ``8*w`` only.  A size is the sum of
-the slots of ``g``, and ``g % 255`` is that sum mod 255 (256 = 1 mod 255).
-No term's slot sum exceeds that of the OR of all keys, so when the OR's
-slots sum below 255 every size is its own residue; past that bound the
+sorts one byte string per term, in descending order: the size's complement
+to the slot sum of the OR of the keys, the multiplicities of the indices
+in increasing order (from ``e[0]`` when no index is negative), and the
+symbol bytes, ``n`` first.  Between two sorted tuples of one size, the
+first index whose multiplicity differs decides, and the larger multiplicity
+sorts first.  A size is the slot sum of a generator part ``g``, and
+``g % 255`` is that sum mod 255 (256 = 1 mod 255): while the slots of the
+OR sum below 255, every size is its own residue, and past that bound the
 slots are summed per term.  ``degree``, ``homogeneous_degree`` and
 ``is_linear`` read sizes the same way.  Each monomial's tuple or text is
-joined from the decodes of the two halves of its index vector, and each
-distinct half is decoded once per call; ``to_text`` also formats each
+joined from the decodes of the two halves of its multiplicities, each
+distinct half decoded once per call; ``to_text`` also formats each
 distinct coefficient once per call.
 
 Products.  ``_signed_products`` is the one loop over term pairs: it sums
@@ -69,7 +62,7 @@ term uses.  ``signed_products``, ``generator_bracket_sum``, the Leibniz
 bracket and ``from_integers`` take it from their slot-guard pass; other
 values, ``*`` included, compute it on first use, because most products are
 small coefficients that never read it.  ``support``, ``supported_in``, the
-size bound, the index width and the partial derivatives read it.
+size bound and the partial derivatives read it.
 
 Canonical form.  Zero numerators are never stored and the denominator is
 coprime to the numerators (1 for the zero polynomial), so two values are
@@ -88,8 +81,9 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import groupby
 from math import gcd, lcm
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -152,33 +146,6 @@ def _gen_slots(key: int) -> Iterator[tuple[int, int, int]]:
                    1 << (_SYM_BITS + _SLOT_BITS * slot))
 
 
-def _index_width(g: int) -> int:
-    """Even byte width that holds the generator part ``g``."""
-    return 2 * ((g.bit_length() + 15) // 16)
-
-
-@lru_cache(maxsize=None)
-def _parity_masks(width: int) -> tuple[int, int]:
-    """Masks of the odd slots and of the even slots of ``width`` bytes."""
-    odd = int.from_bytes(b"\x00\xff" * (width // 2), "little")
-    return odd, odd >> _SLOT_BITS
-
-
-def _index_vector(g: int, width: int) -> int:
-    """Index vector of a generator part: the multiplicities of
-    e[-width/2] .. e[width/2 - 1], in index order, in the even bytes of a
-    big-endian integer of 2*width bytes whose odd bytes are zero.  The odd
-    slots (negative indices, the most negative highest) stay in place above
-    the byte-reversed even slots."""
-    odd, even = _parity_masks(width)
-    return (g & odd) << 8 * width | int.from_bytes((g & even).to_bytes(width, "little"), "big")
-
-
-def _multiplicities(vector: int, nbytes: int) -> bytes:
-    """The even bytes of the ``nbytes``-byte big-endian ``vector``."""
-    return vector.to_bytes(nbytes, "big")[::2]
-
-
 def _indices(vector: bytes, first: int) -> tuple[int, ...]:
     """Sorted index tuple of multiplicities of consecutive indices from ``first``."""
     out: tuple[int, ...] = ()
@@ -195,9 +162,9 @@ def _indices_text(vector: bytes, first: int) -> str:
 
 def _mono(key: int) -> tuple[int, ...]:
     """Sorted index tuple of the generator part of a key."""
-    g = key >> _SYM_BITS
-    width = _index_width(g)
-    return _indices(_multiplicities(_index_vector(g, width), 2 * width), -width // 2)
+    g = _gen_bytes(key)
+    g += bytes(len(g) & 1)  # an even width: the top odd slot holds e[-width/2]
+    return _indices(g[-1::-2] + g[::2], -(len(g) // 2))
 
 
 def _pack_mono(mono) -> int:
@@ -414,77 +381,64 @@ def _coefficient_value(items, den: int, vals: dict[int, complex]) -> complex:
 
 
 def _graded_lex(terms: Terms, merged: int, decode: Callable[[bytes, int], Sequence]
-                ) -> Iterator[tuple[Sequence, Sequence, int, int, list[tuple[int, int]] | None]]:
+                ) -> Iterator[tuple[Sequence, Sequence, bytes, int,
+                                    list[tuple[bytes, int]] | None]]:
     """Terms by generator monomial in graded lexicographic order, from the
     terms and the OR of their keys.
 
-    Yields (low, high, sym_key, num, items) per monomial.  ``items`` is None
-    when the monomial has the single term (sym_key, num); otherwise it lists
-    its (sym_key, num) terms in descending symbol-key order, and sym_key and
-    num are 0.  The monomial is ``low + high``, the decodes of the two halves
-    of its index vector, where ``decode(multiplicities, first index)`` runs
-    once per distinct half.
+    Yields (low, high, sym, num, items) per monomial, where ``sym`` is the
+    symbol bytes of a key, most significant first.  ``items`` is None when
+    the monomial has the single term (sym, num); otherwise it lists its
+    (sym, num) terms in descending symbol order, and sym is empty, num 0.
+    The monomial is ``low + high``, the decodes of the two halves of its
+    multiplicities, where ``decode(multiplicities, first index)`` runs once
+    per distinct half.
 
-    Each term sorts as one integer, in descending order: the size's
-    complement to a bound on every size, the index vector and the symbol
-    key, most significant first.
+    Each term sorts as one byte string, in descending order: the size's
+    complement to the slot sum of the OR, the multiplicities in index order
+    and the symbol bytes.
     """
-    gens = merged >> _SYM_BITS
-    width = _index_width(gens)
-    vbytes = 2 * width
-    odd, even = _parity_masks(width)
-    # the size sits above the index vector; with no negative index the odd
-    # half of every vector is zero, so it sits right above the even half
-    vbits = 8 * (vbytes if gens & odd else width)
+    gens = _gen_bytes(merged)
+    # an even width, so that the top odd slot holds the most negative index;
+    # with no negative index the odd slots are left out
+    width = len(gens) + (len(gens) & 1)
+    nbytes = _NSYM + width
+    negative = any(gens[1::2])
+    odd = slice(-1, _NSYM, -2) if negative else slice(0)
+    first = -width // 2 if negative else 0
     # no size exceeds the slot sum of the OR; below the modulus every size
     # is its own residue
-    top = sum(gens.to_bytes(width, "little"))
+    top = sum(gens)
     residue = top < _SIZE_MODULUS
-    from_bytes = int.from_bytes
-    ranked: Terms = {}
+    nsize = (top.bit_length() + 7) // 8
+    ranked: dict[bytes, int] = {}
     for k, num in terms.items():
-        g = k >> _SYM_BITS
-        size = g % _SIZE_MODULUS if residue else sum(g.to_bytes(width, "little"))
-        # _index_vector inlined: this loop runs once per term
-        ranked[((top - size) << vbits | (g & odd) << 8 * width
-                | from_bytes((g & even).to_bytes(width, "little"), "big")) << _SYM_BITS
-               | k & _SYM_MASK] = num
-    order = sorted(ranked, reverse=True)
-    # Split the occurring positions start..stop-1 of the index vector in the
-    # middle, so that each half takes few distinct values; the halves are
-    # decoded without the zero bytes outside those positions.
-    used = [i for i, mult in enumerate(_multiplicities(_index_vector(gens, width), vbytes))
-            if mult]
+        b = k.to_bytes(nbytes, "little")
+        size = (k >> _SYM_BITS) % _SIZE_MODULUS if residue else sum(b[_NSYM:])
+        ranked[(top - size).to_bytes(nsize, "big") + b[odd] + b[_NSYM::2]
+               + b[_NSYM - 1::-1]] = num
+    # Split the occurring multiplicities start..stop-1 in the middle, so that
+    # each half takes few distinct values; together they name the monomial.
+    b = merged.to_bytes(nbytes, "little")
+    used = [i for i, mult in enumerate(b[odd] + b[_NSYM::2]) if mult]
     start, stop = (used[0], used[-1] + 1) if used else (0, 0)
     split = (start + stop) // 2
-    # the low-index half is the more significant part of the vector
-    high_bits = 16 * (width - split)
-    vmask = (1 << vbits) - 1
-    high_mask = (1 << high_bits) - 1
-    first = -width // 2
-    lows: dict[int, Sequence] = {}
-    highs: dict[int, Sequence] = {}
-    i, count = 0, len(order)
-    while i < count:
-        key = order[i]
-        mono = key >> _SYM_BITS
-        j = i + 1
-        while j < count and order[j] >> _SYM_BITS == mono:
-            j += 1
-        vector = mono & vmask
-        low, high = vector >> high_bits, vector & high_mask
+    halves = itemgetter(slice(nsize + start, nsize + split), slice(nsize + split, nsize + stop))
+    lows: dict[bytes, Sequence] = {}
+    highs: dict[bytes, Sequence] = {}
+    for (low, high), group in groupby(sorted(ranked, reverse=True), halves):
         lo = lows.get(low)
         if lo is None:
-            lo = lows[low] = decode(_multiplicities(low, 2 * (split - start)), first + start)
+            lo = lows[low] = decode(low, first + start)
         hi = highs.get(high)
         if hi is None:
-            hi = highs[high] = decode(_multiplicities(high, 2 * (width - split))[:stop - split],
-                                      first + split)
-        if j == i + 1:
-            yield lo, hi, key & _SYM_MASK, ranked[key], None
+            hi = highs[high] = decode(high, first + split)
+        key = next(group)
+        other = next(group, None)
+        if other is None:
+            yield lo, hi, key[-_NSYM:], ranked[key], None
         else:
-            yield lo, hi, 0, 0, [(k & _SYM_MASK, ranked[k]) for k in order[i:j]]
-        i = j
+            yield lo, hi, b"", 0, [(k[-_NSYM:], ranked[k]) for k in (key, other, *group)]
 
 
 # -- the two public types --------------------------------------------------------
@@ -803,8 +757,8 @@ class EPoly(_Packed):
         evaluate one element many times."""
         if self._view is None:
             self._view = tuple(
-                (lo + hi, [(sym_key, num)] if items is None else items)
-                for lo, hi, sym_key, num, items
+                (lo + hi, [(int.from_bytes(s, "big"), n) for s, n in items or ((sym, num),)])
+                for lo, hi, sym, num, items
                 in _graded_lex(self._terms, self._merged(), _indices))
         return self._view
 
@@ -920,24 +874,24 @@ class EPoly(_Packed):
         if not self._terms:
             return "0"
         den = self._den
-        # " + (coefficient)", by num and sym_key for one term, by items for more
-        singles: dict[int, str] = {}
-        multis: dict[tuple[tuple[int, int], ...], str] = {}
+        # " + (coefficient)", by num and symbol bytes for one term, by items
+        # for more: a repeated coefficient decodes no symbol key
+        singles: dict[tuple[int, bytes], str] = {}
+        multis: dict[tuple[tuple[bytes, int], ...], str] = {}
         parts: list[str] = []
-        append = parts.append
-        for lo, hi, sym_key, num, items in _graded_lex(self._terms, self._merged(),
-                                                       _indices_text):
+        append, from_bytes = parts.append, int.from_bytes
+        for lo, hi, sym, num, items in _graded_lex(self._terms, self._merged(), _indices_text):
             if items is None:
-                single = num << _SYM_BITS | sym_key
-                coeff = singles.get(single)
+                coeff = singles.get((num, sym))
                 if coeff is None:
-                    body = _term_text(sym_key, abs(num), den)
-                    coeff = singles[single] = f" + ({body})" if num > 0 else f" + (-{body})"
+                    body = _term_text(from_bytes(sym, "big"), abs(num), den)
+                    coeff = singles[num, sym] = f" + ({body})" if num > 0 else f" + (-{body})"
             else:
                 items = tuple(items)
                 coeff = multis.get(items)
                 if coeff is None:
-                    coeff = multis[items] = f" + ({_coefficient_text(items, den)})"
+                    body = _coefficient_text([(from_bytes(s, "big"), n) for s, n in items], den)
+                    coeff = multis[items] = f" + ({body})"
             # the halves are "*e[a]*e[b]..." or empty
             append(coeff)
             append(lo)

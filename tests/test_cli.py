@@ -89,6 +89,35 @@ def test_each_command_takes_only_the_flags_it_reads(command, monkeypatch, capsys
         assert f"unrecognized arguments: --{flag}=1" in captured.err
 
 
+@pytest.mark.parametrize("command", COMMAND_SETTINGS)
+def test_help_names_each_flag_with_its_default(command, monkeypatch, capsys):
+    # every command's help came from one string per flag: verify-closure did
+    # not show its default bracket `all`, and --n promised every command
+    # 'formal' and ranges
+    monkeypatch.delenv("ELLIPTIC_POISSON_SEED", raising=False)
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    settings = {"config": None, "out": "stdout", "format": "json", **COMMAND_SETTINGS[command]}
+    if "seed" in settings:
+        settings["seed"] = "$ELLIPTIC_POISSON_SEED, else 20240915"
+    for flag, default in settings.items():
+        assert f"--{flag} " in text, flag
+        if default not in (None, False):
+            assert f"(default: {default})" in text, flag
+    if command in ("casimir-build", "casimir-verify", "involution", "leaves-verify"):
+        assert "formal" not in text and "range" not in text
+
+
+def test_parser_builds_only_the_flags_of_its_command(capsys):
+    # build_parser added all 53 (command, flag) pairs for every command line
+    parser = cli.build_parser("all")
+    assert "{" + ",".join(COMMAND_SETTINGS) + "}" in parser.format_usage()
+    assert vars(parser.parse_args(["all", "--samples", "3"]))["samples"] == 3
+    with pytest.raises(SystemExit):
+        parser.parse_args(["casimir-build", "--n", "3"])
+    assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["all --tol 1e-30 --tau 5i",
                                   "casimir-build --n 3 --tau 5i --window 0..2 --tol 5"])
 def test_flag_the_command_does_not_read_exits_2(line, capsys):
@@ -156,19 +185,32 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert "internal error" not in err
 
 
-@pytest.mark.parametrize("args, code", [(["casimir-build"], 2),
-                                        (["verify-closure", "--n", "1"], 2),
-                                        (["casimir-verify", "--n", "4"], 3)])
+def _broken_casimirs(n):  # the crash of casimir-verify
+    raise IntegrityError(f"even n={n}: cancellation failed")
+
+
+STOPPED_RUNS = [(["casimir-build"], 2), (["verify-closure", "--n", "1"], 2),
+                (["casimir-verify", "--n", "4"], 3)]
+
+
+@pytest.mark.parametrize("args, code", STOPPED_RUNS)
 def test_stopped_run_leaves_out_file_unchanged(args, code, tmp_path, monkeypatch):
     # --out was opened with "w" before the command ran, so a usage error or
     # a crash inside the command left an existing file empty
-    def broken(n):  # the crash of casimir-verify
-        raise IntegrityError(f"even n={n}: cancellation failed")
-    monkeypatch.setattr(cli, "casimirs", broken)
+    monkeypatch.setattr(cli, "casimirs", _broken_casimirs)
     out = tmp_path / "keep.jsonl"
     out.write_text("kept\n", encoding="utf-8")
     assert main(args + ["--out", str(out)]) == code
     assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("args, code", STOPPED_RUNS)
+def test_stopped_run_removes_the_out_file_it_created(args, code, tmp_path, monkeypatch):
+    # the run created --out before the command ran and left it at 0 bytes
+    monkeypatch.setattr(cli, "casimirs", _broken_casimirs)
+    out = tmp_path / "new.jsonl"
+    assert main(args + ["--out", str(out)]) == code
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["verify-closure", "--n", "3"], ["casimir-build", "--n", "4"]])

@@ -21,7 +21,7 @@ from elliptic_poisson.poly import (
     signed_products,
 )
 from elliptic_poisson.poly import (
-    _SYM_BITS, _SYM_MASK, _compose, _gen_bytes, _group, _pack_mono, _reduce, _substitute)
+    _SYM_BITS, _SYM_MASK, _compose, _gen_bytes, _group, _mono, _pack_mono, _reduce, _substitute)
 
 N = ParamPoly.symbol("n")
 G2 = ParamPoly.symbol("g2")
@@ -391,6 +391,29 @@ def test_graded_lex_examples():
     r = P255 + EPoly.gen(2) + EPoly.one()
     assert [len(m) for m, _ in r.terms()] == [0, 1, 255]
     assert r.to_text() == _old_text(r)
+    # the byte view: no negative index, so the key holds the even slots only
+    even = (EPoly.monomial((0, 2, 2), G2) + EPoly.monomial((1, 3)) + EPoly.monomial((0, 1), N)
+            + EPoly.monomial((0, 1), G3 * 2) + EPoly.monomial((5,), N - 1) + EPoly.one())
+    assert [m for m, _ in even.terms()] == [(), (5,), (0, 1), (1, 3), (0, 2, 2)]
+    # the most negative index in the top odd slot (slots 5 and 4: an even
+    # width), and below a zero top slot (slots 1 and 10: padded to 12)
+    top = EPoly.monomial((-3, 2), G2) + EPoly.monomial((-3, -3)) + EPoly.monomial((-1, 2), N)
+    assert len(_gen_bytes(top._merged())) == 6
+    assert [m for m, _ in top.terms()] == [(-3, -3), (-3, 2), (-1, 2)]
+    padded = EPoly.monomial((-1, 5)) + EPoly.monomial((-1, -1, 0), G3) + EPoly.gen(5)
+    assert len(_gen_bytes(padded._merged())) == 11
+    assert [m for m, _ in padded.terms()] == [(5,), (-1, 5), (-1, -1, 0)]
+    # slot sums of 255 and more with negative indices: two size bytes
+    big = (_power((-3, 127), (-1, 127), (2, 1)) + _power((-3, 100), (0, 100), (4, 60)) * G2
+           + _power((-1, 127), (2, 127)) + _power((-3, 1), (-1, 127), (2, 127)) * N
+           + EPoly.gen(-1) + EPoly.one())
+    assert sum(_gen_bytes(big._merged())) >= 255
+    assert [len(m) for m, _ in big.terms()] == [0, 1, 254, 255, 255, 260]
+    for value in (p, q, r, even, top, padded, big):
+        assert value._groups() == tuple((mono, sorted(items, reverse=True))
+                                        for mono, items in _old_groups(value))
+        assert value.to_text() == _old_text(value)
+        assert all(_mono(k) == _old_mono(k) for k in value._terms)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
