@@ -434,7 +434,7 @@ _FLAGS = {
     "seed": {"type": int, "help": f"sample seed (default: ${SEED_ENV}, else {DEFAULT_SEED})"},
     "samples": {"type": int, "default": 20, "help": "samples per check (default: %(default)s)"},
     "tol": {"type": float, "default": 1e-6, "help": "residual tolerance (default: %(default)s)"},
-    "bracket": {"help": "elliptic | 1 | 2 | 3 | lambda | custom:a,b,c (default: %(default)s)"},
+    "bracket": {},  # its help is the command's, in _BRACKET_HELP
     "formal-lambda": {"dest": "bracket", "action": "store_const", "const": "lambda",
                       "default": argparse.SUPPRESS, "help": "same as --bracket=lambda"},
     "force": {"action": "store_true", "help": "override the sweep-size guardrail"},
@@ -450,6 +450,13 @@ _N_HELP = {
     "casimir-verify": f"integer n >= 3 (default: {', '.join(map(str, ACCEPTANCE_CENTRAL_N))})",
     "involution": f"integer n >= 3 (default: {', '.join(map(str, ACCEPTANCE_INVOLUTION_N))})",
     "leaves-verify": "integer n >= 1, given with --p (default: the acceptance cases)",
+}
+
+# What --bracket takes, per command.
+_BRACKET_HELP = {
+    "verify-jacobi": "elliptic | 1 | 2 | 3 | lambda | custom:a,b,c (default: %(default)s)",
+    "verify-closure": "all (elliptic, 1, 2 and 3) | elliptic | 1 | 2 | 3 | lambda | "
+                      "custom:a,b,c (default: %(default)s)",
 }
 
 # Each command: its function, and the flags it reads, with ``=value`` where
@@ -500,6 +507,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 keywords["default"] = default
             if key == "n":
                 keywords["help"] = _N_HELP[name]
+            elif key == "bracket":
+                keywords["help"] = _BRACKET_HELP[name]
             command_parser.add_argument("--" + key, **keywords)
     return parser
 

@@ -13,6 +13,15 @@ seeds), 729 or 3,380 then differ from c_26 by ``repr``, and c_18 changes
 the ``all`` output at two of those seeds; at c_20, 62 differ and no report
 byte does.
 
+The three tail sums are a pure function of the series argument w = z^2, and
+each lattice keeps those of the last w it evaluated (``Lattice._tails``).
+A w equal to that one with both parts nonzero has the same bits, since +-0
+are the only equal but different floats, and reuses them: the self-test
+evaluates -z right after z, which squares to the same w, and on rectangular
+lattices z + omega often reduces back to the bits of z.  The reduction, the
+guard, the halving, the assembly of p, p', zeta from z and w and the eta
+shift run on every call, so every value keeps its bits.
+
 Everything these steps need that depends on the lattice alone
 (the cell-coordinate conjugates and denominators, the eight neighbour
 products m*omega1 and k*omega2, the Horner rows of the three series, the
@@ -118,7 +127,13 @@ class Lattice:
     * ``_half_g2``: g2 / 2, in p'' = 6 p^2 - g2/2 and the second
       Z-identity;
     * ``_guard``: the two bounds of ``_near``, half the smaller cell height
-      times (1 - 1e-9), and r_min - 2^-44 (|omega1| + |omega2| + r_min).
+      times (1 - 1e-9), and r_min - 2^-44 (|omega1| + |omega2| + r_min);
+    * ``_tails``: the one-entry memo of ``_series_eval``, a list that holds
+      one (w, (tail_p, tail_dp, tail_zt)) tuple, the last series argument
+      and its three Horner sums (w NaN before the first).  One item store
+      replaces the tuple, so a lattice shared between threads never pairs
+      one w with another's sums.  It is the only table that changes after
+      construction.
     """
 
     omega1: complex
@@ -138,6 +153,8 @@ class Lattice:
     _series_radius: float = field(init=False, compare=False, repr=False)
     _half_g2: complex = field(init=False, compare=False, repr=False)
     _guard: tuple[float, float] = field(init=False, compare=False, repr=False)
+    _tails: list[tuple[complex, tuple[complex, ...]]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         o1, o2, c = self.omega1, self.omega2, self.laurent_c
@@ -152,6 +169,7 @@ class Lattice:
             "_half_g2": self.g2 / 2,
             "_guard": (0.5 * min(abs(den1) / abs(o2), abs(den2) / abs(o1)) * (1 - 1e-9),
                        self.r_min - _GUARD_SLACK * (abs(o1) + abs(o2) + self.r_min)),
+            "_tails": [(math.nan, ())],
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
@@ -282,15 +300,22 @@ def _near(L: Lattice, z: complex, radius: float) -> bool:
 
 
 def _series_eval(L: Lattice, z: complex) -> tuple[complex, complex, complex]:
-    # Horner in w = z^2 for the three tail sums, highest order first.
+    # Horner in w = z^2 for the three tail sums, highest order first; a w
+    # with the bits of the lattice's last one reuses its sums (module docstring).
     w = z * z
-    tail_p = 0j
-    tail_dp = 0j
-    tail_zt = 0j
-    for ck, dk, zk in L._horner:
-        tail_p = tail_p * w + ck
-        tail_dp = tail_dp * w + dk
-        tail_zt = tail_zt * w + zk
+    memo = L._tails
+    w_last, tails = memo[0]
+    if w == w_last and w.real and w.imag:
+        tail_p, tail_dp, tail_zt = tails
+    else:
+        tail_p = 0j
+        tail_dp = 0j
+        tail_zt = 0j
+        for ck, dk, zk in L._horner:
+            tail_p = tail_p * w + ck
+            tail_dp = tail_dp * w + dk
+            tail_zt = tail_zt * w + zk
+        memo[0] = (w, (tail_p, tail_dp, tail_zt))  # one store (``Lattice``)
     p = 1 / w + w * tail_p
     dp = -2 / (z * w) + z * tail_dp
     zt = 1 / z - z * w * tail_zt
@@ -311,11 +336,21 @@ def _eval_reduced(L: Lattice, z: complex) -> tuple[complex, complex, complex]:
 
 def weier_eval(L: Lattice, z: complex,
                exclusion: float = DEFAULT_EXCLUSION) -> tuple[complex, complex, complex]:
-    """Values (p, p', zeta) at z; z must stay clear of the lattice."""
+    """Values (p, p', zeta) at z; z must stay clear of the lattice.
+
+    ``exclusion`` must be positive (ValueError otherwise, NaN included).
+    PoleProximityError when z lies within exclusion * r_min of a lattice
+    point, or when a radius that small lets a division by zero through
+    (z^3 underflows to 0 where |z| is below about 1e-108)."""
+    if not exclusion > 0:
+        raise ValueError(f"exclusion must be positive, not {exclusion!r}")
     z0, m, k = _reduce(L, z)
     if _near(L, z0, exclusion * L.r_min):
         raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
-    p, dp, zt = _eval_reduced(L, z0)
+    try:
+        p, dp, zt = _eval_reduced(L, z0)
+    except ZeroDivisionError:
+        raise PoleProximityError(f"z = {z} is too close to a lattice point to evaluate") from None
     return p, dp, zt + m * L.eta1 + k * L.eta2
 
 
@@ -760,7 +795,10 @@ def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float | None = None,
 
     The parity row guards the evaluator's symmetry, not its accuracy: the
     round-half-even reduction and the series commute with negation, so on
-    cell points it reads exactly 0."""
+    cell points it reads exactly 0.  For the same reason -z squares to the
+    series argument of z, and its evaluation reuses the tail sums of z from
+    the lattice's memo (the module docstring); its reduction, guard,
+    halving and assembly still run, so the row still tests them."""
     tol = _plan_tolerance(plan, tol)
     tally = Tally(tol)
     rng = Random(plan.seed)

@@ -108,6 +108,18 @@ def test_help_names_each_flag_with_its_default(command, monkeypatch, capsys):
         assert "formal" not in text and "range" not in text
 
 
+@pytest.mark.parametrize("command, takes_all", [("verify-closure", True),
+                                                ("verify-jacobi", False)])
+def test_bracket_help_lists_the_values_of_its_command(command, takes_all, capsys):
+    # both commands shared one text, which named `all` only as
+    # verify-closure's default, while verify-jacobi does not take it
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    values = re.search(r"--bracket BRACKET (.*?) \(default:", text).group(1).split(" | ")
+    assert [v.split()[0] for v in values] == ["all"] * takes_all + [
+        "elliptic", "1", "2", "3", "lambda", "custom:a,b,c"]
+
+
 def test_parser_builds_only_the_flags_of_its_command(capsys):
     # build_parser added all 53 (command, flag) pairs for every command line
     parser = cli.build_parser("all")

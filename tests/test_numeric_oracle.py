@@ -7,7 +7,9 @@ must be equal to the last bit, not merely close."""
 
 import cmath
 import math
-from dataclasses import fields
+import sys
+import threading
+from dataclasses import fields, replace
 from fractions import Fraction
 from random import Random
 
@@ -249,7 +251,7 @@ def test_series_eval_matches_per_call_constants(L, r, theta):
 def test_lattice_tables_ignored_by_eq_hash_repr():
     tables = [f.name for f in fields(SKEW) if not f.init]
     assert tables == ["_cell", "_neighbours", "_horner", "_series_radius", "_half_g2",
-                      "_guard"]
+                      "_guard", "_tails"]
     twin = lattice_init(1, 0.3 + 1.1j)
     for name in tables:
         object.__setattr__(twin, name, None)
@@ -257,6 +259,106 @@ def test_lattice_tables_ignored_by_eq_hash_repr():
     assert hash(twin) == hash(SKEW)
     assert repr(twin) == repr(SKEW)
     assert all(name not in repr(SKEW) for name in tables)
+    # a lattice whose tails memo holds a w compares, hashes and prints as a
+    # fresh one whose memo is empty
+    fresh = replace(SKEW)
+    weier_eval(SKEW, 0.1 + 0.2j)
+    assert fresh._tails != SKEW._tails
+    assert fresh == SKEW
+    assert hash(fresh) == hash(SKEW)
+    assert repr(fresh) == repr(SKEW)
+
+
+# -- the Laurent tails memo ------------------------------------------------------
+
+def assert_same_as_reference(L, points):
+    """weier_eval at each point in turn, on one lattice whose tails memo
+    carries over from point to point, equals ref_weier_eval by ``repr``;
+    returns how many calls reused the tails."""
+    reused = 0
+    for z in points:
+        memo = L._tails[0]
+        assert repr(weier_eval(L, z)) == repr(ref_weier_eval(L, z)), z
+        reused += L._tails[0] is memo and memo[1] != ()
+    return reused
+
+
+@pytest.mark.parametrize("L", TABLE_LATTICES, ids=lambda L: repr(L.omega2))
+def test_tails_reuse_matches_reference(L):
+    # weierstrass_selftest's order: -z always squares to the bits of w,
+    # and z + omega often reduces back to z
+    points = sample_points(L, Random(20241020), 2000)
+    order = [u for z in points for u in (z, -z, z + L.omega1, z + L.omega2, z)]
+    assert assert_same_as_reference(L, order) >= len(points)
+
+
+def signed_zero_twins(z):
+    """z, then z with each zero part negated in turn, then -z."""
+    twins = [z]
+    if z.real == 0:
+        twins.append(complex(-z.real, z.imag))
+    if z.imag == 0:
+        twins.append(complex(z.real, -z.imag))
+    return twins + [-z]
+
+
+# SQUARE's record with its Laurent coefficients conjugated: the same real
+# values, with imaginary parts -0.0.  There the tails at w = -t^2 + 0j and
+# -t^2 - 0j differ in the sign of a zero that reaches p: after 0.3j,
+# reusing the tails at complex(-0.0, 0.3) gives p = -11.98...+0j, not -0j.
+# No lattice from lattice_init tried so far has such tails.
+CONJUGATE_SQUARE = replace(SQUARE, laurent_c=tuple(c.conjugate() for c in SQUARE.laurent_c))
+
+
+@pytest.mark.parametrize("L", [*(pytest.param(L, id=repr(L.omega2)) for L in TABLE_LATTICES),
+                               pytest.param(CONJUGATE_SQUARE, id="conjugate-square")])
+def test_tails_reuse_tells_signed_zeros_apart(L):
+    # on an axis w = z*z has a zero part, so w == w_last does not mean the
+    # same bits; on the diagonal its real part is +0.0
+    for t in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.45, -0.3):
+        for z in (complex(t, 0.0), complex(0.0, t), complex(t, t)):
+            assert_same_as_reference(L, signed_zero_twins(z * L.r_min))
+
+
+def test_tails_memo_shared_between_threads():
+    # one item store replaces the memo's (w, sums) tuple, so threads that
+    # share a lattice never pair one w with another's sums; the threads
+    # evaluate the same points in the same order, so their w meet (a memo
+    # that stored w before its sums failed here)
+    L = replace(SKEW)
+    points = [u for z in sample_points(L, Random(3), 100) for u in (z, -z)]
+    want = [repr(ref_weier_eval(L, u)) for u in points] * 50
+    points *= 50
+    got = [None] * 4
+
+    def run(i):
+        got[i] = [repr(weier_eval(L, u)) for u in points]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * len(got)
+
+
+def test_tails_memo_is_per_lattice():
+    # two lattices in alternation at the same points each match their own
+    # reference: a memo shared by lattices would hand one the other's tails
+    rng = Random(7)
+    points = [cmath.rect(rng.uniform(0.06, 0.45), rng.uniform(0, 2 * math.pi))
+              for _ in range(200)]
+    pair = (SQUARE, HEX)
+    for z in points:
+        for u in (z, -z):
+            for L in pair:
+                assert repr(weier_eval(L, u)) == repr(ref_weier_eval(L, u))
 
 
 # -- the exclusion guard ---------------------------------------------------------

@@ -149,6 +149,24 @@ def test_pole_proximity_raises():
         weier_eval(SQUARE, 1.0 + 1.0j + 0.002)
 
 
+@pytest.mark.parametrize("exclusion", [0, 0.0, -0.05, -math.inf, math.nan])
+def test_exclusion_must_be_positive(exclusion):
+    # with such a radius the guard never fired, and weier_eval(L, 0j,
+    # exclusion=0) raised ZeroDivisionError
+    for z in (0j, 0.3 + 0.2j):
+        with pytest.raises(ValueError, match="exclusion must be positive") as got:
+            weier_eval(SQUARE, z, exclusion=exclusion)
+        assert type(got.value) is ValueError
+
+
+@pytest.mark.parametrize("z", [1e-200j, 1e-120 + 1e-120j, -3e-109])
+def test_division_by_zero_near_a_pole_is_pole_proximity(z):
+    # a radius below |z| passes the guard; z^3 then underflows to 0, and
+    # this raised ZeroDivisionError
+    with pytest.raises(PoleProximityError, match="too close to a lattice point"):
+        weier_eval(SQUARE, z, exclusion=1e-300)
+
+
 class DrawCapReached(Exception):
     pass
 
