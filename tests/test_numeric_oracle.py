@@ -25,6 +25,7 @@ from elliptic_poisson.weierstrass import (
     DEFAULT_EXCLUSION,
     Lattice,
     PoleProximityError,
+    SamplePlan,
     _PointSet,
     _cell_coordinates,
     _eval_reduced,
@@ -32,6 +33,7 @@ from elliptic_poisson.weierstrass import (
     _reduce,
     _series_eval,
     _sym_eval_core,
+    identity5_sweep,
     lattice_distance,
     lattice_init,
     numeric_params,
@@ -39,6 +41,7 @@ from elliptic_poisson.weierstrass import (
     sample_points,
     sym_eval,
     weier_eval,
+    weierstrass_selftest,
 )
 
 SQUARE = lattice_init(1, 1j)
@@ -251,7 +254,7 @@ def test_series_eval_matches_per_call_constants(L, r, theta):
 def test_lattice_tables_ignored_by_eq_hash_repr():
     tables = [f.name for f in fields(SKEW) if not f.init]
     assert tables == ["_cell", "_neighbours", "_horner", "_series_radius", "_half_g2",
-                      "_guard", "_tails"]
+                      "_guard", "_tails", "_points"]
     twin = lattice_init(1, 0.3 + 1.1j)
     for name in tables:
         object.__setattr__(twin, name, None)
@@ -259,11 +262,12 @@ def test_lattice_tables_ignored_by_eq_hash_repr():
     assert hash(twin) == hash(SKEW)
     assert repr(twin) == repr(SKEW)
     assert all(name not in repr(SKEW) for name in tables)
-    # a lattice whose tails memo holds a w compares, hashes and prints as a
-    # fresh one whose memo is empty
+    # a lattice whose tails memo holds a w and whose point memo holds points
+    # compares, hashes and prints as a fresh one whose memos are empty
     fresh = replace(SKEW)
     weier_eval(SKEW, 0.1 + 0.2j)
     assert fresh._tails != SKEW._tails
+    assert not fresh._points and 0.1 + 0.2j in SKEW._points
     assert fresh == SKEW
     assert hash(fresh) == hash(SKEW)
     assert repr(fresh) == repr(SKEW)
@@ -320,19 +324,15 @@ def test_tails_reuse_tells_signed_zeros_apart(L):
             assert_same_as_reference(L, signed_zero_twins(z * L.r_min))
 
 
-def test_tails_memo_shared_between_threads():
-    # one item store replaces the memo's (w, sums) tuple, so threads that
-    # share a lattice never pair one w with another's sums; the threads
-    # evaluate the same points in the same order, so their w meet (a memo
-    # that stored w before its sums failed here)
-    L = replace(SKEW)
-    points = [u for z in sample_points(L, Random(3), 100) for u in (z, -z)]
-    want = [repr(ref_weier_eval(L, u)) for u in points] * 50
-    points *= 50
+def assert_threads_agree(L, points, repeats, exclusion):
+    """Four threads sharing L, each evaluating ``points`` ``repeats`` times in
+    order with a 1 us switch interval, all get the reference values."""
+    want = [repr(ref_weier_eval(L, u, exclusion)) for u in points] * repeats
+    points = points * repeats
     got = [None] * 4
 
     def run(i):
-        got[i] = [repr(weier_eval(L, u)) for u in points]
+        got[i] = [repr(weier_eval(L, u, exclusion)) for u in points]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -348,6 +348,17 @@ def test_tails_memo_shared_between_threads():
     assert got == [want] * len(got)
 
 
+def test_tails_memo_shared_between_threads():
+    # one item store replaces the memo's (w, sums) tuple, so threads that
+    # share a lattice never pair one w with another's sums; the threads
+    # evaluate the same points in the same order, so their w meet (a memo
+    # that stored w before its sums failed here).  The radius is not the
+    # default one, so the point memo serves none of the repeats.
+    L = replace(SKEW)
+    points = [u for z in sample_points(L, Random(3), 100) for u in (z, -z)]
+    assert_threads_agree(L, points, 50, 0.01)
+
+
 def test_tails_memo_is_per_lattice():
     # two lattices in alternation at the same points each match their own
     # reference: a memo shared by lattices would hand one the other's tails
@@ -359,6 +370,80 @@ def test_tails_memo_is_per_lattice():
         for u in (z, -z):
             for L in pair:
                 assert repr(weier_eval(L, u)) == repr(ref_weier_eval(L, u))
+
+
+# -- the point memo --------------------------------------------------------------
+
+@pytest.mark.parametrize("L", TABLE_LATTICES, ids=lambda L: repr(L.omega2))
+def test_point_memo_keeps_sweep_reports(L):
+    # the benchmark's sweep task: identity5_sweep after weierstrass_selftest
+    # on one lattice reads most of its points from the memo, and both reports
+    # are those of runs on fresh lattices
+    L = replace(L)
+    selftest = SamplePlan(20240915, 1000, tolerance=1e-9)
+    identity5 = SamplePlan(20240915, 1000, tolerance=1e-8)
+    shared = [weierstrass_selftest(L, selftest).to_json()]
+    pairs = sample_pairs(L, Random(identity5.seed), identity5.count)
+    assert sum(u in L._points for pair in pairs for u in pair) >= 990
+    assert all(_reduce(L, u)[1:] == (0, 0) for u in L._points)  # cell points only
+    shared.append(identity5_sweep(L, identity5).to_json())
+    alone = [weierstrass_selftest(replace(L), selftest).to_json(),
+             identity5_sweep(replace(L), identity5).to_json()]
+    assert shared == alone
+
+
+@pytest.mark.parametrize("L", [*(pytest.param(L, id=repr(L.omega2)) for L in TABLE_LATTICES),
+                               pytest.param(CONJUGATE_SQUARE, id="conjugate-square")])
+def test_point_memo_tells_signed_zeros_apart(L):
+    # complex(t, 0.0) == complex(t, -0.0), and they hash alike; a point with
+    # a zero part is never kept, so each twin gets its own values
+    L = replace(L)
+    for t in (0.1, 0.3, -0.3):
+        for z in (complex(t, 0.0), complex(0.0, t), complex(t, t)):
+            for u in signed_zero_twins(z * L.r_min) * 2:
+                assert repr(weier_eval(L, u)) == repr(ref_weier_eval(L, u)), u
+    assert all(u.real and u.imag for u in L._points)
+
+
+def test_point_memo_keeps_each_radius_verdict():
+    # a point admitted at a smaller radius still raises at the default one,
+    # and a point kept at the default radius still raises at a larger one
+    L = replace(SKEW)
+    for theta in (0.4, 2.0, 4.1):
+        inner = cmath.rect(0.03 * L.r_min, theta)
+        assert repr(weier_eval(L, inner, 0.01)) == repr(ref_weier_eval(L, inner, 0.01))
+        with pytest.raises(PoleProximityError):
+            weier_eval(L, inner)
+        outer = cmath.rect(0.1 * L.r_min, theta)
+        assert repr(weier_eval(L, outer)) == repr(ref_weier_eval(L, outer))
+        assert outer in L._points and inner not in L._points
+        with pytest.raises(PoleProximityError):
+            weier_eval(L, outer, 0.2)
+        assert repr(weier_eval(L, outer, 0.01)) == repr(ref_weier_eval(L, outer, 0.01))
+
+
+def test_point_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(weierstrass, "_POINT_MEMO_SIZE", 8)
+    L = replace(HEX)
+    points = sample_points(L, Random(11), 30)
+    # each point again at once, after a few others, and after a clear
+    order = [u for i, z in enumerate(points) for u in (z, -z, points[i // 2], z)]
+    sizes = set()
+    for u in order:
+        assert repr(weier_eval(L, u)) == repr(ref_weier_eval(L, u)), u
+        assert len(L._points) <= 8
+        sizes.add(len(L._points))
+    assert sizes == set(range(1, 9))
+
+
+def test_point_memo_shared_between_threads(monkeypatch):
+    # threads on one lattice store, read and clear one memo (cap 16 so the
+    # clears come often); each value is stored whole, so every thread gets
+    # the reference values
+    monkeypatch.setattr(weierstrass, "_POINT_MEMO_SIZE", 16)
+    L = replace(SKEW)
+    points = [u for z in sample_points(L, Random(5), 40) for u in (z, -z, z)]
+    assert_threads_agree(L, points, 20, DEFAULT_EXCLUSION)
 
 
 # -- the exclusion guard ---------------------------------------------------------

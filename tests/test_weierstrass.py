@@ -167,6 +167,15 @@ def test_division_by_zero_near_a_pole_is_pole_proximity(z):
         weier_eval(SQUARE, z, exclusion=1e-300)
 
 
+@pytest.mark.parametrize("z", [2e-108j, 1e-107j, 3e-106j, 1e-105 + 1e-105j, 4e-105j,
+                               -5e-104, 1e-103j, 1.5e-103 - 1e-103j, 2e-103j])
+def test_overflow_near_a_pole_is_pole_proximity(z):
+    # a radius below |z| passes the guard; z^3 is then subnormal and
+    # p' = -2/z^3 + ... overflows, which returned p' = -inf*j at 2e-108j
+    with pytest.raises(PoleProximityError, match="too close to a lattice point"):
+        weier_eval(SQUARE, z, exclusion=1e-300)
+
+
 class DrawCapReached(Exception):
     pass
 
