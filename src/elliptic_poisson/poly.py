@@ -27,25 +27,31 @@ are decoded to sorted index tuples only for ``terms``, text and evaluation.
 
 Order.  ``terms``, ``to_text`` and evaluation list monomials in graded
 lexicographic order: by size, then by sorted index tuple.  ``_graded_lex``
-sorts one byte string per term, in descending order: the size's complement
-to the slot sum of the OR of the keys, the multiplicities of the indices
-in increasing order (from ``e[0]`` when no index is negative), and the
-symbol bytes, ``n`` first.  Between two sorted tuples of one size, the
-first index whose multiplicity differs decides, and the larger multiplicity
-sorts first.  A size is the slot sum of a generator part ``g``, and
-``g % 255`` is that sum mod 255 (256 = 1 mod 255): while the slots of the
-OR sum below 255, every size is its own residue, and past that bound the
-slots are summed per term.  ``degree``, ``homogeneous_degree`` and
-``is_linear`` read sizes the same way.  Each monomial's tuple or text is
-joined from the decodes of the two halves of its multiplicities, each
-distinct half decoded once per call; ``to_text`` also formats each
-distinct coefficient once per call.
+ranks each term by one byte string and sorts them in one list, in
+descending order: the size's complement to the slot sum of the OR of the
+keys, the multiplicities of the indices in increasing order (from ``e[0]``
+when no index is negative), the symbol bytes, ``n`` first, and a signed
+numerator tail of one width, which never decides (no two terms share the
+bytes before it).  Between two sorted tuples of one size, the first index
+whose multiplicity differs decides, and the larger multiplicity sorts
+first.  A size is the slot sum of a generator part ``g``, and ``g % 255``
+is that sum mod 255 (256 = 1 mod 255): while the slots of the OR sum below
+255, every size is its own residue, and past that bound the slots are
+summed per term.  ``degree``, ``homogeneous_degree`` and ``is_linear``
+read sizes the same way.  Each monomial's tuple or text is joined from the
+decodes of the two halves of its multiplicities, each distinct half
+decoded once per call; ``to_text`` also formats each distinct coefficient
+once per call, keyed on the tails of its terms.
 
 Products.  ``_signed_products`` is the one loop over term pairs: it sums
-sign * a * b over products in one integer dict over their common
-denominator.  ``+`` and ``-`` (each operand times the unit, with sign +1 or
--1), ``*``, composition, the Leibniz bracket, generator brackets and their
-sums, determinant minors and the odd elimination all go through it.
+sign * a * b over products in integers over their common denominator.
+``+`` and ``-`` (each operand times the unit, with sign +1 or -1), ``*``,
+composition, the Leibniz bracket, generator brackets and their sums,
+determinant minors and the odd elimination all go through it.  A product
+with a small operand sums into one dict.  A product of two large operands
+(the odd elimination's) sums by slices: the keys' bytes in a few whole
+slots, which add without carries, so each output slice is summed in its
+own small dict and the slices are merged once.
 ``_substitute`` is the one other accumulation loop, because it is faster
 than composing with constants (its comment has the figures); ``_group`` is
 the one grouping of terms by symbol exponents.  ``_partial`` takes one
@@ -81,9 +87,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby
 from math import gcd, lcm
-from operator import itemgetter, or_
+from operator import or_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -232,28 +237,85 @@ _Pairs = Collection[tuple[int, int]]
 _UNIT_PAIRS = ((0, 1),)
 
 
+# A product whose smaller operand has this many terms is summed by slices.
+# The odd elimination's smaller operands have 27 and 55 terms at n = 9,
+# whose 3.3 k-term result sums faster in one dict, and 179-1,240 terms at
+# n = 11 and 13, whose 43 k and 617 k terms sum faster by slices; every
+# other product of the package has a side under 20 terms.
+_SLICE_MIN = 128
+
+
+def _slice_mask(a: _Pairs, b: _Pairs) -> int:
+    """Mask of the slots that slice the keys of a * b: the ``g2`` and ``g3``
+    slots and the two middle generator slots of the operands' OR."""
+    merged = reduce(or_, (k for k, _ in a), 0) | reduce(or_, (k for k, _ in b), 0)
+    slots = [slot for slot, mult in enumerate(_gen_bytes(merged)) if mult]
+    mid = len(slots) // 2
+    return (_SLOT_MASK << _SYM_SHIFT[1] | _SLOT_MASK << _SYM_SHIFT[2]
+            | sum(_SLOT_MASK << (_SYM_BITS + _SLOT_BITS * slot)
+                  for slot in slots[max(mid - 1, 0):mid + 1]))
+
+
+def _by_slice(pairs: _Pairs, mask: int, scale: int = 1) -> dict[int, list[tuple[int, int]]]:
+    """(key, numerator * scale) pairs grouped by the key's masked slots."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, v in pairs:
+        groups.setdefault(k & mask, []).append((k, v * scale))
+    return groups
+
+
 def _signed_products(products: Iterable[tuple[int, _Pairs, int, _Pairs, int]],
                      common: int | None = None) -> tuple[Terms, int, int]:
     """Sum of sign * a / da * b / db over (sign, a, da, b, db) products,
-    accumulated in one integer dict over their common denominator; the
-    slot guard is checked and the result reduced once.  Returns the terms,
-    the denominator and the OR of the keys.  With ``common``, a multiple of
-    every da * db, the products may come lazily, each freed once summed."""
+    accumulated in integers over their common denominator; the slot guard
+    is checked and the result reduced once.  Returns the terms, the
+    denominator and the OR of the keys.  With ``common``, a multiple of
+    every da * db, the products may come lazily.
+
+    A product with a small operand is summed at once into one dict and
+    freed.  A product of two large operands is grouped by slices of its
+    keys, whole slots under one mask: the slot guard rules out carries, so
+    (k1 + k2) & mask = (k1 & mask) + (k2 & mask), and a block of two
+    operand slices lands in one output slice.  Each output slice is then
+    summed in its own small dict, which stays in cache, and its nonzero
+    terms join the result."""
     if common is None:
         common = lcm(*(da * db for _, _, da, _, db in products))
     acc: Terms = {}
     get = acc.get
+    mask = 0
+    blocks: dict[int, list[tuple[_Pairs, _Pairs]]] = {}
     for sign, a, da, b, db in products:
         if len(a) > len(b):
             a, b = b, a
         scale = sign * (common // (da * db))
-        for k1, v1 in a:
-            v1 *= scale
-            for k2, v2 in b:
-                k = k1 + k2
-                acc[k] = get(k, 0) + v1 * v2
+        if len(a) < _SLICE_MIN:
+            for k1, v1 in a:
+                v1 *= scale
+                for k2, v2 in b:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + v1 * v2
+        else:
+            mask = mask or _slice_mask(a, b)
+            b_slices = _by_slice(b, mask).items()
+            for sa, pa in _by_slice(a, mask, scale).items():
+                for sb, pb in b_slices:
+                    blocks.setdefault(sa + sb, []).append((pa, pb))
         del a, b  # free this product before the next one is built
-    if 0 in acc.values():
+    if blocks:
+        for s, pairs in _by_slice(acc.items(), mask).items():
+            blocks.setdefault(s, []).append((pairs, _UNIT_PAIRS))
+        acc = {}
+        for pairs in blocks.values():
+            part: Terms = {}
+            get = part.get
+            for pa, pb in pairs:
+                for k1, v1 in pa:
+                    for k2, v2 in pb:
+                        k = k1 + k2
+                        part[k] = get(k, 0) + v1 * v2
+            acc.update({k: v for k, v in part.items() if v})
+    elif 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
     merged = _check_slots(acc)
     return (*_reduce(acc, common), merged)
@@ -380,24 +442,29 @@ def _coefficient_value(items, den: int, vals: dict[int, complex]) -> complex:
     return total
 
 
+def _tail_term(tail: bytes) -> tuple[int, int]:
+    """(symbol key, numerator) of a term's tail from :func:`_graded_lex`."""
+    return int.from_bytes(tail[:_NSYM], "big"), int.from_bytes(tail[_NSYM:], "big", signed=True)
+
+
 def _graded_lex(terms: Terms, merged: int, decode: Callable[[bytes, int], Sequence]
-                ) -> Iterator[tuple[Sequence, Sequence, bytes, int,
-                                    list[tuple[bytes, int]] | None]]:
+                ) -> Iterator[tuple[Sequence, Sequence, list[bytes]]]:
     """Terms by generator monomial in graded lexicographic order, from the
     terms and the OR of their keys.
 
-    Yields (low, high, sym, num, items) per monomial, where ``sym`` is the
-    symbol bytes of a key, most significant first.  ``items`` is None when
-    the monomial has the single term (sym, num); otherwise it lists its
-    (sym, num) terms in descending symbol order, and sym is empty, num 0.
-    The monomial is ``low + high``, the decodes of the two halves of its
+    Yields (low, high, tails) per monomial.  Each tail is the symbol bytes
+    of a term, most significant first, then its numerator (see
+    :func:`_tail_term`); the tails come in descending symbol order.  The
+    monomial is ``low + high``, the decodes of the two halves of its
     multiplicities, where ``decode(multiplicities, first index)`` runs once
     per distinct half.
 
-    Each term sorts as one byte string, in descending order: the size's
-    complement to the slot sum of the OR, the multiplicities in index order
-    and the symbol bytes.
+    Each term is one byte string in one list, sorted in descending order:
+    the size's complement to the slot sum of the OR, the multiplicities in
+    index order, the symbol bytes and a signed numerator of one width.
     """
+    if not terms:
+        return
     gens = _gen_bytes(merged)
     # an even width, so that the top odd slot holds the most negative index;
     # with no negative index the odd slots are left out
@@ -407,38 +474,48 @@ def _graded_lex(terms: Terms, merged: int, decode: Callable[[bytes, int], Sequen
     odd = slice(-1, _NSYM, -2) if negative else slice(0)
     first = -width // 2 if negative else 0
     # no size exceeds the slot sum of the OR; below the modulus every size
-    # is its own residue
+    # is its own residue.  At least one size byte, so that a monomial's
+    # prefix is never empty.
     top = sum(gens)
     residue = top < _SIZE_MODULUS
-    nsize = (top.bit_length() + 7) // 8
-    ranked: dict[bytes, int] = {}
+    nsize = top.bit_length() // 8 + 1
+    nnum = max(map(abs, terms.values())).bit_length() // 8 + 1
+    ranks: list[bytes] = []
+    append = ranks.append
     for k, num in terms.items():
         b = k.to_bytes(nbytes, "little")
         size = (k >> _SYM_BITS) % _SIZE_MODULUS if residue else sum(b[_NSYM:])
-        ranked[(top - size).to_bytes(nsize, "big") + b[odd] + b[_NSYM::2]
-               + b[_NSYM - 1::-1]] = num
+        append((top - size).to_bytes(nsize, "big") + b[odd] + b[_NSYM::2]
+               + b[_NSYM - 1::-1] + num.to_bytes(nnum, "big", signed=True))
+    ranks.sort(reverse=True)
     # Split the occurring multiplicities start..stop-1 in the middle, so that
     # each half takes few distinct values; together they name the monomial.
     b = merged.to_bytes(nbytes, "little")
-    used = [i for i, mult in enumerate(b[odd] + b[_NSYM::2]) if mult]
+    mults = b[odd] + b[_NSYM::2]
+    used = [i for i, mult in enumerate(mults) if mult]
     start, stop = (used[0], used[-1] + 1) if used else (0, 0)
     split = (start + stop) // 2
-    halves = itemgetter(slice(nsize + start, nsize + split), slice(nsize + split, nsize + stop))
+    low_bytes, high_bytes = slice(nsize + start, nsize + split), slice(nsize + split, nsize + stop)
+    cut = nsize + len(mults)  # a rank is its monomial's prefix and a tail
     lows: dict[bytes, Sequence] = {}
     highs: dict[bytes, Sequence] = {}
-    for (low, high), group in groupby(sorted(ranked, reverse=True), halves):
+    ranks.append(b"")  # starts with no prefix: ends the last monomial
+    mono = ranks[0][:cut]
+    tails: list[bytes] = []
+    for rank in ranks:
+        if rank.startswith(mono):
+            tails.append(rank[cut:])
+            continue
+        low, high = mono[low_bytes], mono[high_bytes]
         lo = lows.get(low)
         if lo is None:
             lo = lows[low] = decode(low, first + start)
         hi = highs.get(high)
         if hi is None:
             hi = highs[high] = decode(high, first + split)
-        key = next(group)
-        other = next(group, None)
-        if other is None:
-            yield lo, hi, key[-_NSYM:], ranked[key], None
-        else:
-            yield lo, hi, b"", 0, [(k[-_NSYM:], ranked[k]) for k in (key, other, *group)]
+        yield lo, hi, tails
+        mono = rank[:cut]
+        tails = [rank[cut:]]
 
 
 # -- the two public types --------------------------------------------------------
@@ -756,10 +833,13 @@ class EPoly(_Packed):
         symbol keys descending, decoded once per value: numeric checks
         evaluate one element many times."""
         if self._view is None:
+            # _tail_term inlined: numeric checks decode every term of many
+            # small elements, where one more call per term shows
+            from_bytes = int.from_bytes
             self._view = tuple(
-                (lo + hi, [(int.from_bytes(s, "big"), n) for s, n in items or ((sym, num),)])
-                for lo, hi, sym, num, items
-                in _graded_lex(self._terms, self._merged(), _indices))
+                (lo + hi, [(from_bytes(tail[:_NSYM], "big"),
+                            from_bytes(tail[_NSYM:], "big", signed=True)) for tail in tails])
+                for lo, hi, tails in _graded_lex(self._terms, self._merged(), _indices))
         return self._view
 
     def _merged(self) -> int:
@@ -874,28 +954,22 @@ class EPoly(_Packed):
         if not self._terms:
             return "0"
         den = self._den
-        # " + (coefficient)", by num and symbol bytes for one term, by items
-        # for more: a repeated coefficient decodes no symbol key
-        singles: dict[tuple[int, bytes], str] = {}
-        multis: dict[tuple[tuple[bytes, int], ...], str] = {}
+        # " + (coefficient)" by the joined tails of its terms: a repeated
+        # coefficient decodes nothing
+        texts: dict[bytes, str] = {}
         parts: list[str] = []
-        append, from_bytes = parts.append, int.from_bytes
-        for lo, hi, sym, num, items in _graded_lex(self._terms, self._merged(), _indices_text):
-            if items is None:
-                coeff = singles.get((num, sym))
-                if coeff is None:
-                    body = _term_text(from_bytes(sym, "big"), abs(num), den)
-                    coeff = singles[num, sym] = f" + ({body})" if num > 0 else f" + (-{body})"
-            else:
-                items = tuple(items)
-                coeff = multis.get(items)
-                if coeff is None:
-                    body = _coefficient_text([(from_bytes(s, "big"), n) for s, n in items], den)
-                    coeff = multis[items] = f" + ({body})"
+        append = parts.append
+        for lo, hi, tails in _graded_lex(self._terms, self._merged(), _indices_text):
+            key = b"".join(tails)
+            coeff = texts.get(key)
+            if coeff is None:
+                body = _coefficient_text([_tail_term(tail) for tail in tails], den)
+                coeff = texts[key] = f" + ({body})"
             # the halves are "*e[a]*e[b]..." or empty
             append(coeff)
             append(lo)
             append(hi)
+        # the generator has ended, so its rank list is freed before the join
         parts[0] = parts[0][3:]
         # only the first monomial can be the unit monomial
         if not (parts[1] or parts[2]):

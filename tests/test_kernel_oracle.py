@@ -6,13 +6,17 @@ that builds them all up front.  The Jacobi window kernel against the
 general ``jacobiator``, and the packed basis brackets against their
 constructor-based definition."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import lcm
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elliptic_poisson import brackets
+from elliptic_poisson import brackets, poly
 from elliptic_poisson.brackets import (
     BracketSpec,
     SDiffSpec,
@@ -23,7 +27,7 @@ from elliptic_poisson.brackets import (
     s_diff,
     verify_jacobi_window,
 )
-from elliptic_poisson.casimirs import casimirs
+from elliptic_poisson.casimirs import casimir_odd, casimirs
 from elliptic_poisson.poly import (
     SYMBOLS,
     EPoly,
@@ -358,6 +362,159 @@ def test_bracket_guards_the_slot():
     ok = EPoly.monomial((0,) * (SLOT_MAX - 1)).bracket(
         EPoly.gen(1), lambda a, b: EPoly.monomial((0, 0)))
     assert ok == EPoly.monomial((0,) * SLOT_MAX, SLOT_MAX - 1)
+
+
+# -- the sliced route of the product kernel -----------------------------------
+# ``_signed_products`` sums a product whose smaller operand has at least
+# ``_SLICE_MIN`` terms by slices of its keys.  With the bound lowered to one
+# term every nonempty product of the strategies above takes that route; at
+# four terms one call mixes sliced and plain products.
+
+@contextmanager
+def sliced_route(bound=1):
+    """Products with a smaller operand of ``bound`` terms or more are
+    sliced; yields the masks chosen, one per call that sliced."""
+    masks = []
+    choose = poly._slice_mask
+
+    def recorded(a, b):
+        masks.append(choose(a, b))
+        return masks[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_SLICE_MIN", bound)
+        mp.setattr(poly, "_slice_mask", recorded)
+        yield masks
+
+
+@contextmanager
+def plain_route():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_SLICE_MIN", float("inf"))
+        yield
+
+
+def whole_slots(mask):
+    return all(byte in (0, 0xFF) for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"))
+
+
+bounds = st.sampled_from([1, 4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_items, bounds)
+def test_sliced_products_match_reference(items, bound):
+    packed = [(sign, from_ref(P), from_ref(Q)) for sign, P, Q in items]
+    with sliced_route(bound) as masks:
+        got = signed_products(packed)
+    assert to_ref(got) == ref_signed_products(items)
+    assert got._or == reduce(or_, got._terms, 0)
+    assert len(masks) == any(min(len(p._terms), len(q._terms)) >= bound for _, p, q in packed)
+    assert all(whole_slots(mask) for mask in masks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_items, bounds)
+def test_sliced_products_come_lazily(items, bound):
+    # the Leibniz bracket's form: a common denominator, products from a
+    # generator, one operand a list of pairs
+    packed = [(sign, from_ref(P), from_ref(Q)) for sign, P, Q in items]
+    common = lcm(*(p._den * q._den for _, p, q in packed))
+
+    def lazy():
+        for sign, p, q in packed:
+            yield sign, p._terms.items(), p._den, list(q._terms.items()), q._den
+    with sliced_route(bound):
+        got = EPoly._keep(*_signed_products(lazy(), common))
+    with plain_route():
+        want = EPoly._keep(*_signed_products(lazy(), common))
+    assert got == want and got._or == want._or
+    assert to_ref(got) == ref_signed_products(items)
+
+
+scalar_items = st.lists(st.tuples(st.sampled_from([1, -1, 3]), coefficients, coefficients),
+                        max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalar_items, bounds)
+def test_sliced_products_of_scalars(items, bound):
+    # keys with symbol slots only: no generator slot to slice by
+    want = {}
+    for sign, c1, c2 in items:
+        ref_coeff_add(want, {e: sign * c for e, c in ref_coeff_mul(c1, c2).items()})
+    with sliced_route(bound) as masks:
+        got = signed_products([(sign, ParamPoly(c1), ParamPoly(c2)) for sign, c1, c2 in items])
+        products = [ParamPoly(c1) * ParamPoly(c2) for _, c1, c2 in items]
+    assert to_ref(got) == ({(): want} if want else {})
+    assert products == [ParamPoly(ref_coeff_mul(c1, c2)) for _, c1, c2 in items]
+    assert all(mask >> SYM_BITS == 0 and whole_slots(mask) for mask in masks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, elements)
+def test_sliced_products_cancel_to_canonical_zero(P, Q):
+    p, q = from_ref(P), from_ref(Q)
+    with sliced_route():
+        zero = signed_products([(1, p, q), (-1, q, p)])
+        negated = signed_products([(-1, p, q)])
+    assert zero == EPoly.zero()
+    assert (zero._terms, zero._den, zero._or) == ({}, 1, 0)
+    assert negated == -(p * q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-3, 3), st.integers(0, SLOT_MAX), st.integers(0, SLOT_MAX))
+def test_sliced_products_guard_the_slot(alpha, j, k):
+    # the wide product is the second of two, in a masked generator slot and
+    # in the g2 slot
+    items = [(1, power(alpha + 1, 2), power(alpha, 1)), (-1, power(alpha, j), power(alpha, k))]
+    packed = [(sign, from_ref(P), from_ref(Q)) for sign, P, Q in items]
+    g2 = ParamPoly.symbol("g2")
+    with sliced_route() as masks:
+        if j + k <= SLOT_MAX:
+            assert to_ref(signed_products(packed)) == ref_signed_products(items)
+            assert g2 ** j * g2 ** k == ParamPoly({(0, j + k) + (0,) * (len(SYMBOLS) - 2): 1})
+        else:
+            with pytest.raises(OverflowError):
+                signed_products(packed)
+            with pytest.raises(OverflowError):
+                g2 ** j * g2 ** k
+    assert masks
+
+
+def test_sliced_route_sums_each_key_once():
+    # e[0]^i e[2]^(9-i) g2^(7i) g3^(9-i) on one side and the mirror image on
+    # the other: every product key is reached from many pairs of operand
+    # slices, and sums of masked slots carry inside a byte (1 + 1 in the
+    # generator slots, 7 + 14 in g2), so a mask over part of a slot or a
+    # lost slice changes coefficients
+    g2, g3 = ParamPoly.symbol("g2"), ParamPoly.symbol("g3")
+    p = sum((EPoly.monomial((0,) * i + (2,) * (9 - i), g2 ** (7 * i) * g3 ** (9 - i) * (i - 4))
+             for i in range(10)), EPoly.zero()) + EPoly.gen(3) * Fraction(1, 3)
+    q = sum((EPoly.monomial((0,) * (9 - i) + (2,) * i, g2 ** (7 * (9 - i)) * (2 * i + 1) + g3 ** i)
+             for i in range(10)), EPoly.zero())
+    with plain_route():
+        want = signed_products([(1, p, q), (-2, q, q)])
+    with sliced_route() as masks:
+        got = signed_products([(1, p, q), (-2, q, q)])
+    assert len({k & masks[0] for k in got._terms}) > 20
+    assert got == want and got._or == want._or
+    assert to_ref(got) == ref_signed_products([(1, to_ref(p), to_ref(q)),
+                                               (-2, to_ref(q), to_ref(q))])
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_odd_elimination_sliced_equals_plain(n):
+    with plain_route():
+        plain = casimir_odd(n).elements[0]
+    with sliced_route(poly._SLICE_MIN) as default_masks:
+        default = casimir_odd(n).elements[0]
+    with sliced_route() as masks:
+        sliced = casimir_odd(n).elements[0]
+    # at the default bound n = 11 is sliced and n = 9 is not
+    assert len(default_masks) == (n == 11) and len(masks) == 1
+    for value in (default, sliced):
+        assert value == plain and value._or == plain._or
 
 
 # -- the Jacobi window kernel -------------------------------------------------

@@ -409,10 +409,27 @@ def test_graded_lex_examples():
            + EPoly.gen(-1) + EPoly.one())
     assert sum(_gen_bytes(big._merged())) >= 255
     assert [len(m) for m, _ in big.terms()] == [0, 1, 254, 255, 255, 260]
-    for value in (p, q, r, even, top, padded, big):
+    # numerator tails at their width edges: in each value the edge is the
+    # largest magnitude, which sets the width, beside smaller and negative
+    # numerators and a negative index
+    edges = []
+    for edge in (127, -127, 128, -128, 2 ** 15, -2 ** 15, 2 ** 63, -2 ** 63, 2 ** 70):
+        edges.append(EPoly.monomial((0, 2), edge) + EPoly.monomial((0, 3), G2 * -edge + G3 * 3)
+                     + EPoly.monomial((-1, 2), edge // 2) + EPoly.gen(2) * -1 + EPoly.one() * 5)
+        assert max(abs(v) for v in edges[-1]._terms.values()) == abs(edge)
+    # neighbours that differ only in symbol bytes: equal numerators within
+    # one coefficient, and single-term coefficients of adjacent monomials
+    symbols_only = (EPoly.monomial((1, 1), G2 * 7 + G3 * 7 + N * 7) + EPoly.monomial((1, 2), G2 * 7)
+                    + EPoly.monomial((1, 3), G3 * 7) + EPoly.monomial((1, 4), G2 * 7))
+    assert [len(c.to_text().split(" + ")) for _, c in symbols_only.terms()] == [3, 1, 1, 1]
+    # a multi-term coefficient on the unit monomial, next to size-1 monomials
+    unit = EPoly.one() * (G2 - 1) + EPoly.gen(0) * (G2 - 1) + EPoly.gen(-2) * G3
+    assert unit.to_text().startswith("(g2 - 1)*1 + ")
+    for value in (p, q, r, even, top, padded, big, *edges, symbols_only, unit):
         assert value._groups() == tuple((mono, sorted(items, reverse=True))
                                         for mono, items in _old_groups(value))
         assert value.to_text() == _old_text(value)
+        assert parse_epoly(value.to_text()) == value
         assert all(_mono(k) == _old_mono(k) for k in value._terms)
 
 
