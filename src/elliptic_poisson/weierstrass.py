@@ -47,17 +47,18 @@ repeats return the kept values.  The memo holds at most
 
 Points stay DEFAULT_EXCLUSION * r_min clear of the lattice, as does x - y
 in the two-point functions; only ``weier_eval`` takes the radius as an
-argument.  Every such guard is ``lattice_distance(L, z) < radius``, and
-``_near`` decides it without the nine-point scan wherever the modulus d of
-the reduced point, the scan's first candidate, settles it: d < radius is
-near, and d at most r_min - radius - slack is clear, because each scanned
-neighbour is a lattice vector at least r_min long, so its distance is at
-least r_min - d up to the rounding the slack covers.  Any other d runs the
-scan itself, so each guard gives the verdict the scan gives.  A point under
-half the smaller cell height is its own reduced point and is not reduced
-(``_near``).  Evaluators return (value, scale): tolerances are
-relative to a scale 1 + max(|operand values|), since values near poles grow
-and absolute tolerances would be meaningless.
+argument.  Every such guard is ``lattice_distance(L, z) < radius``, decided
+by ``_near_reduced`` from the modulus of the reduced point where that
+settles it and by the nine-point scan otherwise, so each verdict is the
+scan's.  Each point is reduced and guarded once: ``weier_eval`` guards the
+point it has reduced, the two-point functions evaluate x - y first and
+raise its PoleProximityError as NearSingularError, and the sampling and
+the certification, which guard before they evaluate, call ``_near``.  A
+cell point with both parts nonzero evaluated twice in a row gets one value
+object back from the point memo, as ``_PointSet`` needs.  Evaluators
+return (value, scale): tolerances are relative to a scale 1 + max(|operand
+values|), since values near poles grow and absolute tolerances would be
+meaningless.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class Lattice:
     * ``_series_radius``: 0.3 * r_min, the disc the series is used in;
     * ``_half_g2``: g2 / 2, in p'' = 6 p^2 - g2/2 and the second
       Z-identity;
-    * ``_guard``: the two bounds of ``_near``, half the smaller cell height
+    * ``_guard``: the bounds of the guards, half the smaller cell height
       times (1 - 1e-9), and r_min - 2^-44 (|omega1| + |omega2| + r_min);
     * ``_tails``: the one-entry memo of ``_series_eval``, a list that holds
       one (w, (tail_p, tail_dp, tail_zt)) tuple, the last series argument
@@ -291,38 +292,38 @@ def _nearest(L: Lattice, z1: complex, best: float) -> float:
 
 
 def _near(L: Lattice, z: complex, radius: float) -> bool:
-    """``lattice_distance(L, z) < radius``, decided from d = abs(z1) of the
-    reduced point z1 wherever d settles it, else by the scan itself.  z is
-    a reduced point, a cell point or the difference of two, so abs(z)
-    cannot overflow.
+    """``lattice_distance(L, z) < radius`` for a cell point z or the
+    difference of two (abs(z) cannot overflow), as the sampling and the
+    certification guard a point before they evaluate it.  Under half the
+    smaller cell height h (``Lattice._guard``) z is its own reduced point:
+    each cell coordinate is at most |z| / h up to a few units of u = 2^-53,
+    so both round to 0, and z - 0*omega1 - 0*omega2 differs from z at most
+    in the signs of zeros, which no ``abs`` and no neighbour difference sees.
+    """
+    if not abs(z) < L._guard[0]:
+        z = _reduce(L, z)[0]
+    return _near_reduced(L, z, radius)
 
-    With u = 2^-53: d < radius is near, as d is the scan's first candidate.
-    A scanned neighbour v = m omega1 + k omega2 (|m|, |k| <= 1) lies in the
-    search that defines r_min, so |v| >= r_min (1 - 3u); z1 - v is formed
-    by two roundings per component and its ``abs`` rounds once more, so the
+
+def _near_reduced(L: Lattice, z1: complex, radius: float) -> bool:
+    """``lattice_distance(L, z) < radius`` for z whose reduced point is z1,
+    decided from d = abs(z1) wherever d settles it, else by the scan itself:
+    d < radius is near, as d is the scan's first candidate.  A scanned
+    neighbour v = m omega1 + k omega2 (|m|, |k| <= 1) lies in the search
+    that defines r_min, so |v| >= r_min (1 - 3u); z1 - v is formed by two
+    roundings per component and its ``abs`` rounds once more, so the
     scanned distance is at least r_min - d - 10u (r_min + |omega1| +
     |omega2|) for d <= r_min, and the two roundings of the clear bound add
     2u r_min.  The slack 2^-44 (|omega1| + |omega2| + r_min) exceeds that
     12u bound whatever the radius, so d <= (r_min - slack) - radius is
     clear.  Any other d, NaN among them, runs the scan.
-
-    If abs(z) is under half the smaller cell height h = min(|Im(omega1
-    conj omega2)| / |omega2|, |Im(omega2 conj omega1)| / |omega1|) less
-    1e-9 relative, z is its own reduced point and is not reduced: each cell
-    coordinate is at most |z| / h up to a few units of u, so both round to
-    0, and z - 0*omega1 - 0*omega2 differs from z at most in the signs of
-    zeros, which no ``abs`` and no neighbour difference sees.
     """
-    half_height, clear = L._guard
-    d = abs(z)
-    if not d < half_height:
-        z = _reduce(L, z)[0]
-        d = abs(z)
+    d = abs(z1)
     if d < radius:
         return True
-    if d <= clear - radius:
+    if d <= L._guard[1] - radius:
         return False
-    return _nearest(L, z, d) < radius
+    return _nearest(L, z1, d) < radius
 
 
 def _series_eval(L: Lattice, z: complex) -> tuple[complex, complex, complex]:
@@ -382,7 +383,7 @@ def weier_eval(L: Lattice, z: complex,
         raise ValueError(f"exclusion must be positive, not {exclusion!r}")
     radius = exclusion * L.r_min
     z0, m, k = _reduce(L, z)
-    if _near(L, z0, radius):
+    if _near_reduced(L, z0, radius):
         raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
     try:
         p, dp, zt = _eval_reduced(L, z0)
@@ -503,23 +504,24 @@ def _e_from_values(L: Lattice, alpha: int, p: complex, dp: complex) -> tuple[com
 
 
 def _point_values(L: Lattice, points) -> list:
-    """(p, p', zeta) at each point, in order; a point repeated with the same
-    ``repr`` is evaluated once and shares that value object."""
-    seen: dict[str, tuple[complex, complex, complex]] = {}
-    out = []
-    for z in points:
-        key = repr(z)
-        if key not in seen:
-            seen[key] = weier_eval(L, z)
-        out.append(seen[key])
-    return out
+    """(p, p', zeta) at each point, in order; the point memo gives a cell
+    point with both parts nonzero repeated in a row one value object."""
+    return [weier_eval(L, z) for z in points]
+
+
+def _difference_values(L: Lattice, x: complex, y: complex):
+    """(p, p', zeta) at x - y, evaluated before x and y: the
+    PoleProximityError of its guard is raised as NearSingularError."""
+    try:
+        return weier_eval(L, x - y)
+    except PoleProximityError:
+        raise NearSingularError("x - y too close to the lattice") from None
 
 
 def _two_point_values(L: Lattice, x: complex, y: complex):
     """(p, p', zeta) at x, y and x - y; x - y must stay clear of the lattice."""
-    if _near(L, x - y, DEFAULT_EXCLUSION * L.r_min):
-        raise NearSingularError("x - y too close to the lattice")
-    return weier_eval(L, x), weier_eval(L, y), weier_eval(L, x - y)
+    vxy = _difference_values(L, x, y)
+    return weier_eval(L, x), weier_eval(L, y), vxy
 
 
 def _bracket_values(L: Lattice, x: complex, y: complex):
@@ -541,12 +543,8 @@ def _zeta_matrix(L: Lattice, points, values) -> list[list]:
     for a, (x, vx) in enumerate(zip(points, values)):
         row = []
         for b, (y, vy) in enumerate(zip(points, values)):
-            if a == b:
-                row.append(None)
-                continue
-            if _near(L, x - y, DEFAULT_EXCLUSION * L.r_min):
-                raise NearSingularError("x - y too close to the lattice")
-            row.append(_zeta_values(vx, vy, weier_eval(L, x - y)))
+            row.append(None if a == b else
+                       _zeta_values(vx, vy, _difference_values(L, x, y)))
         out.append(row)
     return out
 
@@ -659,7 +657,9 @@ class _PointSet:
     masks form one class and everything is kept per class: ``index`` maps
     the masks 1, 2, ..., 2^m - 1 to their classes, and ``column(alpha)``
     gives per class the sum, the sum with Ryser's sign (-1)^(m - |mask|)
-    folded in, and the bound max |sum| * (1 + 1e-9).
+    folded in, and the bound max |sum| * (1 + 1e-9).  A cell point repeated
+    in a row shares one value object (``_point_values``); other repeats
+    form finer classes, whose sums have the same bits.
     """
 
     __slots__ = ("m", "index", "ones", "_runs", "_reps", "_negative", "_columns")

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import importlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,11 @@ casimirs_module = importlib.import_module("elliptic_poisson.casimirs")
 
 @pytest.fixture
 def weier_eval_points(monkeypatch):
-    """Every point passed to ``weierstrass.weier_eval`` while the test runs,
-    in call order.  Numeric code evaluates points only through it."""
+    """Every point passed to ``weier_eval`` while the test runs, in call
+    order.  Numeric code evaluates points only through it.  Every binding of
+    the function in the ``elliptic_poisson`` modules is patched (the
+    defining module, the package re-export and any module that imported it
+    by name), so no caller escapes the count."""
     seen = []
     real = weierstrass.weier_eval
 
@@ -26,7 +30,11 @@ def weier_eval_points(monkeypatch):
         seen.append(z)
         return real(L, z, *args, **kwargs)
 
-    monkeypatch.setattr(weierstrass, "weier_eval", counting)
+    for name, module in list(sys.modules.items()):
+        if name == "elliptic_poisson" or name.startswith("elliptic_poisson."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
     return seen
 
 

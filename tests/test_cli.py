@@ -170,6 +170,28 @@ def test_malformed_tau_exits_2(tmp_path):
     assert code == 2
 
 
+def test_unknown_bracket_exits_2(tmp_path, capsys):
+    code, text = run_cli(["verify-jacobi", "--window", "0..3", "--bracket", "nope"], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "error: unknown bracket 'nope'" in capsys.readouterr().err
+
+
+def test_empty_tau_exits_2(tmp_path, capsys):
+    code, text = run_cli(["verify-elliptic", "--tau=", "--n", "3"], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "error: empty tau" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    code, text = run_cli(["verify-closure", "--n", "3", "--config",
+                          str(tmp_path / "missing.cfg")], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "error: cannot read config file" in capsys.readouterr().err
+
+
 def test_guardrail_requires_force(tmp_path):
     code, _ = run_cli(["verify-jacobi", "--window", "0..50"], tmp_path)
     assert code == 2
@@ -431,6 +453,27 @@ def test_verify_jacobi_passes(tmp_path):
     assert reports[0]["status"] == "pass"
     assert reports[0]["max_residual"] == "exact-zero"
     assert reports[-1]["check"] == "summary"
+
+
+def test_verify_jacobi_custom_bracket(tmp_path):
+    code, text = run_cli(["verify-jacobi", "--window", "0..4", "--bracket", "custom:1,2,3"],
+                         tmp_path)
+    assert code == 0
+    reports = parse_reports(text)
+    assert reports[0]["parameters"]["bracket"] == "(1, 2, 3)"
+    assert reports[0]["status"] == "pass"
+
+
+def test_golden_casimir_check_fails_on_a_perturbed_build(monkeypatch):
+    real = cli.casimir_lines
+    monkeypatch.setattr(cli, "casimir_lines", lambda cs: real(cs)[:-1] + ["C1 = 0"])
+    rep = cli.golden_casimir_check(4)
+    assert rep.status == "fail"
+    (failure,) = rep.failures
+    assert failure["witness"] == "casimir n=4"
+    built, golden = failure["residual-text"].split("\ngolden:\n")
+    assert built.startswith("built:\n") and built.endswith("\nC1 = 0\n")
+    assert golden.startswith("C0 = ") and "\nC1 = 0\n" not in golden
 
 
 def test_verify_closure_range(tmp_path):

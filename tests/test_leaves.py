@@ -23,6 +23,7 @@ from elliptic_poisson.leaves import (
 )
 from elliptic_poisson.poly import EPoly, IndexSet
 from elliptic_poisson.weierstrass import (
+    NearSingularError,
     SamplePlan,
     e_func_and_deriv,
     lattice_init,
@@ -234,6 +235,28 @@ def test_nondegeneracy_evaluates_each_point_once(weier_eval_points):
     assert nondegeneracy_check(cfg, draw_leaf_sample(cfg, Random(23))).passed
     # the p positions, then the p(p-1) differences u_a - u_b
     assert len(weier_eval_points) == 3 + 3 * 2
+
+
+def test_nondegeneracy_near_singular_positions_raise():
+    # two positions 0.036 r_min apart: the Z matrix needs x - y clear of
+    # the lattice
+    cfg = config(3, 7)
+    s = LeafSample(u=(0.21 + 0.13j, 0.24 + 0.11j, -0.3 + 0.35j), psi=(1 + 0j,) * 3)
+    assert abs(s.u[1] - s.u[0]) < 0.05 * L.r_min
+    with pytest.raises(NearSingularError, match=r"^x - y too close to the lattice$"):
+        nondegeneracy_check(cfg, s)
+
+
+def test_nondegeneracy_tiny_weights_are_an_unexpected_degeneracy():
+    # at 2p < n the block determinant is nonzero, but weights near 1e-30
+    # shrink it to about 1e-90, below the tolerance
+    cfg = config(3, 7)
+    s = draw_leaf_sample(cfg, Random(23))
+    rep = nondegeneracy_check(cfg, LeafSample(u=s.u, psi=(1e-30, -1e-30j, 2e-30)))
+    assert rep.status == "fail"
+    assert rep.parameters["degenerate"] is False
+    assert [f["witness"] for f in rep.failures] == ["unexpected degeneracy"]
+    assert rep.failures[0]["residual-text"].startswith("|det M| = ")
 
 
 def test_nondegeneracy_overflow_fails():

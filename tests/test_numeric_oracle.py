@@ -30,9 +30,11 @@ from elliptic_poisson.weierstrass import (
     _cell_coordinates,
     _eval_reduced,
     _near,
+    _near_reduced,
     _reduce,
     _series_eval,
     _sym_eval_core,
+    identity5_residual,
     identity5_sweep,
     lattice_distance,
     lattice_init,
@@ -193,7 +195,7 @@ def ref_eval_reduced(L, z):
 
 def ref_weier_eval(L, z, exclusion=DEFAULT_EXCLUSION):
     z0, m, k = ref_reduce(L, z)
-    if ref_lattice_distance(L, z0) < exclusion * L.r_min:
+    if ref_lattice_distance(L, z) < exclusion * L.r_min:
         raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
     p, dp, zt = ref_eval_reduced(L, z0)
     return p, dp, zt + m * L.eta1 + k * L.eta2
@@ -481,13 +483,15 @@ def outcome(f, *args):
 
 
 def assert_same_guard(L, z, radius):
-    """_near agrees with the scan, result or exception, both on z and, as
-    weier_eval calls it, on the reduced point."""
-    assert outcome(_near, L, z, radius) == outcome(
-        lambda: ref_lattice_distance(L, z) < radius)
+    """_near agrees with the scan, result or exception, both on z and on
+    the reduced point, and so does _near_reduced on the reduced point, as
+    weier_eval calls it."""
+    want = outcome(lambda: ref_lattice_distance(L, z) < radius)
+    assert outcome(_near, L, z, radius) == want
     reduced = outcome(_reduce, L, z)
     if isinstance(reduced[0], complex):
         z0 = reduced[0]
+        assert outcome(_near_reduced, L, z0, radius) == want
         assert outcome(_near, L, z0, radius) == outcome(
             lambda: ref_lattice_distance(L, z0) < radius)
 
@@ -568,6 +572,37 @@ def test_sampling_reduces_only_past_half_the_cell_height(monkeypatch):
     half_height = L._guard[0]
     assert len(sample_points(L, Random(0), 100)) == 100
     assert reduced and all(abs(z) >= half_height for z in reduced)
+
+
+def test_each_point_is_reduced_and_guarded_once(monkeypatch):
+    # weier_eval guards the point it has reduced, and the two-point
+    # functions leave the guard of x - y to weier_eval; every point here has
+    # a reduced modulus of at least half the smaller cell height, from
+    # which on _near would reduce it again
+    L = lattice_init(1, 1j)  # a point memo that holds none of these points
+    reduced, guarded = [], []
+    real_reduce, real_guard = weierstrass._reduce, weierstrass._near_reduced
+    monkeypatch.setattr(weierstrass, "_reduce",
+                        lambda L, z: reduced.append(z) or real_reduce(L, z))
+    monkeypatch.setattr(weierstrass, "_near_reduced",
+                        lambda L, z, r: guarded.append(z) or real_guard(L, z, r))
+    z = 0.45 + 0.4j
+    for u in (z, z + 1 - 2j):  # a cell point and a point that reduces near it
+        weier_eval(L, u)
+        u0 = real_reduce(L, u)[0]
+        assert abs(u0) >= L._guard[0]
+        assert reduced == [u]
+        assert guarded == [u0]
+        reduced.clear()
+        guarded.clear()
+    x, y = 0.25 + 0.3j, -0.2 - 0.15j
+    identity5_residual(L, x, y)
+    assert abs(x - y) >= L._guard[0]
+    assert reduced == guarded == [x - y, x, y]
+    reduced.clear()
+    guarded.clear()
+    weier_eval(L, z)  # a repeated cell point reads the point memo
+    assert reduced == guarded == []
 
 
 # -- the sampling stream, as the scan decided it -----------------------------------

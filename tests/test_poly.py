@@ -270,6 +270,17 @@ def test_epoly_text_canonical_order():
     assert EPoly.one().to_text() == "(1)*1"
 
 
+def test_polys_compare_with_rationals_and_print_their_text():
+    assert EPoly.zero() == 0 and EPoly.one() == 1
+    assert EPoly.one() != 0 and EPoly.gen(2) != 1
+    half = ParamPoly.const(Fraction(1, 2))
+    assert half == Fraction(1, 2) and half != Fraction(1, 3)
+    assert ParamPoly.zero() == 0 and N != 0
+    P = EPoly.monomial((2, 4), N - 3) + EPoly.monomial((3, 3), 2 - N * Fraction(1, 2))
+    for value in (P, half, N * G2 - 1, EPoly.zero()):
+        assert str(value) == value.to_text()
+
+
 # Test-local copy of the tuple-sorted decoded view that the integer-keyed
 # graded-lex order replaced: one index tuple per monomial, sorted by
 # (size, tuple).

@@ -387,6 +387,30 @@ def test_func_bracket_near_singular():
         func_bracket(SQUARE, 5, 0, 2, x, x + 1e-9)
 
 
+@pytest.mark.parametrize("two_point", [
+    lambda L, x, y: func_bracket(L, 5, 0, 2, x, y),
+    identity5_residual,
+], ids=["func_bracket", "identity5_residual"])
+def test_near_singular_difference_stops_before_x_and_y(two_point, weier_eval_points):
+    # x - y within 0.05 r_min of the lattice, x and y clear of it: the
+    # two-point functions raise before x or y reaches weier_eval
+    x = 0.21 + 0.13j
+    y = x + 0.03 - 0.02j
+    with pytest.raises(NearSingularError, match=r"^x - y too close to the lattice$"):
+        two_point(SQUARE, x, y)
+    assert x not in weier_eval_points and y not in weier_eval_points
+
+
+def test_two_point_errors_keep_their_order():
+    near_pole = 0.001 + 0.002j  # within 0.05 r_min of the lattice point 0
+    with pytest.raises(NearSingularError):  # x - y is tested first
+        identity5_residual(SQUARE, near_pole, near_pole + 0.01j)
+    with pytest.raises(PoleProximityError, match=r"^z = \(0\.001\+0\.002j\) is within"):
+        identity5_residual(SQUARE, near_pole, 0.3 + 0.2j)
+    with pytest.raises(PoleProximityError, match=r"^z = \(0\.001\+0\.002j\) is within"):
+        identity5_residual(SQUARE, 0.3 + 0.2j, near_pole)
+
+
 # -- symmetric evaluation ----------------------------------------------------
 
 def test_sym_eval_constants():
@@ -470,6 +494,15 @@ def test_identity5_failure_records_unchanged(L):
 
 
 # -- evaluation counts ----------------------------------------------------------
+
+def test_weier_eval_points_counts_every_binding(weier_eval_points):
+    # a caller that reads weier_eval from another module, such as the
+    # package re-export, is counted too
+    import elliptic_poisson
+    elliptic_poisson.weier_eval(SQUARE, 0.21 + 0.13j)
+    weierstrass.weier_eval(SQUARE, 0.17 - 0.29j)
+    assert weier_eval_points == [0.21 + 0.13j, 0.17 - 0.29j]
+
 
 def test_identity5_sweep_evaluates_each_point_once(weier_eval_points):
     rep = identity5_sweep(SQUARE, SamplePlan(seed=3, count=25, tolerance=1e-8))
