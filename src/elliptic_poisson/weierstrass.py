@@ -17,10 +17,9 @@ The three tail sums are a pure function of the series argument w = z^2, and
 each lattice keeps those of the last w it evaluated (``Lattice._tails``).
 A w equal to that one with both parts nonzero has the same bits, since +-0
 are the only equal but different floats, and reuses them: the self-test
-evaluates -z right after z, which squares to the same w, and on rectangular
-lattices z + omega often reduces back to the bits of z.  The reduction, the
-guard, the halving, the assembly of p, p', zeta from z and w and the eta
-shift run on every call, so every value keeps its bits.
+evaluates -z right after z, which squares to the same w.  A reduction, a
+guard or a series is skipped only where its result is known to the bit
+(``weier_eval``), so every value keeps its bits.
 
 Everything these steps need that depends on the lattice alone
 (the cell-coordinate conjugates and denominators, the eight neighbour
@@ -39,26 +38,24 @@ reduce to themselves (m = k = 0), in ``Lattice._points``.  Only points with
 both parts nonzero are kept, for which == means the same bits, and only at
 the default radius: a smaller one admits points the default rejects, and a
 larger one rejects points it admits.  A point that raised is never kept.
-The sweeps draw ``weierstrass_selftest`` and ``identity5_sweep`` from one
-seeded stream, so a 1,000-sample task evaluates 994-1,000 of the
-self-test's points again (five period ratios, eight seeds), and those
-repeats return the kept values.  The memo holds at most
-``_POINT_MEMO_SIZE`` entries and is cleared when full.
+A point that reduces to the bits of a kept one with m or k nonzero, as the
+self-test's z + omega rows often do, reads its values and adds its own eta
+shift; ``identity5_sweep`` reads the self-test's points again.  The memo
+holds at most ``_POINT_MEMO_SIZE`` entries and is cleared when full.
 
 Points stay DEFAULT_EXCLUSION * r_min clear of the lattice, as does x - y
 in the two-point functions; only ``weier_eval`` takes the radius as an
 argument.  Every such guard is ``lattice_distance(L, z) < radius``, decided
 by ``_near_reduced`` from the modulus of the reduced point where that
 settles it and by the nine-point scan otherwise, so each verdict is the
-scan's.  Each point is reduced and guarded once: ``weier_eval`` guards the
-point it has reduced, the two-point functions evaluate x - y first and
-raise its PoleProximityError as NearSingularError, and the sampling and
-the certification, which guard before they evaluate, call ``_near``.  A
-cell point with both parts nonzero evaluated twice in a row gets one value
-object back from the point memo, as ``_PointSet`` needs.  Evaluators
-return (value, scale): tolerances are relative to a scale 1 + max(|operand
-values|), since values near poles grow and absolute tolerances would be
-meaningless.
+scan's.  Each point is reduced and guarded at most once: ``weier_eval``
+guards the point it has reduced, reduces no cell point under half the
+smaller cell height (``_near``) and guards no point the memo serves; the
+two-point functions evaluate x - y first and raise its PoleProximityError
+as NearSingularError; the sampling and the certification, which guard
+before they evaluate, call ``_near``.  Evaluators return (value, scale):
+tolerances are relative to a scale 1 + max(|operand values|), since values
+near poles grow and absolute tolerances would be meaningless.
 """
 
 from __future__ import annotations
@@ -143,8 +140,8 @@ class Lattice:
     * ``_series_radius``: 0.3 * r_min, the disc the series is used in;
     * ``_half_g2``: g2 / 2, in p'' = 6 p^2 - g2/2 and the second
       Z-identity;
-    * ``_guard``: the bounds of the guards, half the smaller cell height
-      times (1 - 1e-9), and r_min - 2^-44 (|omega1| + |omega2| + r_min);
+    * ``_guard``: half the smaller cell height times (1 - 1e-9), under which
+      z reduces to itself, and r_min - 2^-44 (|omega1| + |omega2| + r_min);
     * ``_tails``: the one-entry memo of ``_series_eval``, a list that holds
       one (w, (tail_p, tail_dp, tail_zt)) tuple, the last series argument
       and its three Horner sums (w NaN before the first).  One item store
@@ -152,9 +149,10 @@ class Lattice:
       one w with another's sums;
     * ``_points``: the point memo of ``weier_eval``, a dict from a cell
       point z with both parts nonzero to the (p, p', zeta) tuple returned at
-      the default radius.  It holds at most 4,096 entries (``clear()`` when
-      full; threads writing at the same moment can each add one more), and
-      each value is stored whole, so a thread sees a point's values or none.
+      the default radius, read for z and for points reducing to z's bits.
+      It holds at most 4,096 entries (``clear()`` when full; threads writing
+      at once can each add one more), and each value is stored whole, so a
+      thread sees a point's values or none.
 
     ``_tails`` and ``_points`` are the only tables that change after
     construction.
@@ -298,7 +296,8 @@ def _near(L: Lattice, z: complex, radius: float) -> bool:
     smaller cell height h (``Lattice._guard``) z is its own reduced point:
     each cell coordinate is at most |z| / h up to a few units of u = 2^-53,
     so both round to 0, and z - 0*omega1 - 0*omega2 differs from z at most
-    in the signs of zeros, which no ``abs`` and no neighbour difference sees.
+    in the signs of zeros, which no ``abs`` and no neighbour difference sees
+    (``weier_eval`` skips the reduction there too, if both parts are nonzero).
     """
     if not abs(z) < L._guard[0]:
         z = _reduce(L, z)[0]
@@ -370,11 +369,16 @@ def weier_eval(L: Lattice, z: complex,
     point, or when a radius that small admits a point whose values cannot
     be formed: a division by zero (z^3 underflows to 0 where |z| is below
     about 1e-108) or a value that overflows (p' where |z| is below about
-    2.2e-103).  At the default radius a cell point (one that reduces to
-    itself) with both parts nonzero is evaluated once per lattice and its
-    values are kept in ``Lattice._points`` (the module docstring)."""
+    2.2e-103).  At the default radius a cell point with both parts nonzero
+    is kept in ``Lattice._points`` (the module docstring), and is not
+    reduced under half the smaller cell height (``_near``).  A point
+    reducing to a kept z0 with m or k nonzero gets z0's kept values, guarded
+    at this radius on z0's bits, plus its own eta shift: the kept zeta,
+    zeta(z0) + 0 eta1 + 0 eta2, has zeta(z0)'s bits if both its parts are
+    nonzero (x + -0.0 is x for x != 0), the only case served."""
     memo = L._points
-    keep = exclusion == DEFAULT_EXCLUSION and z.real and z.imag
+    default = exclusion == DEFAULT_EXCLUSION
+    keep = default and z.real and z.imag
     if keep:
         values = memo.get(z)
         if values is not None:
@@ -382,13 +386,17 @@ def weier_eval(L: Lattice, z: complex,
     elif not exclusion > 0:
         raise ValueError(f"exclusion must be positive, not {exclusion!r}")
     radius = exclusion * L.r_min
-    z0, m, k = _reduce(L, z)
-    if _near_reduced(L, z0, radius):
-        raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
-    try:
-        p, dp, zt = _eval_reduced(L, z0)
-    except ZeroDivisionError:
-        raise PoleProximityError(f"z = {z} is too close to a lattice point to evaluate") from None
+    # hypot, unlike abs, gives inf past the float range instead of raising
+    z0, m, k = (z, 0, 0) if keep and math.hypot(z.real, z.imag) < L._guard[0] else _reduce(L, z)
+    reduced = memo.get(z0) if default and (m or k) and z0.real and z0.imag else None
+    if not (reduced and reduced[2].real and reduced[2].imag):
+        if _near_reduced(L, z0, radius):
+            raise PoleProximityError(f"z = {z} is within {exclusion} * r_min of a lattice point")
+        try:
+            reduced = _eval_reduced(L, z0)
+        except ZeroDivisionError:
+            raise PoleProximityError(f"z = {z} is too close to a lattice point to evaluate") from None
+    p, dp, zt = reduced
     values = p, dp, zt + m * L.eta1 + k * L.eta2
     if radius < _FINITE_RADIUS and not all(map(cmath.isfinite, values)):
         raise PoleProximityError(f"z = {z} is too close to a lattice point to evaluate")
@@ -429,6 +437,11 @@ def lattice_init(omega1: complex, omega2: complex) -> Lattice:
 
 
 def _certify(L: Lattice) -> None:
+    """The Legendre relation, then at up to eight seeded cell points the
+    differential equation, periodicity and quasi-periodicity, at 1e-9.  The
+    last two compare zeta with L's own eta, so they test the reduction and
+    the eta shift; Legendre and the ODE test the numbers, and every eta_i
+    moved by one c * omega_i still passes them all."""
     tol = 1e-9
     legendre = L.eta1 * L.omega2 - L.eta2 * L.omega1 - 2j * math.pi
     if abs(legendre) > tol * (1 + abs(L.eta1 * L.omega2)):
@@ -840,14 +853,12 @@ def weierstrass_selftest(L: Lattice, plan: SamplePlan, tol: float | None = None,
     The parity row guards the evaluator's symmetry, not its accuracy: the
     round-half-even reduction and the series commute with negation, so on
     cell points it reads exactly 0.  For the same reason -z squares to the
-    series argument of z, and its evaluation reuses the tail sums of z from
-    the lattice's memo (the module docstring); its reduction, guard,
-    halving and assembly still run, so the row still tests them.
-
-    The values at each sample z and at -z stay in the lattice's point memo
-    (``Lattice._points``) when the point reduces to itself, as all but a
-    cell-edge rounding case do; ``identity5_sweep`` with the same seed draws
-    most of these points again and reads them from there."""
+    series argument of z and reuses its tail sums (the module docstring);
+    its guard, halving and assembly still run.  As in ``_certify``, the
+    periodicity rows test the reduction and the eta shift, and the Legendre
+    and ODE rows the numbers: a z + omega that reduces to z's bits gets z's
+    kept p and p', so its periodicity row reads 0.  The values at z and -z
+    stay in the point memo for ``identity5_sweep``."""
     tol = _plan_tolerance(plan, tol)
     tally = Tally(tol)
     rng = Random(plan.seed)
@@ -884,10 +895,9 @@ def identity5_sweep(L: Lattice, plan: SamplePlan, tol: float | None = None,
     plan's tolerance (``tol``, if given, must equal it).
 
     Its pairs come from ``Random(plan.seed)`` as the self-test's samples do,
-    so after ``weierstrass_selftest`` with the same seed on the same lattice
-    most points x and y are in the lattice's point memo and are not
-    evaluated again (994-1,000 of 2,000 at 1,000 samples on the benchmark's
-    sweeps); each x - y is a new point."""
+    so after the self-test with that seed on that lattice the point memo
+    holds 994-1,000 of 2,000 points x and y at 1,000 samples on the
+    benchmark's sweeps; each x - y is a new point."""
     tol = _plan_tolerance(plan, tol)
     tally = Tally(tol)
     rng = Random(plan.seed)

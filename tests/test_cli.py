@@ -627,6 +627,15 @@ def test_config_file_formal_flags(tmp_path):
     assert rep["parameters"]["n"] == "5"
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\n   \n  # indented = comment\nwindow=0..3\n\n",
+                   encoding="utf-8")
+    code, text = run_cli(["verify-jacobi", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert parse_reports(text)[0]["parameters"]["window"] == [0, 1, 2, 3]
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     # seed is a flag, but not one that verify-closure reads
     cfg = tmp_path / "run.cfg"

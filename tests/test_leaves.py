@@ -150,6 +150,22 @@ def test_diagonal_vanishing(n, p):
         assert rep.passed, rep.failures[:2]
 
 
+def test_leaf_config_needs_positive_p():
+    with pytest.raises(ValueError, match="p must be a positive integer"):
+        config(0, 4)
+
+
+@pytest.mark.parametrize("element, message", [
+    (EPoly.gen(2) * EPoly.gen(3) + EPoly.gen(4), "needs a homogeneous element"),
+    (EPoly.gen(2) * EPoly.gen(3), "degree must exceed the number of distinct points"),
+    (EPoly.gen(2), "degree must exceed the number of distinct points"),
+])
+def test_diagonal_check_refuses_its_element(element, message):
+    # a mixed-degree element, and elements of degree p and below (p = 2)
+    with pytest.raises(ValueError, match=message):
+        diagonal_vanish_check(config(2, 6), element, SamplePlan(seed=6, count=2, tolerance=1e-8))
+
+
 def test_diagonal_patterns_even_case_single_collision():
     cfg = config(2, 6)
     rep = diagonal_vanish_check(cfg, casimirs(6).elements[0],

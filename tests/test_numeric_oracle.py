@@ -575,34 +575,107 @@ def test_sampling_reduces_only_past_half_the_cell_height(monkeypatch):
 
 
 def test_each_point_is_reduced_and_guarded_once(monkeypatch):
-    # weier_eval guards the point it has reduced, and the two-point
-    # functions leave the guard of x - y to weier_eval; every point here has
-    # a reduced modulus of at least half the smaller cell height, from
-    # which on _near would reduce it again
+    # weier_eval reduces a point at most once and guards it at most once: a
+    # cell point under half the smaller cell height is its own reduced point
+    # and is not reduced, a point past that bound is reduced and guarded
+    # once, and a point that reduces to the bits of a kept one reads the
+    # point memo, so it is neither guarded nor evaluated; the two-point
+    # functions leave the guard of x - y to weier_eval
     L = lattice_init(1, 1j)  # a point memo that holds none of these points
-    reduced, guarded = [], []
+    reduced, guarded, evaluated = [], [], []
     real_reduce, real_guard = weierstrass._reduce, weierstrass._near_reduced
+    real_eval = weierstrass._eval_reduced
     monkeypatch.setattr(weierstrass, "_reduce",
                         lambda L, z: reduced.append(z) or real_reduce(L, z))
     monkeypatch.setattr(weierstrass, "_near_reduced",
                         lambda L, z, r: guarded.append(z) or real_guard(L, z, r))
-    z = 0.45 + 0.4j
-    for u in (z, z + 1 - 2j):  # a cell point and a point that reduces near it
-        weier_eval(L, u)
-        u0 = real_reduce(L, u)[0]
-        assert abs(u0) >= L._guard[0]
-        assert reduced == [u]
-        assert guarded == [u0]
-        reduced.clear()
-        guarded.clear()
+    monkeypatch.setattr(weierstrass, "_eval_reduced",
+                        lambda L, z: evaluated.append(z) or real_eval(L, z))
+
+    def calls(z):
+        for spy in (reduced, guarded, evaluated):
+            spy.clear()
+        values = weier_eval(L, z)
+        assert repr(values) == repr(ref_weier_eval(L, z))
+        return reduced[:], guarded[:], bool(evaluated)
+
+    inner = 0.25 + 0.375j  # dyadic: z + 1 and z + 1j reduce to its bits
+    assert abs(inner) < L._guard[0]
+    assert calls(inner) == ([], [inner], True)
+    outer = 0.45 + 0.4j
+    assert abs(outer) >= L._guard[0]
+    assert calls(outer) == ([outer], [outer], True)
+    shifted = outer + 1 - 2j  # reduces near outer, not to its bits
+    assert real_reduce(L, shifted)[0] != outer
+    assert calls(shifted) == ([shifted], [real_reduce(L, shifted)[0]], True)
+    for u in (inner + 1, inner + 1j, inner - 2 + 1j):
+        assert real_reduce(L, u)[0] == inner
+        assert calls(u) == ([u], [], False)
     x, y = 0.25 + 0.3j, -0.2 - 0.15j
+    for spy in (reduced, guarded):
+        spy.clear()
     identity5_residual(L, x, y)
-    assert abs(x - y) >= L._guard[0]
-    assert reduced == guarded == [x - y, x, y]
-    reduced.clear()
-    guarded.clear()
-    weier_eval(L, z)  # a repeated cell point reads the point memo
-    assert reduced == guarded == []
+    assert abs(x - y) >= L._guard[0] > max(abs(x), abs(y))
+    assert reduced == [x - y]
+    assert guarded == [x - y, x, y]
+    assert calls(outer) == ([], [], False)  # a repeated cell point reads the point memo
+
+
+# Cell coordinates that are also multiples of 1/64: on rectangular lattices
+# a shift by periods then reduces back to the bits of the point.
+memo_coords = st.one_of(cell_coords, st.integers(-32, 32).map(lambda i: i / 64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(GUARD_LATTICES), memo_coords, memo_coords, shifts, shifts,
+       st.sampled_from(GUARD_EXCLUSIONS))
+def test_shifted_point_matches_a_fresh_lattice(L, a, b, m, k, exclusion):
+    # z + m omega1 + k omega2 on a lattice whose point memo holds z gives
+    # what a lattice with empty memos gives, values or error, at every
+    # radius: a point that reduces to z's bits reads z's kept values and
+    # adds its own eta shift, and only at the default radius
+    L = replace(L)
+    z = a * L.omega1 + b * L.omega2
+    outcome(weier_eval, L, z)
+    u = z + m * L.omega1 + k * L.omega2
+    assert repr(outcome(weier_eval, L, u, exclusion)) == repr(
+        outcome(weier_eval, replace(L), u, exclusion))
+
+
+@pytest.mark.parametrize("L", TABLE_LATTICES, ids=lambda L: repr(L.omega2))
+def test_shifted_points_read_the_point_memo(L, monkeypatch):
+    # the self-test's rows z + omega1 and z + omega2 and further shifts:
+    # those that reduce to the bits of a kept z are served from the memo
+    # with their own shift, and equal the reference by repr
+    L = replace(L)
+    guarded = []
+    real_guard = weierstrass._near_reduced
+    monkeypatch.setattr(weierstrass, "_near_reduced",
+                        lambda L, z, r: guarded.append(z) or real_guard(L, z, r))
+    served = 0
+    for z in sample_points(replace(L), Random(20241021), 300):
+        weier_eval(L, z)
+        for m, k in ((1, 0), (0, 1), (-1, 2), (2, -2)):
+            u = z + m * L.omega1 + k * L.omega2
+            guarded.clear()
+            assert repr(weier_eval(L, u)) == repr(ref_weier_eval(L, u)), u
+            hit = z in L._points and _reduce(L, u)[0] == z
+            assert guarded == ([] if hit else [_reduce(L, u)[0]])
+            served += hit
+    assert served >= 20
+
+
+def test_point_with_a_zero_part_is_reduced():
+    # on this lattice 0*omega1 has parts -0.0, so z - 0*omega1 - 0*omega2
+    # turns a -0.0 part of z into +0.0: only a point with both parts nonzero
+    # may skip the reduction under half the smaller cell height
+    L = lattice_init(-1, -1j)
+    for t in (0.1, 0.3, -0.3):
+        for z in (complex(t, 0.0), complex(0.0, t), complex(t, t)):
+            for u in signed_zero_twins(z):
+                for exclusion in (DEFAULT_EXCLUSION, 0.01):
+                    assert repr(weier_eval(L, u, exclusion)) == repr(
+                        ref_weier_eval(L, u, exclusion)), (u, exclusion)
 
 
 # -- the sampling stream, as the scan decided it -----------------------------------

@@ -5,6 +5,7 @@ symmetric-evaluation cross-check."""
 import cmath
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -127,6 +128,40 @@ def test_differential_equation_refuses_a_wrong_series(tau, scale):
                                L.eta1, L.eta2, L.r_min)
     with pytest.raises(CertificationError, match="differential equation"):
         weierstrass._certify(bent)
+
+
+def test_period_ratio_near_the_real_axis_rejected():
+    # |q| = exp(-2 pi Im tau) is about 0.997 here, past the 0.995 limit of
+    # the Eisenstein q-expansions
+    with pytest.raises(ValueError, match="period ratio too close to the real axis") as exc:
+        lattice_init(1, 0.5 + 0.0005j)
+    assert type(exc.value) is ValueError
+
+
+def test_certification_refuses_a_wrong_period_shift(monkeypatch):
+    # a reduction that reports m + 1 off the cell shifts zeta by one eta1 too
+    # many and leaves p, p' alone: the quasi-periodicity row refuses it,
+    # with an empty point memo and with one that already holds the sample
+    # points, where z and z + omega1 are read from the memo and this call's
+    # shift is what the row sees
+    empty, kept = replace(SQUARE), replace(SQUARE)
+    weierstrass._certify(kept)
+    assert kept._points and not empty._points
+    real_reduce, real_eval = weierstrass._reduce, weierstrass._eval_reduced
+    evaluated = []
+
+    def off_by_one(L, z):
+        z0, m, k = real_reduce(L, z)
+        return (z0, m + 1, k) if m or k else (z0, m, k)
+
+    monkeypatch.setattr(weierstrass, "_reduce", off_by_one)
+    monkeypatch.setattr(weierstrass, "_eval_reduced",
+                        lambda L, z: evaluated.append(z) or real_eval(L, z))
+    for L in (empty, kept):
+        evaluated.clear()
+        with pytest.raises(CertificationError, match=r"quasi-periodicity residual at .* \+ \(1\+0j\)"):
+            weierstrass._certify(L)
+    assert evaluated == []
 
 
 def test_degenerate_periods_rejected():
@@ -439,6 +474,11 @@ def test_sym_eval_repeated_index_multiplicity():
 def test_sym_eval_degree_mismatch():
     with pytest.raises(ValueError):
         sym_eval(SQUARE, EPoly.gen(2), {}, [0.2 + 0.1j, 0.3 + 0.2j])
+
+
+def test_sym_eval_mixed_degree():
+    with pytest.raises(ValueError, match="needs a homogeneous element"):
+        sym_eval(SQUARE, EPoly.gen(2) * EPoly.gen(3) + EPoly.gen(4), {}, [0.2 + 0.1j, 0.3 + 0.2j])
 
 
 def test_sym_eval_matches_func_bracket():
