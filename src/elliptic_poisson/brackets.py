@@ -102,7 +102,9 @@ def bracket_basis(i: int, alpha: int, beta: int) -> EPoly:
 
     Total on all integer index pairs; antisymmetric; homogeneous of weight
     alpha+beta+1, alpha+beta-3, alpha+beta-5 for i = 1, 2, 3 (or zero).
-    Built in integers over the denominator 2, 8 or 4 of its ``n`` term.
+    Brackets 2 and 3 are one formula per parity case in the shift s = i - 2
+    (comments below).  Built in integers over the denominator 2, 8 or 4 of
+    its ``n`` term.
     """
     if i == 1:
         # n/2 * s_diff + (alpha - n) e[alpha+1] e[beta] - (beta - n) e[alpha] e[beta+1]
@@ -118,31 +120,21 @@ def bracket_basis(i: int, alpha: int, beta: int) -> EPoly:
         return EPoly.zero()
     if not alpha_even and beta_even:
         return -bracket_basis(i, beta, alpha)
-    if alpha_even:
-        # pair (e[2a], e[2b+3])
-        a = alpha // 2
-        b = (beta - 3) // 2
-        if i == 2:
-            # n/8 * s_diff + (2b+1)/4 e[2a] e[2b]
-            return EPoly.from_integers(_basis_terms(
-                2, (2 * b + 2, 2 * a - 2), (2 * a, 2 * b),
-                ((2 * a, 2 * b), 0, 2 * (2 * b + 1))), 8)
-        # n/8 * s_diff + b/2 e[2a] e[2b-2]
-        return EPoly.from_integers(_basis_terms(
-            2, (2 * b, 2 * a - 2), (2 * a, 2 * b - 2),
-            ((2 * a, 2 * b - 2), 0, 4 * b)), 8)
-    # pair (e[2a+3], e[2b+3])
-    a = (alpha - 3) // 2
+    s = i - 2
     b = (beta - 3) // 2
-    if i == 2:
-        # n/4 * s_diff - (2a+1)/4 e[2a] e[2b+3] + (2b+1)/4 e[2a+3] e[2b]
+    if alpha_even:
+        # pair (e[2a], e[2b+3]): n/8 * s_diff + (2b+1-s)/4 e[2a] e[2b-2s]
+        a = alpha // 2
         return EPoly.from_integers(_basis_terms(
-            2, (2 * b + 2, 2 * a + 1), (2 * a + 2, 2 * b + 1),
-            ((2 * a, 2 * b + 3), 0, -(2 * a + 1)), ((2 * a + 3, 2 * b), 0, 2 * b + 1)), 4)
-    # n/4 * s_diff - a/2 e[2a-2] e[2b+3] + b/2 e[2a+3] e[2b-2]
+            2, (2 * b + 2 - 2 * s, 2 * a - 2), (2 * a, 2 * b - 2 * s),
+            ((2 * a, 2 * b - 2 * s), 0, 2 * (2 * b + 1 - s))), 8)
+    # pair (e[2a+3], e[2b+3]):
+    # n/4 * s_diff - (2a+1-s)/4 e[2a-2s] e[2b+3] + (2b+1-s)/4 e[2a+3] e[2b-2s]
+    a = (alpha - 3) // 2
     return EPoly.from_integers(_basis_terms(
-        2, (2 * b, 2 * a + 1), (2 * a, 2 * b + 1),
-        ((2 * a - 2, 2 * b + 3), 0, -2 * a), ((2 * a + 3, 2 * b - 2), 0, 2 * b)), 4)
+        2, (2 * b + 2 - 2 * s, 2 * a + 1), (2 * a + 2 - 2 * s, 2 * b + 1),
+        ((2 * a - 2 * s, 2 * b + 3), 0, -(2 * a + 1 - s)),
+        ((2 * a + 3, 2 * b - 2 * s), 0, 2 * b + 1 - s)), 4)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ Two different products appear side by side here and must not be confused:
   of a single variable and re-expands the result in the generator basis
   (odd * odd picks up g2/g3 corrections through the cubic relation for the
   derivative square).
+
+Each determinant matrix is the table of ``fmul(u_a, v_b)`` over two index
+vectors u, v (``build_matrix``); p^s times e[alpha] is ``fmul(2s, alpha)``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "CasimirSet",
     "IntegrityError",
     "fmul",
-    "wp_shift",
     "build_matrix",
     "sym_det",
     "casimir_even",
@@ -98,55 +100,26 @@ def fmul(alpha: int, beta: int) -> EPoly:
     )
 
 
-def wp_shift(P: EPoly, steps: int) -> EPoly:
-    """Multiply a degree-1 element by the weight-2 base function ``steps``
-    times (negative steps divide); acts as index shift by 2*steps."""
-    if P and not P.is_linear():
-        raise ValueError("index shifts need degree-1 operands")
-    return EPoly({(m[0] + 2 * steps,): c for m, c in P.terms()})
-
-
 def build_matrix(kind: str, n: int) -> FMatrix:
-    """The three determinant matrices of the even-n construction.
+    """The three determinant matrices of the even-n construction: entry
+    (a, b) is the pointwise product f_(u_a) * f_(v_b), with k = n/2 and
 
-    ``g``   : (1,1) = e[0], borders e[alpha], interior pointwise products.
-    ``g1``  : every entry is the pointwise product of e[alpha+1], e[beta+1]
-              divided by the weight-2 function.
-    ``g2m`` : border vector (e[-2], e[0], e[2], ..., e[n/2-1]); interior is
-              the rank-1 completion  row * column / corner.
+    ``g``   : u = v = (0, 2, 3, ..., k);
+    ``g1``  : u = (2, ..., k+1), v = u - 2, so f_(u_a) f_(u_b) / p;
+    ``g2m`` : u = (-2, 0, 2, 3, ..., k-1), v = u + 2, so f_(u_a) f_(u_b) p.
     """
     if n < 4 or n % 2:
         raise ValueError("matrix construction needs even n >= 4")
-    size = n // 2
-
+    k = n // 2
     if kind == "g":
-        def entry(a: int, b: int) -> EPoly:
-            if a == 1 and b == 1:
-                return EPoly.gen(0)
-            if a == 1:
-                return EPoly.gen(b)
-            if b == 1:
-                return EPoly.gen(a)
-            return fmul(a, b)
+        u = v = (0, *range(2, k + 1))
     elif kind == "g1":
-        def entry(a: int, b: int) -> EPoly:
-            return wp_shift(fmul(a + 1, b + 1), -1)
+        u, v = range(2, k + 2), range(k)
     elif kind == "g2m":
-        def border(a: int) -> int:
-            return -2 if a == 1 else (0 if a == 2 else a - 1)
-
-        def entry(a: int, b: int) -> EPoly:
-            if a == 1 or b == 1:
-                return EPoly.gen(border(b if a == 1 else a))
-            return wp_shift(fmul(border(a), border(b)), 1)
+        u, v = (-2, 0, *range(2, k)), (0, 2, *range(4, k + 2))
     else:
         raise ValueError(f"unknown matrix kind {kind!r}")
-
-    rows = tuple(
-        tuple(entry(a, b) for b in range(1, size + 1))
-        for a in range(1, size + 1)
-    )
-    return FMatrix(rows)
+    return FMatrix(tuple(tuple(fmul(a, b) for b in v) for a in u))
 
 
 def _running_sum(zero, cofactors):

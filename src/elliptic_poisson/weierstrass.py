@@ -244,8 +244,13 @@ def _invariants(omega1: complex, omega2: complex) -> tuple[complex, complex]:
         e4 += 240 * s3[k] * qk
         e6 -= 504 * s5[k] * qk
     pi = math.pi
-    g2 = (4 * pi ** 4 / 3) * e4 / omega1 ** 4
-    g3 = (8 * pi ** 6 / 27) * e6 / omega1 ** 6
+    try:
+        g2 = (4 * pi ** 4 / 3) * e4 / omega1 ** 4
+        g3 = (8 * pi ** 6 / 27) * e6 / omega1 ** 6
+    except (OverflowError, ZeroDivisionError):
+        g2 = g3 = cmath.nan
+    if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
+        raise CertificationError(f"g2, g3 leave the float range at |omega1| = {abs(omega1):.3g}")
     return g2, g3
 
 
@@ -413,7 +418,7 @@ def lattice_init(omega1: complex, omega2: complex) -> Lattice:
     Requires Im(omega2/omega1) > 0 (ValueError otherwise).  Raises
     CertificationError when the self-checks (differential equation,
     periodicity, quasi-periodicity, Legendre relation) fail at 1e-9
-    relative tolerance.
+    relative tolerance, or when g2, g3 leave the float range.
     """
     omega1 = complex(omega1)
     omega2 = complex(omega2)

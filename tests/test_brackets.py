@@ -56,6 +56,24 @@ def test_sdiff_spec_invariants():
         SDiffSpec(2, (0, 2), (1, 1))  # residues differ
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SDiffSpec(0, (1, 2), (1, 2)), "k must be a positive integer"),
+    (lambda: bracket_basis(4, 1, 2), "bracket index must be 1, 2 or 3, got 4"),
+    (lambda: BracketSpec.basis(4), "basis bracket index must be 1, 2 or 3, got 4"),
+    (lambda: verify_closure(1, BracketSpec.basis(1)), "closure check needs n >= 2"),
+], ids=["sdiff-k0", "basis-i4", "spec-basis-i4", "closure-n1"])
+def test_bracket_input_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_custom_spec_keeps_a_parampoly_coefficient():
+    g2 = ParamPoly.symbol("g2")
+    spec = BracketSpec.custom(g2, 2)
+    assert spec.c1 is g2
+    assert spec.describe() == "(g2, 2, l3)"
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),

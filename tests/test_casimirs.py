@@ -19,6 +19,7 @@ from elliptic_poisson.casimirs import (
     _family_size,
     CasimirSet,
     FMatrix,
+    IntegrityError,
     build_matrix,
     casimir_even,
     casimir_odd,
@@ -29,7 +30,6 @@ from elliptic_poisson.casimirs import (
     rank1_identity_check,
     sym_det,
     verify_central,
-    wp_shift,
 )
 from elliptic_poisson.poly import EPoly, IndexSet, ParamPoly
 from elliptic_poisson.weierstrass import e_func, lattice_init, sample_points
@@ -94,15 +94,16 @@ def test_fmul_matches_numerics():
 
 
 def test_fdiv_examples():
-    assert wp_shift(fmul(3, 3), -1) == gen(4) - Q * G2 * gen(0) - Q * G3 * gen(-2)
-    assert wp_shift(EPoly.gen(2), -1) == gen(0)
-    assert wp_shift(EPoly.gen(5), -1) == gen(3)
-    assert wp_shift(EPoly.gen(0), 1) == gen(2)
+    # dividing by p lowers one factor's index by two; p^s is fmul(2s, .)
+    assert fmul(1, 3) == gen(4) - Q * G2 * gen(0) - Q * G3 * gen(-2)
+    assert fmul(-2, 2) == gen(0)
+    assert fmul(-2, 5) == gen(3)
+    assert fmul(2, 0) == gen(2)
 
 
 def test_fdiv_requires_degree_one():
-    with pytest.raises(ValueError):
-        wp_shift(EPoly.monomial((2, 2)), -1)
+    with pytest.raises(ValueError, match="matrix entries must have degree 1"):
+        FMatrix(((gen(0), gen(2)), (gen(2), EPoly.monomial((2, 2)))))
 
 
 # -- matrices -----------------------------------------------------------------
@@ -369,6 +370,15 @@ def test_casimir_supports_and_degrees():
             assert elem.homogeneous_degree() == expected_degree
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: FMatrix(((gen(0), gen(2)), (gen(2),))), "matrix must be square"),
+    (lambda: involution_family(2), "involution check needs n >= 3"),
+], ids=["non-square", "involution-n2"])
+def test_casimir_input_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_casimir_preconditions():
     with pytest.raises(ValueError):
         casimir_even(3)
@@ -378,6 +388,45 @@ def test_casimir_preconditions():
         casimir_odd(4)
     with pytest.raises(ValueError):
         casimir_odd(1)
+
+
+def _escaping_g(n):
+    """The g matrix with its corner e[0] replaced by e[n+2]."""
+    rows = [list(row) for row in build_matrix("g", n).entries]
+    rows[0][0] = EPoly.gen(n + 2)
+    return FMatrix(tuple(map(tuple, rows)))
+
+
+def _short_g(n):
+    """The g matrix without its last row and column."""
+    return FMatrix(tuple(row[:-1] for row in build_matrix("g", n).entries[:-1]))
+
+
+@pytest.mark.parametrize("faulty, message", [
+    (_escaping_g, r"even n=6, first element: indices \[8\] escaped \{0\} u \{2\.\.6\}"),
+    (_short_g, r"even n=6, first element: degree != 3"),
+], ids=["support", "degree"])
+def test_casimir_even_integrity_checks_fire(monkeypatch, faulty, message):
+    # casimir_even is called directly, so the casimirs cache never holds the fault
+    module = importlib.import_module("elliptic_poisson.casimirs")
+    monkeypatch.setattr(module, "build_matrix",
+                        lambda kind, n: faulty(n) if kind == "g" else build_matrix(kind, n))
+    with pytest.raises(IntegrityError, match=message):
+        casimir_even(6)
+
+
+@pytest.mark.parametrize("pair, message", [
+    (lambda real: (gen(6, 6), real[1]), r"odd n=5: degree in e\[6\] exceeds 1"),
+    (lambda real: (real[0], real[0]), r"odd n=5: degree != 5"),
+], ids=["quadratic", "zero-eliminant"])
+def test_casimir_odd_integrity_checks_fire(monkeypatch, pair, message):
+    # a pair with an element quadratic in e[6], and a pair of equal elements,
+    # whose eliminant is 0; the module's casimirs is replaced, not its cache
+    module = importlib.import_module("elliptic_poisson.casimirs")
+    faulty = CasimirSet(n=6, elements=pair(casimirs(6).elements), kind="even-pair")
+    monkeypatch.setattr(module, "casimirs", lambda k: faulty if k == 6 else casimirs(k))
+    with pytest.raises(IntegrityError, match=message):
+        casimir_odd(5)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 9])

@@ -543,6 +543,30 @@ def test_supported_in_examples():
 
 # -- IndexSet -----------------------------------------------------------------
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: EPoly.monomial((1.5,)), ValueError, r"bad monomial \(1\.5,\)"),
+    (lambda: ParamPoly.symbol("x"), KeyError, "unknown symbol 'x'"),
+    (lambda: EPoly.gen(0) ** -1, ValueError, "exponent must be a non-negative integer"),
+    (lambda: ParamPoly({(1,): 1}), ValueError, r"bad exponent vector \(1,\)"),
+    (lambda: parse_parampoly("2*q"), ValueError, r"cannot parse factor 'q' in '2\*q'"),
+    (lambda: parse_epoly("(1)*e[0] - (1)*e[2]"), ValueError, "malformed polynomial text at"),
+    (lambda: parse_epoly("(1)*f[0]"), ValueError, "malformed term at"),
+    (lambda: EPoly.from_integers([], 0), ValueError, "denominator must be positive, got 0"),
+    (lambda: EPoly.from_integers([(0, 128, 1)]), OverflowError,
+     r"symbol exponent 128 outside 0\.\.127"),
+], ids=["float-monomial", "unknown-symbol", "negative-power", "exponent-vector",
+        "parampoly-factor", "epoly-separator", "epoly-term", "den-0", "n-exponent-128"])
+def test_poly_input_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_poly_compares_unequal_to_text_and_reprs_index_sets():
+    assert EPoly.gen(0) != "e[0]" and not EPoly.gen(0) == "e[0]"
+    assert ParamPoly.one() != "1"
+    assert repr(IndexSet.fn(3)) == "IndexSet.fn(3)"
+
+
 def test_index_sets():
     fn = IndexSet.fn(5)
     assert fn.members() == [0, 2, 3, 4, 5]

@@ -4,6 +4,7 @@ symmetric-evaluation cross-check."""
 
 import cmath
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -136,6 +137,42 @@ def test_period_ratio_near_the_real_axis_rejected():
     with pytest.raises(ValueError, match="period ratio too close to the real axis") as exc:
         lattice_init(1, 0.5 + 0.0005j)
     assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("scale", [1e52, 1e-60, 1e300])
+def test_period_scale_outside_the_float_range_rejected(scale):
+    # omega1 ** 6 overflows at 1e52 and underflows to 0 at 1e-60, and at
+    # 1e300 g2 and g3 come out nan: each is a certification failure that
+    # names the scale, not an arithmetic error
+    message = re.escape(f"g2, g3 leave the float range at |omega1| = {scale:.3g}")
+    with pytest.raises(CertificationError, match=message):
+        lattice_init(scale, scale * 1j)
+
+
+def _eisenstein_e2(tau):
+    """E2(tau) = 1 - 24 * sum of sigma_1(k) q^k, summed until |q^k| < 1e-20."""
+    q = cmath.exp(2j * math.pi * tau)
+    total, qk, k = 0j, 1, 0
+    while abs(qk) >= 1e-20:
+        k += 1
+        qk *= q
+        total += sum(d for d in range(1, k + 1) if k % d == 0) * qk
+    return 1 - 24 * total
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 2j, 0.5 + 0.9j, -0.4 + 1.2j, 0.1 + 0.3j,
+                                 0.45 + 0.9j, 3j])
+def test_eta1_matches_the_eisenstein_series_e2(tau):
+    # for the periods (1, tau), eta1 = zeta(z + 1) - zeta(z) is pi^2 E2(tau) / 3,
+    # a formula independent of the lattice's own series.  The certification
+    # cannot tell eta_i moved by c * omega_i (Legendre keeps its value), so
+    # this comparison is the check that refuses such a shift
+    L = lattice_init(1, tau)
+    expected = math.pi ** 2 * _eisenstein_e2(tau) / 3
+    assert abs(L.eta1 - expected) <= 1e-9 * abs(expected)
+    shifted = replace(L, eta1=L.eta1 + 1e-6 * L.omega1, eta2=L.eta2 + 1e-6 * L.omega2)
+    weierstrass._certify(shifted)
+    assert abs(shifted.eta1 - expected) > 1e-9 * abs(expected)
 
 
 def test_certification_refuses_a_wrong_period_shift(monkeypatch):
