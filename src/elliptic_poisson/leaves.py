@@ -25,7 +25,7 @@ from .report import Report, Tally
 from .weierstrass import (
     Lattice,
     SamplePlan,
-    _e_from_values,
+    _e_table,
     _point_values,
     _zeta_matrix,
     numeric_params,
@@ -75,6 +75,10 @@ class LeafSample:
     u: tuple[complex, ...]
     psi: tuple[complex, ...]
 
+    def __post_init__(self):
+        if len(self.u) != len(self.psi):
+            raise ValueError(f"{len(self.u)} positions but {len(self.psi)} weights")
+
 
 def draw_leaf_sample(cfg: LeafConfig, rng: Random) -> LeafSample:
     u = sample_points(cfg.lattice, rng, cfg.p, pairwise_distinct=True)
@@ -95,24 +99,28 @@ def _convention_signs(n: complex, convention: str) -> tuple[complex, float]:
     return -(n - 2) / 2, 1.0
 
 
+def _positions(cfg: LeafConfig, s: LeafSample) -> tuple[complex, ...]:
+    """The positions of a sample, which must number p."""
+    if len(s.u) != cfg.p:
+        raise ValueError(f"the sample has {len(s.u)} positions, but p = {cfg.p}")
+    return s.u
+
+
 def xp_eval(cfg: LeafConfig, P: EPoly, params: dict[str, complex],
             s: LeafSample) -> tuple[complex, float]:
     """Point-evaluation homomorphism: each generator e[a] is replaced by the
     linear form sum_alpha e[a](u_alpha) psi_alpha and monomials multiply."""
-    support = sorted(P.support())
-    values = _point_values(cfg.lattice, s.u) if support else []
-    return _xp_core(cfg.lattice, P, support, params, values, s.psi)
+    u = _positions(cfg, s)
+    support = P.support()
+    values = _point_values(cfg.lattice, u) if support else []
+    return _xp_core(P, params, _e_table(cfg.lattice, support, values), s.psi)
 
 
-def _xp_core(L: Lattice, P: EPoly, support: list[int],
-             params: dict[str, complex], values,
+def _xp_core(P: EPoly, params: dict[str, complex], table,
              psi: tuple[complex, ...]) -> tuple[complex, float]:
-    """xp_eval from the sorted support of ``P`` and the (p, p', zeta) values
-    at the positions."""
-    linear: dict[int, complex] = {}
-    for a in support:
-        vals = [_e_from_values(L, a, p, dp) for p, dp, _ in values]
-        linear[a] = sum(v * w for (v, _), w in zip(vals, psi))
+    """xp_eval from an ``_e_table`` at the positions that covers the support
+    of ``P``: the linear form of e[a] sums its row against the weights."""
+    linear = {a: sum(v * w for (v, _), w in zip(table[a], psi)) for a in P.support()}
     total = 0j
     peak = 0.0
     for mono, term in P.coefficient_values(params):
@@ -127,8 +135,9 @@ def _xp_core(L: Lattice, P: EPoly, support: list[int],
 
 def _leaf_values(cfg: LeafConfig, s: LeafSample):
     """Values at the positions of one sample and its Z(u_a, u_b) matrix."""
-    values = _point_values(cfg.lattice, s.u)
-    return values, _zeta_matrix(cfg.lattice, s.u, values)
+    u = _positions(cfg, s)
+    values = _point_values(cfg.lattice, u)
+    return values, _zeta_matrix(cfg.lattice, u, values)
 
 
 def leaf_bracket_xp(cfg: LeafConfig, f_index: int, g_index: int,
@@ -143,20 +152,16 @@ def leaf_bracket_xp(cfg: LeafConfig, f_index: int, g_index: int,
     """
     signs = _convention_signs(complex(cfg.n_value), CONVENTION_FLIPPED)
     values, Z = _leaf_values(cfg, s)
-    return _leaf_bracket_core(cfg, f_index, g_index, s.psi, values, Z, signs)
+    table = _e_table(cfg.lattice, (f_index, g_index), values)
+    return _leaf_bracket_core(cfg, table[f_index], table[g_index], s.psi, Z, signs)
 
 
-def _leaf_bracket_core(cfg: LeafConfig, f_index: int, g_index: int,
-                       psi: tuple[complex, ...], values, Z,
-                       signs) -> tuple[complex, float]:
-    """leaf_bracket_xp from the values and Z matrix of ``_leaf_values`` and
-    the ``_convention_signs``."""
+def _leaf_bracket_core(cfg: LeafConfig, fvals, gvals, psi: tuple[complex, ...],
+                       Z, signs) -> tuple[complex, float]:
+    """leaf_bracket_xp from the generators' rows of the ``_e_table`` at the
+    positions, the Z matrix of ``_leaf_values`` and the ``_convention_signs``."""
     n = complex(cfg.n_value)
     diag, off = signs
-    L = cfg.lattice
-    fvals = [_e_from_values(L, f_index, p, dp) for p, dp, _ in values]
-    gvals = [_e_from_values(L, g_index, p, dp) for p, dp, _ in values]
-
     total = 0j
     peak = 0.0
     for a in range(cfg.p):
@@ -182,7 +187,8 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
                 convention: str = CONVENTION_FLIPPED,
                 check_name: str | None = None) -> Report:
     """Residual between the leaf bracket of two generator images and the
-    image of their symbolic bracket, over seeded samples."""
+    image of their symbolic bracket, over seeded samples; both sides read
+    one ``_e_table`` per sample over the window and the brackets' supports."""
     tally = Tally(plan.tolerance)
     members = sorted(window)
     rng = Random(plan.seed)
@@ -191,20 +197,17 @@ def prop3_check(cfg: LeafConfig, window, plan: SamplePlan,
     sample_values = [_leaf_values(cfg, s) for s in samples]
     params = numeric_params(cfg.lattice, cfg.n_value)
     spec = BracketSpec.elliptic()
-    for i, f_index in enumerate(members):
-        for g_index in members[i:]:
-            br = generator_bracket(f_index, g_index, spec, n_value=cfg.n_value)
-            support = sorted(br.support())
-            for k, (s, (values, Z)) in enumerate(zip(samples, sample_values)):
-                lhs, lhs_scale = _leaf_bracket_core(cfg, f_index, g_index, s.psi,
-                                                    values, Z, signs)
-                if br:
-                    rhs, rhs_scale = _xp_core(cfg.lattice, br, support, params,
-                                              values, s.psi)
-                else:
-                    rhs, rhs_scale = 0j, 1.0
-                tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
-                               "pair=({},{}) sample={}", f_index, g_index, k)
+    brackets = {(f, g): generator_bracket(f, g, spec, n_value=cfg.n_value)
+                for i, f in enumerate(members) for g in members[i:]}
+    indices = set(members).union(*(br.support() for br in brackets.values()))
+    tables = [_e_table(cfg.lattice, indices, values) for values, _ in sample_values]
+    for (f_index, g_index), br in brackets.items():
+        for k, (s, (_, Z), table) in enumerate(zip(samples, sample_values, tables)):
+            lhs, lhs_scale = _leaf_bracket_core(cfg, table[f_index], table[g_index],
+                                                s.psi, Z, signs)
+            rhs, rhs_scale = _xp_core(br, params, table, s.psi) if br else (0j, 1.0)
+            tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
+                           "pair=({},{}) sample={}", f_index, g_index, k)
     params_out = {"p": cfg.p, "n": str(cfg.n_value), "window": members,
                   "samples": plan.count, "seed": plan.seed,
                   "tol": plan.tolerance, "convention": convention}
@@ -287,6 +290,7 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample) -> Report:
     |(n/2)^(p-1) (p - n/2) prod(psi)|; it vanishes exactly at 2p = n and is
     nonzero for 2p < n.  Relative residuals must stay below 1e-8.
     """
+    _, Z = _leaf_values(cfg, s)
     tol = 1e-8
     tally = Tally(tol)
     n = complex(cfg.n_value)
@@ -294,7 +298,6 @@ def nondegeneracy_check(cfg: LeafConfig, s: LeafSample) -> Report:
     p = cfg.p
 
     M = [[(diag if a == b else off) * s.psi[b] for b in range(p)] for a in range(p)]
-    _, Z = _leaf_values(cfg, s)
     W = [[0j if a == b else n * Z[a][b] * s.psi[a] * s.psi[b] for b in range(p)]
          for a in range(p)]
     full = [[0j] * (2 * p) for _ in range(2 * p)]

@@ -415,15 +415,21 @@ def weier_eval(L: Lattice, z: complex,
 def lattice_init(omega1: complex, omega2: complex) -> Lattice:
     """Build a lattice from its periods and certify the evaluation data.
 
-    Requires Im(omega2/omega1) > 0 (ValueError otherwise).  Raises
+    Requires nonzero finite periods whose ratio omega2/omega1 is finite with
+    a positive imaginary part (ValueError naming the fault otherwise).  Raises
     CertificationError when the self-checks (differential equation,
     periodicity, quasi-periodicity, Legendre relation) fail at 1e-9
     relative tolerance, or when g2, g3 leave the float range.
     """
     omega1 = complex(omega1)
     omega2 = complex(omega2)
-    tau_im = (omega2 / omega1).imag
-    if not tau_im > 0:
+    for name, omega in (("omega1", omega1), ("omega2", omega2)):
+        if not (omega and cmath.isfinite(omega)):
+            raise ValueError(f"degenerate periods: {name} = {omega!r} must be nonzero and finite")
+    tau = omega2 / omega1
+    if not cmath.isfinite(tau):
+        raise ValueError(f"degenerate periods: omega2/omega1 = {tau!r} is not finite")
+    if not tau.imag > 0:
         raise ValueError("degenerate periods: Im(omega2/omega1) must be positive")
     g2, g3 = _invariants(omega1, omega2)
     coeffs = _laurent_coeffs(g2, g3, _SERIES_ORDER)
@@ -567,15 +573,15 @@ def _zeta_matrix(L: Lattice, points, values) -> list[list]:
     return out
 
 
-def _e_at(L: Lattice, alpha: int, values) -> list[tuple[complex, complex]]:
-    """(e[alpha], its derivative) at x and at y of ``_bracket_values`` (at x
-    alone on the diagonal)."""
-    return [_e_from_values(L, alpha, p, dp) for p, dp, _ in values[:2]]
+def _e_table(L: Lattice, indices, values) -> dict[int, list[tuple[complex, complex]]]:
+    """{a: [(e[a], e[a]') at each point]} for each index a, from the (p, p',
+    zeta) values at the points: the table the two-point and leaf cores read."""
+    return {a: [_e_from_values(L, a, p, dp) for p, dp, _ in values] for a in indices}
 
 
 def _func_bracket_core(n_value, values, f_at, g_at) -> tuple[complex, float]:
     """func_bracket from the point values of ``_bracket_values`` and the
-    ``_e_at`` values of the two generators."""
+    generators' rows of the ``_e_table`` at x and y (at x on the diagonal)."""
     if len(values) == 1:
         (f, df), = f_at
         (g, dg), = g_at
@@ -607,8 +613,8 @@ def func_bracket(L: Lattice, n_value: complex, f_index: int, g_index: int,
     plus the peak magnitude of the accumulated terms.
     """
     values = _bracket_values(L, x, y)
-    return _func_bracket_core(n_value, values, _e_at(L, f_index, values),
-                              _e_at(L, g_index, values))
+    table = _e_table(L, (f_index, g_index), values[:2])
+    return _func_bracket_core(n_value, values, table[f_index], table[g_index])
 
 
 def _identity5_core(L: Lattice, vx, vy, vxy) -> tuple[float, float]:
@@ -936,9 +942,9 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     spec = BracketSpec.elliptic()
     nv = Fraction(n_value)
     n = params_num["n"]
-    # Per pair: the two-point values, and the values at [x, y] for sym_eval.
+    # Per pair: the two-point values, their e-table, and [x, y] for sym_eval.
     values = [_bracket_values(L, x, y) for x, y in pairs]
-    e_at = {alpha: [_e_at(L, alpha, vals) for vals in values] for alpha in members}
+    tables = [_e_table(L, members, vals[:2]) for vals in values]
     point_sets = [_PointSet((vals[0], vals[0]) if x == y else vals[:2])
                   for (x, y), vals in zip(pairs, values)]
     for i, alpha in enumerate(members):
@@ -947,10 +953,9 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
             # one evaluation of the symbolic bracket at every pair
             rhs_all = (_sym_eval_core(br, params_num, point_sets) if br
                        else [(0j, 1.0)] * len(pairs))
-            for (x, y), vals, f_at, g_at, (rhs, rhs_scale) in zip(
-                    pairs, values, e_at[alpha], e_at[beta], rhs_all):
+            for (x, y), vals, table, (rhs, rhs_scale) in zip(pairs, values, tables, rhs_all):
                 try:
-                    lhs, lhs_scale = _func_bracket_core(n, vals, f_at, g_at)
+                    lhs, lhs_scale = _func_bracket_core(n, vals, table[alpha], table[beta])
                     rel = abs(lhs - rhs) / max(lhs_scale, rhs_scale)
                 except OverflowError:  # a magnitude past the float range fails
                     rel = math.inf

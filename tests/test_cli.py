@@ -419,6 +419,8 @@ def test_fractional_degree_exits_2(command, n, tmp_path, capsys):
     (["all", "--samples", "0"], "count must be positive"),
     (["bracket-table", "--window", "F0"], "empty window 'F0'"),
     (["verify-elliptic", "--n", "1e400"], "n '1e400' is beyond the float range"),
+    (["verify-elliptic", "--tau", "1e400i"],
+     "degenerate periods: omega2 = infj must be nonzero and finite"),
 ])
 def test_out_of_range_input_exits_2(args, message, tmp_path, capsys):
     code, text = run_cli(args, tmp_path)
@@ -744,6 +746,12 @@ SUBCOMMAND_STDOUT_SHA256 = {
         "b374fdbf48511d743e596f3beb9ef73e91939e8bd8f4c931bc01d9f8675b427e",
     "leaves-verify --n 5 --p 2 --samples 10 --tau i --seed 7 --tol 1e-6":
         "0c5ad34b78009c361436e33943666986719e62d73192ad97fee9e82cf956b47f",
+    "leaves-verify --tau=0.3+1.1i --samples 3":
+        "6ed6493d44c5470f9dd58bddb04b37c2665d2d5e4b3d6267637b6a53f239665f",
+    "leaves-verify --tau=-0.4+1.2i --n 7 --p 3 --samples 4 --seed 11":
+        "1990d2547481ff4bf7cfa8b6b3775a1c5e2b625cffd1ed53b706b7365633c418",
+    "leaves-verify --tau 2i --n 9 --p 4 --samples 2":
+        "a07b7b303a129dec7924596c76c0a2b2a7cce7158a883268d38fb30eef9f2bb1",
     "bracket-table": "0a61cb3c30d0666b8ce039ce4c54c9baf55972d83bc2fe87d18ff605cd3260b8",
 }
 

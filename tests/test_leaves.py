@@ -2,12 +2,16 @@
 intertwining under both sign conventions, kernel membership, collision
 vanishing, and the closed-form Poisson determinant."""
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import elliptic_poisson.leaves as leaves
 import elliptic_poisson.poly as poly
+import elliptic_poisson.weierstrass as weierstrass
+from elliptic_poisson.brackets import BracketSpec, generator_bracket
 from elliptic_poisson.casimirs import casimir_even, casimirs
 from elliptic_poisson.leaves import (
     CONVENTION_PRINTED,
@@ -229,6 +233,65 @@ def test_prop3_evaluations_do_not_grow_with_pairs(weier_eval_points):
         counts.append(len(weier_eval_points))
     # per sample: the p positions and the p(p-1) differences u_a - u_b
     assert counts == [4 * (3 + 3 * 2)] * 2
+
+
+def test_prop3_evaluates_each_index_once_per_sample_and_position(monkeypatch):
+    # one e-table per sample, over the window and the supports of the pair
+    # brackets: both sides of every pair read their rows from it
+    calls = []
+    real = weierstrass._e_from_values
+
+    def counting(L, alpha, p, dp):
+        calls.append(alpha)
+        return real(L, alpha, p, dp)
+
+    monkeypatch.setattr(weierstrass, "_e_from_values", counting)
+    window = [0, 2, 3, 4, 5]  # 15 generator pairs
+    plan = SamplePlan(seed=11, count=4, tolerance=1e-6)
+    assert prop3_check(config(3, 6), window, plan).passed
+    spec = BracketSpec.elliptic()
+    indices = set(window).union(*(generator_bracket(a, b, spec, n_value=Fraction(6)).support()
+                                  for a in window for b in window))
+    assert indices > set(window)
+    assert Counter(calls) == {alpha: 4 * 3 for alpha in indices}
+
+
+def test_kernel_and_diagonal_checks_reach_the_public_evaluators(monkeypatch):
+    # the benchmark self-test counts leaves.xp_eval and weierstrass.sym_eval
+    # calls on these two routes (its WIRED list): kernel_check must call
+    # xp_eval once per sample and element, and diagonal_vanish_check must call
+    # sym_eval once per sample and collision pattern
+    calls = Counter()
+    for name in ("xp_eval", "sym_eval"):
+        real = getattr(leaves, name)
+        monkeypatch.setattr(leaves, name, lambda *args, name=name, real=real:
+                            calls.update([name]) or real(*args))
+    cs = casimirs(7)
+    assert kernel_check(config(2, 7), cs, SamplePlan(seed=12, count=3, tolerance=1e-8)).passed
+    rep = diagonal_vanish_check(config(2, 7), cs.elements[0],
+                                SamplePlan(seed=13, count=2, tolerance=1e-8))
+    assert rep.passed
+    assert calls == {"xp_eval": 3 * len(cs.elements),
+                     "sym_eval": 2 * len(rep.parameters["patterns"])}
+
+
+def test_leaf_sample_needs_one_weight_per_position():
+    with pytest.raises(ValueError, match="^3 positions but 2 weights$"):
+        LeafSample(u=(0.1 + 0.2j, 0.3 - 0.1j, -0.2 + 0.3j), psi=(1 + 0j, 1j))
+
+
+@pytest.mark.parametrize("check", [
+    lambda cfg, s: xp_eval(cfg, EPoly.gen(2), {}, s),
+    lambda cfg, s: leaf_bracket_xp(cfg, 2, 3, s),
+    nondegeneracy_check,
+], ids=["xp_eval", "leaf_bracket_xp", "nondegeneracy_check"])
+@pytest.mark.parametrize("count", [2, 4])
+def test_leaf_checks_need_p_positions(check, count):
+    # zip dropped the positions past the weights, and a sample with more
+    # positions than p was evaluated at all of them but summed over p
+    s = draw_leaf_sample(config(count, 9), Random(24))
+    with pytest.raises(ValueError, match=f"^the sample has {count} positions, but p = 3$"):
+        check(config(3, 7), s)
 
 
 def test_kernel_check_evaluates_coefficients_once(monkeypatch):

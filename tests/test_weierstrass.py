@@ -24,7 +24,7 @@ from elliptic_poisson.weierstrass import (
     NearSingularError,
     PoleProximityError,
     SamplePlan,
-    _e_at,
+    _e_table,
     _e_value,
     _func_bracket_core,
     _laurent_coeffs,
@@ -199,6 +199,38 @@ def test_certification_refuses_a_wrong_period_shift(monkeypatch):
         with pytest.raises(CertificationError, match=r"quasi-periodicity residual at .* \+ \(1\+0j\)"):
             weierstrass._certify(L)
     assert evaluated == []
+
+
+def test_certification_refuses_a_wrong_period_reduction(monkeypatch):
+    # a reduction that leaves z + omega a little off the cell point z0 gives
+    # p and p' at another point: the periodicity row refuses it before the
+    # quasi-periodicity row is read (an empty point memo, so z + omega is
+    # evaluated, not read back)
+    empty = replace(SQUARE)
+    real_reduce = weierstrass._reduce
+
+    def off_cell(L, z):
+        z0, m, k = real_reduce(L, z)
+        return (z0 + 1e-6, m, k) if m or k else (z0, m, k)
+
+    monkeypatch.setattr(weierstrass, "_reduce", off_cell)
+    with pytest.raises(CertificationError, match=r"^periodicity residual at .* \+ \(1\+0j\)$"):
+        weierstrass._certify(empty)
+
+
+@pytest.mark.parametrize("omega1, omega2, message", [
+    (0, 1j, "omega1 = 0j must be nonzero and finite"),
+    (1, 0, "omega2 = 0j must be nonzero and finite"),
+    (complex(math.nan), 1j, r"omega1 = \(nan\+0j\) must be nonzero and finite"),
+    (1, complex(0, math.inf), "omega2 = infj must be nonzero and finite"),
+    (1e-300, 1e300 + 1e300j, r"omega2/omega1 = \(inf\+infj\) is not finite"),
+])
+def test_zero_or_non_finite_periods_rejected(omega1, omega2, message):
+    # these raised ZeroDivisionError, or ValueError("cannot convert float NaN
+    # to integer") from the nome's series length; each is a degenerate period
+    with pytest.raises(ValueError, match="^degenerate periods: " + message) as exc:
+        lattice_init(omega1, omega2)
+    assert type(exc.value) is ValueError
 
 
 def test_degenerate_periods_rejected():
@@ -438,7 +470,8 @@ def test_func_bracket_diagonal_limit():
         # x - y lies inside the default exclusion radius: evaluate directly
         y = x + eps
         values = [weier_eval(SQUARE, z, exclusion=1e-5) for z in (x, y, x - y)]
-        v, _ = _func_bracket_core(5, values, _e_at(SQUARE, 0, values), _e_at(SQUARE, 2, values))
+        table = _e_table(SQUARE, (0, 2), values[:2])
+        v, _ = _func_bracket_core(5, values, table[0], table[2])
         errors.append(abs(v - v0) / (1 + abs(v0)))
     assert errors[1] < errors[0] / 5  # shrinks with the offset
     assert errors[1] < 1e-3
