@@ -64,8 +64,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
+from operator import mul
 from random import Random
 
 from .brackets import BracketSpec, generator_bracket
@@ -669,9 +668,10 @@ _PEAK_FLOOR = 2.0 ** -960  # smallest bound trusted to hold with that slack
 
 
 class _PointSet:
-    """Ryser columns of the e-basis at m points, per generator, built on
-    first use, so that a point set evaluated for several elements builds
-    each column once.
+    """Ryser columns of the e-basis at m points, per generator, and the
+    folded sums of Ryser's formula, per monomial, each built on first use:
+    a point set evaluated for several elements builds each column and
+    folds each distinct monomial once.
 
     The column sum of a nonempty point subset (a mask) adds e[alpha] at
     its points in ascending point order, starting from 0j.  Consecutive
@@ -684,9 +684,15 @@ class _PointSet:
     folded in, and the bound max |sum| * (1 + 1e-9).  A cell point repeated
     in a row shares one value object (``_point_values``); other repeats
     form finer classes, whose sums have the same bits.
+
+    ``sums`` maps each monomial folded here to [its signed sum over masks,
+    the bound on its products, the largest |product| or None until some
+    element needs it]; ``_sym_eval_core`` fills it.  None of the three
+    depends on the coefficient, so every element that holds the monomial
+    reads the same entry.
     """
 
-    __slots__ = ("m", "index", "ones", "_runs", "_reps", "_negative", "_columns")
+    __slots__ = ("m", "index", "ones", "sums", "_runs", "_reps", "_negative", "_columns")
 
     def __init__(self, values):
         self.m = len(values)
@@ -713,6 +719,7 @@ class _PointSet:
         self._negative = [(self.m - bin(mask).count("1")) % 2 for mask in self._reps]
         self.ones = [1 + 0j] * len(self._reps)  # the empty product, per class
         self._columns: dict[int, tuple[list[complex], list[complex], float]] = {}
+        self.sums: dict[tuple[int, ...], list] = {}
 
     def column(self, alpha: int) -> tuple[list[complex], list[complex], float]:
         """Per class: the column sums of e[alpha], the same with the Ryser
@@ -746,8 +753,9 @@ def _sym_eval_core(P: EPoly, params: dict[str, complex],
     and the sum over masks starts from 0j, which no signed zero changes.
     The products of the leading factors are shared by consecutive
     monomials, and each class of masks with equal column sums is
-    multiplied once; the sum then adds the class products mask by mask,
-    the additions of the one-permanent-per-monomial formula in its order.
+    multiplied once; the fold then adds the class products mask by mask
+    in a plain loop, the additions of the one-permanent-per-monomial
+    formula in its order.
 
     The scale needs max |c * product| over masks, one ``abs`` per class.
     A monomial's products are bounded by the product of its factors'
@@ -759,9 +767,13 @@ def _sym_eval_core(P: EPoly, params: dict[str, complex],
     NaN bound never skips; a NaN magnitude is passed over by ``max`` on
     both paths.
 
-    The coefficients and the walk over shared prefixes are computed once
-    for all sets; each set then runs the walk alone, so its result does
-    not depend on the other sets.
+    Each set keeps per monomial its fold, its bound and, once taken, its
+    magnitude (``_PointSet.sums``), so a monomial already folded at a set
+    costs no product there; only one whose magnitude is first needed by
+    this element walks its products again, through the shared prefixes.
+    The coefficients and each monomial's shared prefix length are computed
+    once for all sets; each set then runs the walk alone, so its result
+    does not depend on the other sets.
     """
     m = point_sets[0].m
     terms = P.coefficient_values(params)
@@ -772,38 +784,53 @@ def _sym_eval_core(P: EPoly, params: dict[str, complex],
             total += c * (1 + 0j)
             peak = max(peak, abs(c) * 1.0)
         return [(total, 1.0 + peak)] * len(point_sets)
-    # Per monomial: the prefix length it shares with the previous one, its
-    # leading factors after that prefix, its last factor, c and |c|.
+    # Per monomial: itself, the prefix length it shares with the previous
+    # one, c and |c|.
     walk = []
     previous = (None,) * m
     for mono, c in terms:
         k = 0
         while k < m - 1 and mono[k] == previous[k]:
             k += 1
-        walk.append((k, mono[k:m - 1], mono[-1], c, abs(c)))
+        walk.append((mono, k, c, abs(c)))
         previous = mono
     support = P.support()
     out = []
     for points in point_sets:
         columns = {alpha: points.column(alpha) for alpha in support}
         index = points.index
+        sums = points.sums
         prefix = [points.ones]
         prefix_bound = [_PEAK_SLACK]
+        built = 0  # leading factors the prefix shares with this monomial
         total = 0j
         peak = 0.0
-        for k, lead, last, c, size in walk:
-            del prefix[k + 1:], prefix_bound[k + 1:]
-            for alpha in lead:
-                col, _, bound = columns[alpha]
-                prefix.append(list(map(mul, prefix[-1], col)))
-                limit = prefix_bound[-1] * bound
-                prefix_bound.append(limit if limit >= _PEAK_FLOOR else math.inf)
-            _, signed, bound = columns[last]
-            prods = list(map(mul, prefix[-1], signed))
-            total += c * reduce(add, map(prods.__getitem__, index), 0j)
-            limit = prefix_bound[-1] * bound
+        for mono, k, c, size in walk:
+            if k < built:
+                built = k
+            got = sums.get(mono)
+            if got is None or got[2] is None and not (
+                    got[1] >= _PEAK_FLOOR and size * got[1] <= peak):
+                del prefix[built + 1:], prefix_bound[built + 1:]
+                for alpha in mono[built:m - 1]:
+                    col, _, bound = columns[alpha]
+                    prefix.append(list(map(mul, prefix[-1], col)))
+                    limit = prefix_bound[-1] * bound
+                    prefix_bound.append(limit if limit >= _PEAK_FLOOR else math.inf)
+                built = m - 1
+                _, signed, bound = columns[mono[-1]]
+                prods = list(map(mul, prefix[-1], signed))
+                if got is None:
+                    s = 0j
+                    for j in index:
+                        s += prods[j]
+                    got = sums[mono] = [s, prefix_bound[-1] * bound, None]
+            s, limit, magnitude = got
+            total += c * s
             if not (limit >= _PEAK_FLOOR and size * limit <= peak):
-                peak = max(peak, size * _magnitude(prods))
+                if magnitude is None:
+                    magnitude = got[2] = _magnitude(prods)
+                peak = max(peak, size * magnitude)
         out.append((total, 1.0 + peak))
     return out
 
@@ -933,6 +960,9 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     relative residual between the direct two-point value and the
     symmetric evaluation of the symbolic bracket must stay below the plan
     tolerance.  Diagonal samples are included; n_value is taken exactly.
+    Every bracket is evaluated at the same point sets, one per sampled
+    pair, so each set folds a monomial once, however many brackets hold
+    it (``_PointSet``).
     """
     tally = Tally(plan.tolerance)
     members = sorted(window)

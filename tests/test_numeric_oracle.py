@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import elliptic_poisson.weierstrass as weierstrass
-from elliptic_poisson.casimirs import _det, casimirs
+from elliptic_poisson.brackets import BracketSpec, generator_bracket
+from elliptic_poisson.casimirs import _det, build_matrix, casimirs, fmul
 from elliptic_poisson.leaves import LeafConfig, LeafSample, _collision_patterns, draw_leaf_sample
-from elliptic_poisson.poly import EPoly, ParamPoly
+from elliptic_poisson.poly import EPoly, IndexSet, ParamPoly
 from elliptic_poisson.weierstrass import (
     _SERIES_FRACTION,
     DEFAULT_EXCLUSION,
@@ -788,6 +789,37 @@ def test_sym_eval_casimir_n7_on_every_collision_pattern():
                     ref_sym_eval(SQUARE, C, params, points))
 
 
+def vandermonde(u, values):
+    """det[e[u_a](x_i)]: a row per index of u, a column per point."""
+    return ref_det([[ref_e_value(a, p, dp) for p, dp, _ in values] for a in u])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_sym_eval_of_the_even_pair_is_a_product_of_vandermondes(n):
+    # Each matrix of build_matrix is the table fmul(u_a, v_b), so at k = n/2
+    # points sym_eval(det M) = det[e[u_a](x_i)] det[e[v_b](x_i)]:
+    # C0 = det(g u)^2 and C1 = det(g1 u) det(g1 v) + g3/4 det(g2m u) det(g2m v)
+    k = n // 2
+    vectors = {"g": ((0, *range(2, k + 1)),) * 2,
+               "g1": (tuple(range(2, k + 2)), tuple(range(k))),
+               "g2m": ((-2, 0, *range(2, k)), (0, 2, *range(4, k + 2)))}
+    for kind, (u, v) in vectors.items():
+        assert build_matrix(kind, n).entries == tuple(tuple(fmul(a, b) for b in v) for a in u)
+    points = sample_points(SKEW, Random(n), k, pairwise_distinct=True)
+    values = [weier_eval(SKEW, z) for z in points]
+    det = {kind: vandermonde(u, values) * vandermonde(v, values)
+           for kind, (u, v) in vectors.items()}
+    closed = (det["g"], det["g1"] + SKEW.g3 / 4 * det["g2m"])
+    params = numeric_params(SKEW, Fraction(n))
+    got = [sym_eval(SKEW, C, params, points) for C in casimirs(n).elements]
+    for (value, scale), form in zip(got, closed):
+        assert abs(value - form) <= 1e-12 * scale
+    # a wrong border vector, k + 1 in place of k, is no closed form of C0
+    wrong = vandermonde((0, *range(2, k), k + 1), values) ** 2
+    value, scale = got[0]
+    assert abs(value - wrong) > 1e-12 * scale
+
+
 coefficients = st.one_of(
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
     st.sampled_from([ParamPoly.symbol("n"), ParamPoly.symbol("g2"),
@@ -879,6 +911,94 @@ def test_sym_eval_peak_bound_takes_both_branches(monkeypatch):
     sweep()
     skipped = sum(walked) - len(full)
     assert len(full) > 0 and skipped > 0, (len(full), skipped)
+
+
+def test_verify_functional_folds_each_monomial_once_per_pair(monkeypatch):
+    # verify_functional evaluates every bracket of its window at the same
+    # point sets; each set folds a monomial once, whichever brackets hold it
+    sets = []
+
+    class Recorded(_PointSet):
+        __slots__ = ()
+
+        def __init__(self, values):
+            super().__init__(values)
+            sets.append(self)
+
+    monkeypatch.setattr(weierstrass, "_PointSet", Recorded)
+    n = Fraction(8)
+    window = IndexSet.fn(8).members()
+    plan = SamplePlan(seed=4, count=5, tolerance=1e-6)
+    assert weierstrass.verify_functional(SKEW, n, window, plan).passed
+    params = numeric_params(SKEW, n)
+    spec = BracketSpec.elliptic()
+    monomials = {mono for i, a in enumerate(window) for b in window[i:]
+                 for mono, _ in generator_bracket(a, b, spec, n_value=n).coefficient_values(params)}
+    assert len(sets) == plan.count
+    assert [set(s.sums) for s in sets] == [monomials] * plan.count
+
+
+def test_reused_point_set_multiplies_nothing_again(monkeypatch):
+    products = []
+    real = weierstrass.mul
+    monkeypatch.setattr(weierstrass, "mul", lambda a, b: products.append(1) or real(a, b))
+    P = casimirs(8).elements[1]
+    params = numeric_params(SKEW, Fraction(8))
+    values = [weier_eval(SKEW, z)
+              for z in sample_points(SKEW, Random(8), 4, pairwise_distinct=True)]
+    sets = [_PointSet(values)]
+    first = _sym_eval_core(P, params, sets)
+    assert products
+    products.clear()
+    assert repr(_sym_eval_core(P, params, sets)) == repr(first)
+    assert not products
+
+
+shared_elements = st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.integers(-2, 9), min_size=m, max_size=m)
+             .map(lambda mono: tuple(sorted(mono))), min_size=2, max_size=8, unique=True),
+    st.lists(st.tuples(st.lists(st.integers(0, 7), min_size=1, max_size=8), st.booleans()),
+             min_size=2, max_size=3)))
+
+
+def test_reused_point_sets_match_fresh_ones():
+    # Elements that share monomials, in both orders and the first one again,
+    # at the same two point sets: each result as on fresh sets and as one
+    # permanent per monomial.  Coefficients spread over 24 decades make the
+    # bound skip magnitudes that a later element needs first on a hit.
+    taken_on_hit = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_elements, st.booleans(), st.integers(0, 2 ** 16),
+           st.sampled_from([SQUARE, SKEW]))
+    def sweep(drawn, collide, seed, L):
+        pool, picks = drawn
+        elements = [EPoly(spread_coefficients({pool[j % len(pool)] for j in chosen}, ascending))
+                    for chosen, ascending in picks]
+        m = len(pool[0])
+        rng = Random(seed)
+        value_sets = []
+        for _ in range(2):
+            values = [weier_eval(L, z) for z in sample_points(L, rng, m, pairwise_distinct=True)]
+            if collide:
+                values[-1] = values[0]
+            value_sets.append(values)
+        params = numeric_params(L, Fraction(5))
+        for order in (elements, elements[::-1]):
+            sets = [_PointSet(values) for values in value_sets]
+            for P in order + order[:1]:
+                pending = [{mono for mono, entry in s.sums.items() if entry[2] is None}
+                           for s in sets]
+                got = _sym_eval_core(P, params, sets)
+                taken_on_hit.extend(mono for s, before in zip(sets, pending)
+                                    for mono in before if s.sums[mono][2] is not None)
+                for result, values in zip(got, value_sets):
+                    fresh = _sym_eval_core(P, params, [_PointSet(values)])[0]
+                    assert repr(result) == repr(fresh)
+                    assert repr(result) == repr(ref_sym_eval_values(P, params, values))
+
+    sweep()
+    assert taken_on_hit
 
 
 # p' values that are not finite; p' enters the odd generators by a product
