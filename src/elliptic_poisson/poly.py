@@ -64,11 +64,9 @@ into the next.  Every operation that adds keys checks its result keys and
 raises ``OverflowError`` when a multiplicity or exponent reaches 128.
 
 Kept OR.  Each ``EPoly`` keeps the OR of its keys, every slot that some
-term uses.  ``signed_products``, ``generator_bracket_sum``, the Leibniz
-bracket and ``from_integers`` take it from their slot-guard pass; other
-values, ``*`` included, compute it on first use, because most products are
-small coefficients that never read it.  ``support``, ``supported_in``, the
-size bound and the partial derivatives read it.
+term uses, computed on first read by ``_merged``: most products are small
+coefficients that never read it.  ``support``, ``supported_in``, the size
+bound and the partial derivatives read it.
 
 Canonical form.  Zero numerators are never stored and the denominator is
 coprime to the numerators (1 for the zero polynomial), so two values are
@@ -167,9 +165,7 @@ def _indices_text(vector: bytes, first: int) -> str:
 
 def _mono(key: int) -> tuple[int, ...]:
     """Sorted index tuple of the generator part of a key."""
-    g = _gen_bytes(key)
-    g += bytes(len(g) & 1)  # an even width: the top odd slot holds e[-width/2]
-    return _indices(g[-1::-2] + g[::2], -(len(g) // 2))
+    return tuple(sorted(alpha for alpha, mult, _ in _gen_slots(key) for _ in range(mult)))
 
 
 def _pack_mono(mono) -> int:
@@ -185,14 +181,13 @@ def _guard(nbytes: int) -> int:
     return int.from_bytes(b"\x80" * nbytes, "little")
 
 
-def _check_slots(keys) -> int:
-    """The OR of the keys; raise when any key has a slot at or above 128 (its
-    guard bit set)."""
+def _check_slots(keys) -> None:
+    """Raise when any key has a slot at or above 128 (its guard bit set in
+    the OR of the keys)."""
     merged = reduce(or_, keys, 0)
     if merged & _guard((merged.bit_length() + 7) // 8):
         raise OverflowError(
             f"a generator multiplicity or symbol exponent exceeds {_MAX_EXP}")
-    return merged
 
 
 @lru_cache(maxsize=None)
@@ -265,12 +260,12 @@ def _by_slice(pairs: _Pairs, mask: int, scale: int = 1) -> dict[int, list[tuple[
 
 
 def _signed_products(products: Iterable[tuple[int, _Pairs, int, _Pairs, int]],
-                     common: int | None = None) -> tuple[Terms, int, int]:
+                     common: int | None = None) -> tuple[Terms, int]:
     """Sum of sign * a / da * b / db over (sign, a, da, b, db) products,
     accumulated in integers over their common denominator; the slot guard
-    is checked and the result reduced once.  Returns the terms, the
-    denominator and the OR of the keys.  With ``common``, a multiple of
-    every da * db, the products may come lazily.
+    is checked and the result reduced once.  Returns the terms and the
+    denominator.  With ``common``, a multiple of every da * db, the
+    products may come lazily.
 
     A product with a small operand is summed at once into one dict and
     freed.  A product of two large operands is grouped by slices of its
@@ -317,12 +312,12 @@ def _signed_products(products: Iterable[tuple[int, _Pairs, int, _Pairs, int]],
             acc.update({k: v for k, v in part.items() if v})
     elif 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
-    merged = _check_slots(acc)
-    return (*_reduce(acc, common), merged)
+    _check_slots(acc)
+    return _reduce(acc, common)
 
 
 def _mul(a: Terms, da: int, b: Terms, db: int) -> tuple[Terms, int]:
-    return _signed_products(((1, a.items(), da, b.items(), db),))[:2]
+    return _signed_products(((1, a.items(), da, b.items(), db),))
 
 
 def _partial(terms: Terms, unit: int) -> list[tuple[int, int]]:
@@ -393,7 +388,7 @@ def _compose(terms: Terms, den: int,
         for i, e in enumerate(exps):
             part = _mul(*part, *power(i, e))
         products.append((1, group.items(), 1, part[0].items(), part[1]))
-    acc, acc_den, _ = _signed_products(products)
+    acc, acc_den = _signed_products(products)
     return _reduce(acc, acc_den * den)
 
 
@@ -557,7 +552,7 @@ class _Packed:
             return NotImplemented
         return self._wrap(*_signed_products(
             ((1, self._terms.items(), self._den, _UNIT_PAIRS, 1),
-             (sign, o[0].items(), o[1], _UNIT_PAIRS, 1)))[:2])
+             (sign, o[0].items(), o[1], _UNIT_PAIRS, 1))))
 
     def _product(self, other):
         o = self._operand(other)
@@ -782,15 +777,8 @@ class EPoly(_Packed):
             key += d * n_unit
             acc[key] = acc.get(key, 0) + num
         acc = {k: v for k, v in acc.items() if v}
-        merged = _check_slots(acc)
-        return cls._keep(*_reduce(acc, den), merged)
-
-    @classmethod
-    def _keep(cls, terms: Terms, den: int, merged: int) -> "EPoly":
-        """A value that keeps ``merged``, the OR of its keys."""
-        out = cls._wrap(terms, den)
-        out._or = merged
-        return out
+        _check_slots(acc)
+        return cls._wrap(*_reduce(acc, den))
 
     # -- ring operations ------------------------------------------------
 
@@ -816,7 +804,7 @@ class EPoly(_Packed):
         rows = [(unit, h) for alpha, _, unit in _gen_slots(self._merged())
                 if (h := generator_bracket_sum(((alpha, dq),), rule))]
         den = self._den
-        return self._keep(*_signed_products(
+        return self._wrap(*_signed_products(
             ((1, h._terms.items(), h._den, _partial(self._terms, unit), den) for unit, h in rows),
             den * lcm(*(h._den for _, h in rows))))
 
@@ -843,8 +831,8 @@ class EPoly(_Packed):
         return self._view
 
     def _merged(self) -> int:
-        """OR of the keys, every slot that some term uses: kept from the
-        kernel's slot guard, or computed on first use."""
+        """OR of the keys, every slot that some term uses: computed on first
+        use and kept."""
         merged = getattr(self, "_or", None)
         if merged is None:
             merged = self._or = reduce(or_, self._terms, 0)
@@ -889,9 +877,7 @@ class EPoly(_Packed):
 
     def support(self) -> set[int]:
         """Generator indices occurring with nonzero coefficient."""
-        slots = _gen_bytes(self._merged())
-        return {slot >> 1 if not slot & 1 else ~(slot >> 1)
-                for slot, mult in enumerate(slots) if mult}
+        return {alpha for alpha, _, _ in _gen_slots(self._merged())}
 
     def degree(self) -> int:
         """Largest monomial size (0 for the zero polynomial)."""
@@ -991,7 +977,7 @@ def generator_bracket_sum(items: Iterable[tuple[int, Partials]],
     product goes into one integer dict over one common denominator, which is
     reduced once.  ``rule`` is called once per (alpha, beta) that occurs.
     """
-    return EPoly._keep(*_signed_products([
+    return EPoly._wrap(*_signed_products([
         (1, r._terms.items(), r._den, part, den)
         for alpha, (parts, den) in items for beta, part in parts.items()
         if (r := rule(alpha, beta))]))
@@ -1003,7 +989,7 @@ def signed_products(products: Iterable[tuple[int, _Packed, _Packed]]) -> EPoly:
 
     Equal to adding up the products with ``+`` and ``-``, but every product
     goes into one integer dict, so no product or partial sum is built."""
-    return EPoly._keep(*_signed_products(
+    return EPoly._wrap(*_signed_products(
         [(sign, a._terms.items(), a._den, b._terms.items(), b._den) for sign, a, b in products]))
 
 

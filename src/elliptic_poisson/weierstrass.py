@@ -21,16 +21,16 @@ evaluates -z right after z, which squares to the same w.  A reduction, a
 guard or a series is skipped only where its result is known to the bit
 (``weier_eval``), so every value keeps its bits.
 
-Everything these steps need that depends on the lattice alone
-(the cell-coordinate conjugates and denominators, the eight neighbour
-products m*omega1 and k*omega2, the Horner rows of the three series, the
-series radius and g2/2) is computed once, into the evaluation tables of
-``Lattice``; each call performs the same floating-point operations on the
-same operands as if it computed them itself.  The lattice invariants are
-seeded from the geometrically convergent Fourier expansions of the weight-4
-and weight-6 Eisenstein series; every lattice is certified at construction
-time by the differential-equation, periodicity, quasi-periodicity and
-Legendre checks, and a lattice that fails them raises CertificationError.
+Everything these steps need that depends on the lattice alone (the
+cell-coordinate conjugates and denominators, the Horner rows of the three
+series, the series radius and g2/2) is computed once, into the evaluation
+tables of ``Lattice``; each call performs the same floating-point
+operations on the same operands as if it computed them itself.  The
+lattice invariants are seeded from the geometrically convergent Fourier
+expansions of the weight-4 and weight-6 Eisenstein series; every lattice
+is certified at construction time by the differential-equation,
+periodicity, quasi-periodicity and Legendre checks, and a lattice that
+fails them raises CertificationError.
 
 ``weier_eval`` is a pure function of (L, z, exclusion), and at the default
 radius each lattice keeps the values it returned at cell points, those that
@@ -130,9 +130,6 @@ class Lattice:
 
     * ``_cell``: conj(omega2), Im(omega1 conj(omega2)), conj(omega1),
       Im(omega2 conj(omega1)), the terms of the cell coordinates;
-    * ``_neighbours``: (m*omega1, k*omega2) for the eight neighbours
-      m, k in {-1, 0, 1}, not both zero, in the order lattice_distance
-      visits them;
     * ``_horner``: (c_k, (2k-2) c_k, c_k / (2k-1)) for k from the top
       Laurent order 20 down to 2, the 19 rows of the p, p' and zeta
       series;
@@ -167,8 +164,6 @@ class Lattice:
     r_min: float
     _cell: tuple[complex, float, complex, float] = field(
         init=False, compare=False, repr=False)
-    _neighbours: tuple[tuple[complex, complex], ...] = field(
-        init=False, compare=False, repr=False)
     _horner: tuple[tuple[complex, complex, complex], ...] = field(
         init=False, compare=False, repr=False)
     _series_radius: float = field(init=False, compare=False, repr=False)
@@ -184,8 +179,6 @@ class Lattice:
         den1, den2 = (o1 * o2.conjugate()).imag, (o2 * o1.conjugate()).imag
         tables = {
             "_cell": (o2.conjugate(), den1, o1.conjugate(), den2),
-            "_neighbours": tuple((m * o1, k * o2) for m in (-1, 0, 1)
-                                 for k in (-1, 0, 1) if m or k),
             "_horner": tuple((c[k], (2 * k - 2) * c[k], c[k] / (2 * k - 1))
                              for k in range(len(c) - 1, 1, -1)),
             "_series_radius": _SERIES_FRACTION * self.r_min,
@@ -285,11 +278,14 @@ def lattice_distance(L: Lattice, z: complex) -> float:
 
 def _nearest(L: Lattice, z1: complex, best: float) -> float:
     """The least of ``best`` (abs(z1)) and the distances from the reduced
-    point z1 to its eight neighbours: the nine-point scan."""
-    for mo, ko in L._neighbours:
-        d = abs(z1 - mo - ko)
-        if d < best:
-            best = d
+    point z1 to its eight neighbours m*omega1 + k*omega2, m, k in {-1, 0, 1}
+    not both zero: the nine-point scan."""
+    for m in (-1, 0, 1):
+        for k in (-1, 0, 1):
+            if m or k:
+                d = abs(z1 - m * L.omega1 - k * L.omega2)
+                if d < best:
+                    best = d
     return best
 
 

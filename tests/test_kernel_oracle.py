@@ -250,7 +250,7 @@ def bracket_all_partials(p, q, rule):
         h = generator_bracket_sum(((a, dq),), rule)
         if h:
             rows.append((1, h._terms.items(), h._den, pa, p._den))
-    return EPoly._keep(*_signed_products(rows))
+    return EPoly._wrap(*_signed_products(rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,7 +407,7 @@ def test_sliced_products_match_reference(items, bound):
     with sliced_route(bound) as masks:
         got = signed_products(packed)
     assert to_ref(got) == ref_signed_products(items)
-    assert got._or == reduce(or_, got._terms, 0)
+    assert got._merged() == reduce(or_, got._terms, 0)
     assert len(masks) == any(min(len(p._terms), len(q._terms)) >= bound for _, p, q in packed)
     assert all(whole_slots(mask) for mask in masks)
 
@@ -424,10 +424,10 @@ def test_sliced_products_come_lazily(items, bound):
         for sign, p, q in packed:
             yield sign, p._terms.items(), p._den, list(q._terms.items()), q._den
     with sliced_route(bound):
-        got = EPoly._keep(*_signed_products(lazy(), common))
+        got = EPoly._wrap(*_signed_products(lazy(), common))
     with plain_route():
-        want = EPoly._keep(*_signed_products(lazy(), common))
-    assert got == want and got._or == want._or
+        want = EPoly._wrap(*_signed_products(lazy(), common))
+    assert got == want and got._merged() == want._merged()
     assert to_ref(got) == ref_signed_products(items)
 
 
@@ -458,7 +458,7 @@ def test_sliced_products_cancel_to_canonical_zero(P, Q):
         zero = signed_products([(1, p, q), (-1, q, p)])
         negated = signed_products([(-1, p, q)])
     assert zero == EPoly.zero()
-    assert (zero._terms, zero._den, zero._or) == ({}, 1, 0)
+    assert (zero._terms, zero._den, zero._merged()) == ({}, 1, 0)
     assert negated == -(p * q)
 
 
@@ -498,7 +498,7 @@ def test_sliced_route_sums_each_key_once():
     with sliced_route() as masks:
         got = signed_products([(1, p, q), (-2, q, q)])
     assert len({k & masks[0] for k in got._terms}) > 20
-    assert got == want and got._or == want._or
+    assert got == want and got._merged() == want._merged()
     assert to_ref(got) == ref_signed_products([(1, to_ref(p), to_ref(q)),
                                                (-2, to_ref(q), to_ref(q))])
 
@@ -514,7 +514,7 @@ def test_odd_elimination_sliced_equals_plain(n):
     # at the default bound n = 11 is sliced and n = 9 is not
     assert len(default_masks) == (n == 11) and len(masks) == 1
     for value in (default, sliced):
-        assert value == plain and value._or == plain._or
+        assert value == plain and value._merged() == plain._merged()
 
 
 # -- the Jacobi window kernel -------------------------------------------------

@@ -256,7 +256,7 @@ def test_series_eval_matches_per_call_constants(L, r, theta):
 
 def test_lattice_tables_ignored_by_eq_hash_repr():
     tables = [f.name for f in fields(SKEW) if not f.init]
-    assert tables == ["_cell", "_neighbours", "_horner", "_series_radius", "_half_g2",
+    assert tables == ["_cell", "_horner", "_series_radius", "_half_g2",
                       "_guard", "_tails", "_points"]
     twin = lattice_init(1, 0.3 + 1.1j)
     for name in tables:
@@ -497,6 +497,10 @@ def assert_same_guard(L, z, radius):
             lambda: ref_lattice_distance(L, z0) < radius)
 
 
+# (m, k) of the eight neighbours m*omega1 + k*omega2, in the scan's order
+NEIGHBOURS = tuple((m, k) for m in (-1, 0, 1) for k in (-1, 0, 1) if m or k)
+
+
 def ulps(x, count):
     """x and the ``count`` floats on either side of it."""
     out = [x]
@@ -513,8 +517,8 @@ def test_guard_matches_scan_at_its_bounds(L):
     half_height, clear = L._guard
     for exclusion in GUARD_EXCLUSIONS:
         radius = exclusion * L.r_min
-        for mo, ko in L._neighbours:
-            v = mo + ko
+        for m, k in NEIGHBOURS:
+            v = m * L.omega1 + k * L.omega2
             for x in ulps(v.real / 2, 2):
                 for y in ulps(v.imag / 2, 2):
                     assert_same_guard(L, complex(x, y), radius)
@@ -533,10 +537,10 @@ def test_guard_matches_scan_at_its_bounds(L):
     # under it: at the midpoint of a shortest neighbour, r_min / 2 from both
     # ends.  Nudged sideways, the midpoint's differences round either way.
     step = math.ulp(abs(L.omega1) + abs(L.omega2)) / 16
-    for k in (0, 1, 3, 10, 30, 100, 300):
-        radius = L.r_min / 2 - k * math.ulp(L.r_min)
-        for mo, ko in L._neighbours:
-            v = mo + ko
+    for ulps_under in (0, 1, 3, 10, 30, 100, 300):
+        radius = L.r_min / 2 - ulps_under * math.ulp(L.r_min)
+        for m, k in NEIGHBOURS:
+            v = m * L.omega1 + k * L.omega2
             if abs(v) < 1.5 * L.r_min:
                 across = 1j * v / abs(v)
                 for j in range(-30, 31):
@@ -548,6 +552,24 @@ def test_guard_matches_scan_at_its_bounds(L):
        st.sampled_from(GUARD_EXCLUSIONS))
 def test_guard_matches_scan(L, a, b, m, k, exclusion):
     assert_same_guard(L, (a + m) * L.omega1 + (b + k) * L.omega2, exclusion * L.r_min)
+
+
+@pytest.mark.parametrize("a, b, neighbour_nearer", [
+    (0.49, 0.49, True), (-0.49, -0.49, True), (0.49, -0.49, False), (-0.49, 0.49, False)])
+def test_neighbour_nearer_than_reduced_point(a, b, neighbour_nearer):
+    # Near the two corners of the skewed cell on its long diagonal
+    # omega1 + omega2, the reduced point is 0.83 from 0 but 0.65 from a
+    # neighbour, so the scan lowers the modulus; near the other two corners
+    # the modulus stays the distance.
+    z0 = a * SKEW.omega1 + b * SKEW.omega2
+    for z in (z0, z0 + SKEW.omega1 - 2 * SKEW.omega2):
+        reduced = _reduce(SKEW, z)[0]
+        want = ref_lattice_distance(SKEW, z)
+        assert (want < abs(reduced)) == neighbour_nearer
+        assert repr(lattice_distance(SKEW, z)) == repr(want)
+        for radius in (*ulps(want, 1), 0.7, *ulps(abs(reduced), 1)):
+            assert _near_reduced(SKEW, reduced, radius) is (want < radius)
+            assert _near(SKEW, z, radius) is (want < radius)
 
 
 @pytest.mark.parametrize("L, scans", [(SQUARE, False), (SKINNY_LATTICES[1], True)])

@@ -448,7 +448,7 @@ def test_graded_lex_examples():
 def test_casimir_text_matches_tuple_sort(n):
     for elem in casimirs(n).elements:
         # a fresh value, so that the memoized element keeps no decoded view
-        p = EPoly._keep(elem._terms, elem._den, elem._merged())
+        p = EPoly._wrap(elem._terms, elem._den)
         assert p._groups() == tuple((mono, sorted(items, reverse=True))
                                     for mono, items in _old_groups(p))
         assert p.to_text() == _old_text(p)
@@ -486,7 +486,7 @@ def test_degrees_at_the_residue_bound():
 
 def _has_exact_or(p):
     merged = reduce(or_, p._terms, 0)
-    return getattr(p, "_or", None) in (None, merged) and p._merged() == merged
+    return getattr(p, "_or", None) in (None, merged) and p._merged() == merged == p._or
 
 
 # (packed monomial key, degree in n, numerator) items of EPoly.from_integers
@@ -499,20 +499,19 @@ integer_items = st.lists(st.tuples(monomials.map(_pack_mono),
 @given(e_polys, e_polys, integer_items, st.integers(min_value=1, max_value=12))
 def test_kept_or_matches_the_keys(a, b, items, den):
     assert _has_exact_or(a)  # from __init__, computed here and kept
-    # the kernel and the integer constructor keep the OR of their guard check
-    kept = [
+    # every value, the kernels' and the integer constructor's included,
+    # computes its OR on first read
+    values = [
         signed_products([(1, a, b), (-1, b, b)]),
         a.bracket(b, lambda x, y: EPoly.monomial((x, y), N)),
         generator_bracket_sum([(2, b.partials())], lambda x, y: EPoly.gen(x - y)),
         EPoly.from_integers(items, den),
-    ]
-    assert all(v._or is not None for v in kept)
-    others = [-a, a * b, a * G2, a + b, a - b,
-              a.substitute_params({"n": Fraction(3, 2), "g2": 0}),
-              *a.collect_symbol("g2").values()]
+        -a, a * b, a * G2, a + b, a - b,
+        a.substitute_params({"n": Fraction(3, 2), "g2": 0}),
+        *a.collect_symbol("g2").values()]
     if all(mono.count(2) < 2 for mono, _ in a.terms()):
-        others += a.split_linear(2)
-    for v in kept + others:
+        values += a.split_linear(2)
+    for v in values:
         assert _has_exact_or(v)
 
 
