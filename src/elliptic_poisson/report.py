@@ -33,11 +33,14 @@ class Report:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
+        residual = self.max_residual  # JSON has no NaN or infinity: "nan", "inf"
+        if isinstance(residual, float) and not math.isfinite(residual):
+            residual = str(residual)
         return {
             "check": self.check,
             "parameters": self.parameters,
             "status": self.status,
-            "max_residual": self.max_residual,
+            "max_residual": residual,
             "failures": self.failures,
         }
 

@@ -55,7 +55,9 @@ two-point functions evaluate x - y first and raise its PoleProximityError
 as NearSingularError; the sampling and the certification, which guard
 before they evaluate, call ``_near``.  Evaluators return (value, scale):
 tolerances are relative to a scale 1 + max(|operand values|), since values
-near poles grow and absolute tolerances would be meaningless.
+near poles grow and absolute tolerances would be meaningless.  The checks
+read e[a] and e[a]' from one ``_e_table`` per point set; symmetric
+evaluation takes equal points in a row as one run.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from operator import mul
 from random import Random
 
@@ -476,25 +479,10 @@ def _certify(L: Lattice) -> None:
 # -- the e-basis -----------------------------------------------------------
 
 
-def _decode_index(alpha: int) -> tuple[int, bool]:
-    """Power of p and whether a -p'/2 factor is present, for e[alpha]."""
-    if alpha % 2 == 0:
-        return alpha // 2, False
-    return (alpha - 3) // 2, True
-
-
 def e_func(L: Lattice, alpha: int, z: complex) -> complex:
     """e[2a] = p^a, e[2a+3] = -p^a * p'/2, valid for any integer index."""
     p, dp, _ = weier_eval(L, z)
-    return _e_value(alpha, p, dp)
-
-
-def _e_value(alpha: int, p: complex, dp: complex) -> complex:
-    a, odd = _decode_index(alpha)
-    value = p ** a
-    if odd:
-        value *= -dp / 2
-    return value
+    return _e_from_values(L, alpha, p, dp)[0]
 
 
 def e_func_and_deriv(L: Lattice, alpha: int, z: complex) -> tuple[complex, complex]:
@@ -504,13 +492,15 @@ def e_func_and_deriv(L: Lattice, alpha: int, z: complex) -> tuple[complex, compl
 
 
 def _e_from_values(L: Lattice, alpha: int, p: complex, dp: complex) -> tuple[complex, complex]:
-    a, odd = _decode_index(alpha)
+    """(e[alpha], e[alpha]') from p and p' at a point: the one formula."""
+    odd = alpha % 2
+    a = (alpha - 3 * odd) // 2
     pa = p ** a
     pam1 = p ** (a - 1)
     if not odd:
         return pa, a * pam1 * dp
     ddp = 6 * p * p - L._half_g2
-    value = -pa * dp / 2
+    value = pa * (-dp / 2)  # halved first: finite wherever e[alpha] is
     deriv = -(a * pam1 * dp * dp + pa * ddp) / 2
     return value, deriv
 
@@ -523,8 +513,7 @@ def _e_from_values(L: Lattice, alpha: int, p: complex, dp: complex) -> tuple[com
 
 
 def _point_values(L: Lattice, points) -> list:
-    """(p, p', zeta) at each point, in order; the point memo gives a cell
-    point with both parts nonzero repeated in a row one value object."""
+    """(p, p', zeta) at each point, in order."""
     return [weier_eval(L, z) for z in points]
 
 
@@ -570,7 +559,7 @@ def _zeta_matrix(L: Lattice, points, values) -> list[list]:
 
 def _e_table(L: Lattice, indices, values) -> dict[int, list[tuple[complex, complex]]]:
     """{a: [(e[a], e[a]') at each point]} for each index a, from the (p, p',
-    zeta) values at the points: the table the two-point and leaf cores read."""
+    zeta) values at the points: every e-value a check reads comes from one."""
     return {a: [_e_from_values(L, a, p, dp) for p, dp, _ in values] for a in indices}
 
 
@@ -646,7 +635,8 @@ def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
     shared by every monomial.  Returns (value, scale): the scale is one
     plus the largest product magnitude entering the alternating sums
     (times |coefficient|), the conditioning scale of the cancellation.
-    ``_PointSet`` and ``_sym_eval_core`` say how the sums are formed.
+    Equal points in a row are one run, evaluated once; ``_PointSet`` and
+    ``_sym_eval_core`` say how the sums are formed.
     """
     m = len(points)
     deg = P.homogeneous_degree()
@@ -656,7 +646,9 @@ def sym_eval(L: Lattice, P: EPoly, params: dict[str, complex],
         raise ValueError("sym_eval needs a homogeneous element")
     if deg != m:
         raise ValueError(f"degree {deg} does not match {m} points")
-    return _sym_eval_core(P, params, [_PointSet(_point_values(L, points))])[0]
+    runs = [(z, len(list(group))) for z, group in groupby(points)]
+    table = _e_table(L, P.support(), _point_values(L, [z for z, _ in runs]))
+    return _sym_eval_core(P, params, [_PointSet([k for _, k in runs], table)])[0]
 
 
 _PEAK_SLACK = 1 + 1e-9  # relative slack of the product magnitude bounds
@@ -669,17 +661,16 @@ class _PointSet:
     a point set evaluated for several elements builds each column and
     folds each distinct monomial once.
 
-    The column sum of a nonempty point subset (a mask) adds e[alpha] at
-    its points in ascending point order, starting from 0j.  Consecutive
-    points given by one value object form a run; two masks that take as
-    many points from every run add the same operands in the same order,
-    so their sums, and every product made from them, are equal.  Such
-    masks form one class and everything is kept per class: ``index`` maps
-    the masks 1, 2, ..., 2^m - 1 to their classes, and ``column(alpha)``
-    gives per class the sum, the sum with Ryser's sign (-1)^(m - |mask|)
-    folded in, and the bound max |sum| * (1 + 1e-9).  A cell point repeated
-    in a row shares one value object (``_point_values``); other repeats
-    form finer classes, whose sums have the same bits.
+    The points come in runs of equal points, ``lengths`` holding the length
+    of each run and each row of ``table`` (an ``_e_table``) one entry per
+    run.  The column sum of a nonempty point subset (a mask) adds e[alpha]
+    at its points in ascending point order, starting from 0j; two masks
+    that take as many points from every run add the same operands in the
+    same order, so their sums, and every product made from them, are equal.
+    Such masks form one class and everything is kept per class: ``index``
+    maps the masks 1, 2, ..., 2^m - 1 to their classes, and
+    ``column(alpha)`` gives per class the sum, the sum with Ryser's sign
+    (-1)^(m - |mask|) folded in, and the bound max |sum| * (1 + 1e-9).
 
     ``sums`` maps each monomial folded here to [its signed sum over masks,
     the bound on its products, the largest |product| or None until some
@@ -688,19 +679,16 @@ class _PointSet:
     reads the same entry.
     """
 
-    __slots__ = ("m", "index", "ones", "sums", "_runs", "_reps", "_negative", "_columns")
+    __slots__ = ("m", "index", "ones", "sums", "_lengths", "_table", "_reps",
+                 "_negative", "_columns")
 
-    def __init__(self, values):
-        self.m = len(values)
-        self._runs: list[tuple[tuple, int]] = []  # (value object, length)
-        for j, v in enumerate(values):
-            if j and v is values[j - 1]:
-                self._runs[-1] = (v, self._runs[-1][1] + 1)
-            else:
-                self._runs.append((v, 1))
+    def __init__(self, lengths, table):
+        self.m = sum(lengths)
+        self._lengths = lengths
+        self._table = table
         keys = [0]  # per mask: its counts per run, as one mixed-radix number
         radix = 1
-        for _, length in self._runs:
+        for length in lengths:
             for _ in range(length):
                 keys += [key + radix for key in keys]
             radix *= length + 1
@@ -723,8 +711,7 @@ class _PointSet:
         got = self._columns.get(alpha)
         if got is None:
             sums = [0j]
-            for (p, dp, _), length in self._runs:
-                e = _e_value(alpha, p, dp)
+            for (e, _), length in zip(self._table[alpha], self._lengths):
                 for _ in range(length):
                     sums += [s + e for s in sums]
             col = [sums[mask] for mask in self._reps]
@@ -956,9 +943,10 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     relative residual between the direct two-point value and the
     symmetric evaluation of the symbolic bracket must stay below the plan
     tolerance.  Diagonal samples are included; n_value is taken exactly.
-    Every bracket is evaluated at the same point sets, one per sampled
-    pair, so each set folds a monomial once, however many brackets hold
-    it (``_PointSet``).
+    Both sides read one ``_e_table`` per sampled pair, over the window and
+    the brackets' supports, and every bracket is evaluated at the same
+    point sets, one per pair, so each set folds a monomial once, however
+    many brackets hold it (``_PointSet``).
     """
     tally = Tally(plan.tolerance)
     members = sorted(window)
@@ -968,24 +956,24 @@ def verify_functional(L: Lattice, n_value, window, plan: SamplePlan,
     spec = BracketSpec.elliptic()
     nv = Fraction(n_value)
     n = params_num["n"]
-    # Per pair: the two-point values, their e-table, and [x, y] for sym_eval.
-    values = [_bracket_values(L, x, y) for x, y in pairs]
-    tables = [_e_table(L, members, vals[:2]) for vals in values]
-    point_sets = [_PointSet((vals[0], vals[0]) if x == y else vals[:2])
-                  for (x, y), vals in zip(pairs, values)]
-    for i, alpha in enumerate(members):
-        for beta in members[i:]:
-            br = generator_bracket(alpha, beta, spec, n_value=nv)
-            # one evaluation of the symbolic bracket at every pair
-            rhs_all = (_sym_eval_core(br, params_num, point_sets) if br
-                       else [(0j, 1.0)] * len(pairs))
-            for (x, y), vals, table, (rhs, rhs_scale) in zip(pairs, values, tables, rhs_all):
-                try:
-                    lhs, lhs_scale = _func_bracket_core(n, vals, table[alpha], table[beta])
-                    rel = abs(lhs - rhs) / max(lhs_scale, rhs_scale)
-                except OverflowError:  # a magnitude past the float range fails
-                    rel = math.inf
-                tally.residual(rel, "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
+    brackets = [(alpha, beta, generator_bracket(alpha, beta, spec, n_value=nv))
+                for i, alpha in enumerate(members) for beta in members[i:]]
+    indices = set(members).union(*(br.support() for _, _, br in brackets))
+    values = [_bracket_values(L, x, y) for x, y in pairs]  # at x alone if x == y
+    tables = [_e_table(L, indices, vals[:2]) for vals in values]
+    point_sets = [_PointSet((2,) if len(vals) == 1 else (1, 1), table)
+                  for vals, table in zip(values, tables)]
+    for alpha, beta, br in brackets:
+        # one evaluation of the symbolic bracket at every pair
+        rhs_all = (_sym_eval_core(br, params_num, point_sets) if br
+                   else [(0j, 1.0)] * len(pairs))
+        for (x, y), vals, table, (rhs, rhs_scale) in zip(pairs, values, tables, rhs_all):
+            try:
+                lhs, lhs_scale = _func_bracket_core(n, vals, table[alpha], table[beta])
+                rel = abs(lhs - rhs) / max(lhs_scale, rhs_scale)
+            except OverflowError:  # a magnitude past the float range fails
+                rel = math.inf
+            tally.residual(rel, "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
     params = {"n": str(n_value), "window": members, "samples": plan.count,
               "seed": plan.seed, "tol": plan.tolerance,
               "omega1": repr(L.omega1), "omega2": repr(L.omega2)}

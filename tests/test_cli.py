@@ -4,7 +4,6 @@ layering, and byte-level determinism."""
 import hashlib
 import importlib
 import json
-import math
 import os
 import re
 import shlex
@@ -298,7 +297,7 @@ def test_overflowing_functional_residual_is_a_failed_check(tmp_path):
     selftest, identity5, functional, summ = parse_reports(text)
     assert selftest["status"] == identity5["status"] == "pass"
     assert functional["status"] == "fail"
-    assert math.isnan(functional["max_residual"])
+    assert functional["max_residual"] == "nan"  # JSON has no NaN (report.Report.to_dict)
     assert sorted({f["residual-text"] for f in functional["failures"]}) == ["inf", "nan"]
     assert summ["failures"] == [{"witness": functional["check"]}]
 
@@ -310,8 +309,23 @@ def test_nan_functional_residual_is_a_failed_check(tmp_path):
     assert code == 1
     functional = parse_reports(text)[2]
     assert functional["status"] == "fail"
-    assert math.isnan(functional["max_residual"])
+    assert functional["max_residual"] == "nan"
     assert "nan" in [f["residual-text"] for f in functional["failures"]]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("n", ["1e300", "1.7e308"])
+def test_non_finite_residual_reports_are_strict_json(n, capsys):
+    # json.dumps wrote a NaN or infinite worst residual as the bare tokens
+    # NaN and Infinity, which RFC 8259 does not allow; every stdout line of
+    # the two runs above must parse without them
+    assert main(["verify-elliptic", "--n", n, "--samples", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    reports = [json.loads(line, parse_constant=reject_constant) for line in lines]
+    assert reports[2]["max_residual"] == "nan"
 
 
 @pytest.mark.parametrize("args", [["verify-elliptic", "--n", "abc"],

@@ -11,6 +11,7 @@ import sys
 import threading
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import groupby
 from random import Random
 
 import pytest
@@ -29,6 +30,7 @@ from elliptic_poisson.weierstrass import (
     SamplePlan,
     _PointSet,
     _cell_coordinates,
+    _e_table,
     _eval_reduced,
     _near,
     _near_reduced,
@@ -123,6 +125,14 @@ def ref_sym_eval_values(P, params, point_values):
         total += c * perm
         peak = max(peak, abs(c) * perm_peak)
     return total, 1.0 + peak
+
+
+def point_set(L, indices, values):
+    """The _PointSet of points with these (p, p', zeta) values, with an
+    e-table over ``indices``: equal values in a row are one run, as sym_eval
+    groups equal points."""
+    runs = [(v, len(list(group))) for v, group in groupby(values)]
+    return _PointSet([k for _, k in runs], _e_table(L, indices, [v for v, _ in runs]))
 
 
 def ref_det(matrix):
@@ -811,6 +821,22 @@ def test_sym_eval_casimir_n7_on_every_collision_pattern():
                     ref_sym_eval(SQUARE, C, params, points))
 
 
+# Points with a zero part, which the point memo does not keep, so each repeat
+# is evaluated anew; +0.0 and -0.0 compare equal, so sym_eval takes such
+# repeats in a row as one run, evaluated at its first point.
+ZERO_PART = [complex(0.23, 0.0), complex(0.23, -0.0), complex(0.0, 0.31),
+             complex(-0.0, 0.31), complex(-0.0, -0.27)]
+
+
+@pytest.mark.parametrize("picks", [(0, 1, 0, 2, 3, 3, 4), (3, 2, 1, 1, 0, 4, 4)])
+@pytest.mark.parametrize("L", [SQUARE, SKEW], ids=["square", "skew"])
+def test_sym_eval_repeated_points_with_a_zero_part(L, picks):
+    C = casimirs(7).elements[0]
+    params = numeric_params(L, Fraction(7))
+    points = [ZERO_PART[i] for i in picks]
+    assert_same(sym_eval(L, C, params, points), ref_sym_eval(L, C, params, points))
+
+
 def vandermonde(u, values):
     """det[e[u_a](x_i)]: a row per index of u, a column per point."""
     return ref_det([[ref_e_value(a, p, dp) for p, dp, _ in values] for a in u])
@@ -874,8 +900,8 @@ def test_sym_eval_matches_per_monomial_ryser(element, seed, L):
 @given(elements_and_picks, st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4),
        st.sampled_from([SQUARE, SKEW]))
 def test_sym_eval_batch_matches_per_set_ryser(element, seeds, L):
-    # One kernel call on several point sets; a point taken twice is one
-    # value object, as sym_eval passes it.
+    # One kernel call on several point sets; a point taken twice in a row
+    # is one run, as sym_eval passes it.
     terms, picks = element
     P = EPoly({mono: c for mono, c in terms.items()})
     params = numeric_params(L, Fraction(5))
@@ -884,7 +910,7 @@ def test_sym_eval_batch_matches_per_set_ryser(element, seeds, L):
         distinct = sample_points(L, Random(seed), len(picks), pairwise_distinct=True)
         values = [weier_eval(L, z) for z in distinct]
         value_sets.append([values[i] for i in picks])
-    sets = [_PointSet(values) for values in value_sets]
+    sets = [point_set(L, P.support(), values) for values in value_sets]
     got = _sym_eval_core(P, params, sets)
     assert len(got) == len(sets)
     for result, values in zip(got, value_sets):
@@ -943,8 +969,8 @@ def test_verify_functional_folds_each_monomial_once_per_pair(monkeypatch):
     class Recorded(_PointSet):
         __slots__ = ()
 
-        def __init__(self, values):
-            super().__init__(values)
+        def __init__(self, lengths, table):
+            super().__init__(lengths, table)
             sets.append(self)
 
     monkeypatch.setattr(weierstrass, "_PointSet", Recorded)
@@ -968,7 +994,7 @@ def test_reused_point_set_multiplies_nothing_again(monkeypatch):
     params = numeric_params(SKEW, Fraction(8))
     values = [weier_eval(SKEW, z)
               for z in sample_points(SKEW, Random(8), 4, pairwise_distinct=True)]
-    sets = [_PointSet(values)]
+    sets = [point_set(SKEW, P.support(), values)]
     first = _sym_eval_core(P, params, sets)
     assert products
     products.clear()
@@ -1006,8 +1032,9 @@ def test_reused_point_sets_match_fresh_ones():
                 values[-1] = values[0]
             value_sets.append(values)
         params = numeric_params(L, Fraction(5))
+        indices = {alpha for mono in pool for alpha in mono}
         for order in (elements, elements[::-1]):
-            sets = [_PointSet(values) for values in value_sets]
+            sets = [point_set(L, indices, values) for values in value_sets]
             for P in order + order[:1]:
                 pending = [{mono for mono, entry in s.sums.items() if entry[2] is None}
                            for s in sets]
@@ -1015,7 +1042,7 @@ def test_reused_point_sets_match_fresh_ones():
                 taken_on_hit.extend(mono for s, before in zip(sets, pending)
                                     for mono in before if s.sums[mono][2] is not None)
                 for result, values in zip(got, value_sets):
-                    fresh = _sym_eval_core(P, params, [_PointSet(values)])[0]
+                    fresh = _sym_eval_core(P, params, [point_set(L, indices, values)])[0]
                     assert repr(result) == repr(fresh)
                     assert repr(result) == repr(ref_sym_eval_values(P, params, values))
 
@@ -1040,7 +1067,7 @@ def test_sym_eval_single_factor_non_finite(p, dp, alpha):
     values = [(p, dp, 0j)]
     P = EPoly({(alpha,): Fraction(-3, 2)})
     params = numeric_params(SQUARE, Fraction(5))
-    got = _sym_eval_core(P, params, [_PointSet(values)])[0]
+    got = _sym_eval_core(P, params, [point_set(SQUARE, P.support(), values)])[0]
     assert repr(got) == repr(ref_sym_eval_values(P, params, values))
 
 
@@ -1054,11 +1081,11 @@ def test_sym_eval_non_finite_point_value(bad, where, collide):
               for z in sample_points(SQUARE, Random(3), 3, pairwise_distinct=True)]
     p, _, zeta = values[where]
     values[where] = (p, bad, zeta)
-    if collide:  # the first two points one value object
+    if collide:  # the first two points one run
         values[1] = values[0]
     # the products of the odd generators, which the bad p' reaches, set the peak
     P = EPoly({(0, 2, 4): 1, (2, 2, 3): Fraction(-3, 2), (2, 3, 5): Fraction(10 ** 9, 7),
                (3, 5, 5): ParamPoly.symbol("g2") * 10 ** 6, (0, 0, 0): 7, (4, 6, 8): 2})
     params = numeric_params(SQUARE, Fraction(5))
-    got = _sym_eval_core(P, params, [_PointSet(values)])[0]
+    got = _sym_eval_core(P, params, [point_set(SQUARE, P.support(), values)])[0]
     assert repr(got) == repr(ref_sym_eval_values(P, params, values))

@@ -5,7 +5,7 @@ import json
 import math
 
 from elliptic_poisson.poly import EPoly
-from elliptic_poisson.report import EXACT_ZERO, Tally
+from elliptic_poisson.report import EXACT_ZERO, Tally, render_table
 
 
 def test_exact_tally_passes_with_exact_zero():
@@ -82,3 +82,17 @@ def test_nan_worst_residual_in_every_order():
             tally.residual(rel, "sample {}", k)
         rep = tally.report("sweep", {"tol": 1e-6})
         assert not rep.passed and math.isnan(rep.max_residual), order
+
+
+def test_non_finite_worst_residual_is_a_json_string():
+    # json.dumps writes NaN and Infinity, which are not JSON; the report
+    # writes them as strings, as exact checks write exact-zero, and keeps
+    # the float on the object and in the table
+    for rel, text in ((float("nan"), "nan"), (float("inf"), "inf")):
+        tally = Tally(1e-6)
+        tally.residual(rel, "sample {}", 0)
+        rep = tally.report("sweep", {"tol": 1e-6})
+        assert rep.to_dict()["max_residual"] == text
+        assert json.loads(rep.to_json()) == rep.to_dict()
+        assert isinstance(rep.max_residual, float) and str(rep.max_residual) == text
+        assert f"  {text}  " in render_table([rep])

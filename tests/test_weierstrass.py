@@ -24,8 +24,8 @@ from elliptic_poisson.weierstrass import (
     NearSingularError,
     PoleProximityError,
     SamplePlan,
+    _e_from_values,
     _e_table,
-    _e_value,
     _func_bracket_core,
     _laurent_coeffs,
     e_func,
@@ -383,7 +383,7 @@ def test_pole_order_and_residue():
         z = 1e-3 * L.r_min * cmath.exp(0.7j)
         for alpha in (2, 3, 4, 5, 6, 7):
             p, dp, _ = weier_eval(L, z, exclusion=1e-4)
-            val = z ** alpha * _e_value(alpha, p, dp)
+            val = z ** alpha * _e_from_values(L, alpha, p, dp)[0]
             assert abs(val - 1) < 1e-3
 
 
@@ -620,12 +620,9 @@ def test_identity5_sweep_evaluates_each_point_once(weier_eval_points):
     assert len(weier_eval_points) == 3 * 25  # x, y and x - y per pair
 
 
-def test_verify_functional_matches_one_sym_eval_per_pair():
-    # verify_functional evaluates each bracket once at all its pairs; the
-    # report must be the one a call of the public sym_eval per pair gives.
-    n = Fraction(5)
-    window = IndexSet.fn(5).members()
-    plan = SamplePlan(seed=9, count=20, tolerance=1e-6)
+def per_pair_report(n, window, plan):
+    """verify_functional's report on SQUARE from a call of the public
+    func_bracket and sym_eval per generator pair and sampled pair."""
     pairs = sample_pairs(SQUARE, Random(plan.seed), plan.count, diagonal_every=5)
     params = numeric_params(SQUARE, n)
     spec = BracketSpec.elliptic()
@@ -638,11 +635,33 @@ def test_verify_functional_matches_one_sym_eval_per_pair():
                 rhs, rhs_scale = sym_eval(SQUARE, br, params, [x, y]) if br else (0j, 1.0)
                 tally.residual(abs(lhs - rhs) / max(lhs_scale, rhs_scale),
                                "pair=({},{}) x={!r} y={!r}", alpha, beta, x, y)
-    want = tally.report("functional-n5", {
-        "n": "5", "window": window, "samples": plan.count, "seed": plan.seed,
+    return tally.report(f"functional-n{n}", {
+        "n": str(n), "window": window, "samples": plan.count, "seed": plan.seed,
         "tol": plan.tolerance, "omega1": repr(SQUARE.omega1),
         "omega2": repr(SQUARE.omega2)})
+
+
+def test_verify_functional_matches_one_sym_eval_per_pair():
+    # verify_functional evaluates each bracket once at all its pairs; the
+    # report must be the one a call of the public sym_eval per pair gives.
+    n = Fraction(5)
+    window = IndexSet.fn(5).members()
+    plan = SamplePlan(seed=9, count=20, tolerance=1e-6)
     got = verify_functional(SQUARE, n, window, plan)
+    assert got.to_json() == per_pair_report(n, window, plan).to_json()
+
+
+def test_verify_functional_keeps_the_rows_of_a_repeated_index():
+    # the window is sorted, and an index given twice repeats its rows; at
+    # the smallest tolerance every row with a nonzero residual is a failure
+    # record, so the repeated rows of (0, 2) and (0, 3) show in the report
+    n = Fraction(5)
+    plan = SamplePlan(seed=9, count=10, tolerance=5e-324)
+    got = verify_functional(SQUARE, n, [3, 0, 2, 0], plan)
+    want = per_pair_report(n, [0, 0, 2, 3], plan)
+    assert want.parameters["window"] == [0, 0, 2, 3]
+    witnesses = [f["witness"] for f in want.failures]
+    assert len(witnesses) > len(set(witnesses))
     assert got.to_json() == want.to_json()
 
 
@@ -677,8 +696,38 @@ def test_verify_functional_evaluates_each_generator_once_per_point(monkeypatch):
         return real(L, alpha, p, dp)
 
     monkeypatch.setattr(weierstrass, "_e_from_values", counting)
-    window = [0, 2, 3, 4, 5, 6]  # 21 generator pairs
     plan = SamplePlan(seed=4, count=10, tolerance=1e-6)
-    assert verify_functional(SQUARE, Fraction(6), window, plan).passed
-    # every fifth pair is diagonal and needs only x: 8 * 2 + 2 points
-    assert Counter(calls) == {alpha: 18 for alpha in window}
+    spec = BracketSpec.elliptic()
+    # F_6 (21 generator pairs) is closed under the bracket; the brackets of
+    # [0, 2, 3, 5] (10 pairs) hold e[4] and e[6] as well
+    for window in ([0, 2, 3, 4, 5, 6], [0, 2, 3, 5]):
+        calls.clear()
+        assert verify_functional(SQUARE, Fraction(6), window, plan).passed
+        indices = set(window).union(*(
+            generator_bracket(a, b, spec, n_value=Fraction(6)).support()
+            for a in window for b in window))
+        assert indices == {0, 2, 3, 4, 5, 6}
+        # once per pair, run and index of the window and the brackets'
+        # supports, which the two-point side and the point set share; every
+        # fifth pair is diagonal, one run of two points: 8 * 2 + 2 runs
+        assert Counter(calls) == {alpha: 18 for alpha in indices}
+
+
+def test_sym_eval_evaluates_each_run_once(weier_eval_points, monkeypatch):
+    # consecutive equal points are one run: one weier_eval and one e-value
+    # per index at each run, equal points apart from each other two runs
+    calls = []
+    real = weierstrass._e_from_values
+
+    def counting(L, alpha, p, dp):
+        calls.append(alpha)
+        return real(L, alpha, p, dp)
+
+    monkeypatch.setattr(weierstrass, "_e_from_values", counting)
+    x, y = 0.21 + 0.13j, -0.17 + 0.29j
+    zero = complex(0.23, 0.0)  # a zero part: the point memo does not keep it
+    points = [x, x, y, zero, complex(0.23, -0.0), zero, x]
+    P = EPoly.monomial((0, 2, 2, 3, 3, 4, 5)) - 2 * EPoly.monomial((2,) * 7)
+    sym_eval(SQUARE, P, {}, points)
+    assert weier_eval_points == [x, y, zero, x]
+    assert Counter(calls) == {alpha: 4 for alpha in P.support()}
