@@ -477,6 +477,16 @@ def test_centrality_keeps_no_partials_on_the_memoized_elements():
     assert_slots_unchanged(cs.elements, before)
 
 
+def test_odd_certificate_keeps_nothing_on_the_memoized_element():
+    # odd n goes through the Pfaffian certificate, which reads the
+    # element's partial derivatives one at a time and stores none
+    cs = casimirs(5)
+    before = [slot_state(elem) for elem in cs.elements]
+    assert verify_central(cs).passed
+    assert involution_family(5).passed
+    assert_slots_unchanged(cs.elements, before)
+
+
 def test_centrality_detects_noncentral():
     fake = CasimirSet(n=4, elements=(EPoly.gen(2) * EPoly.gen(2),), kind="even-pair")
     rep = verify_central(fake)
